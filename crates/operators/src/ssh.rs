@@ -7,10 +7,10 @@
 //! is computed in O(1) (`c / (|A| + |B| − c)`).  Candidates that cannot
 //! reach the threshold are pruned early with the `|A ∩ B| ≥ θ·|A|` bound.
 //!
-//! # The prefix-filtered probe kernel
+//! # The probe kernel: prefix scan, then length → signature → merge
 //!
 //! Grams are interned to dense [`GramId`]s at tokenisation time (see
-//! `linkage_text::intern`), so the probe path is pure integer work:
+//! `linkage_text::intern`), so the whole per-tuple path is integer work:
 //!
 //! * posting lists live in a **flat** `Vec<Vec<u32>>` indexed directly by
 //!   gram id — no hashing at probe time at all;
@@ -24,20 +24,32 @@
 //!   the scanned lists the shortest ones;
 //! * candidate dedup uses an **epoch-stamped array** indexed by tuple
 //!   position (O(1) logical reset per probe — no per-probe `HashMap`
-//!   allocation), and a **length filter** drops a candidate at first
-//!   touch when its gram-set size makes the threshold unreachable even
-//!   at maximum possible overlap `min(|A|, |B|)`;
-//! * surviving candidates are scored by **merge-based verification**: an
+//!   allocation), and at first touch a candidate passes two filters, each
+//!   a few integer operations on a flat column:
+//!   1. the **length filter** drops it when its gram-set size makes the
+//!      threshold unreachable even at maximum possible overlap
+//!      `min(|A|, |B|)`;
+//!   2. the **signature filter** drops it when the 128-bit bitmaps of the
+//!      two sets (one bit per gram) differ in so many bits that
+//!      `|A ∩ B| ≤ (|A| + |B| − popcount(sigA ^ sigB)) / 2` falls below
+//!      `t` (the bitmap filter of Sandes et al., sitting where PPJoin's
+//!      positional filter sits).  On keys of similar length the length
+//!      filter passes almost everything, and this is the filter that
+//!      keeps the merge below from running once per scanned posting;
+//! * the few survivors are scored by **merge-based verification**: an
 //!   early-exit sorted-id merge (galloping for lopsided sizes, see
 //!   `linkage_text::overlap_at_least`) against the candidate's stored
-//!   gram column computes the *exact* overlap, so the emitted similarity
-//!   is identical to a full posting-list count.
+//!   gram column computes the *exact* overlap and rejects below `t`, so
+//!   the signature filter only ever drops what the merge would have
+//!   rejected and the emitted similarity is identical to a full
+//!   posting-list count.
 //!
 //! Candidates are emitted in arrival order (their tuple position), which
 //! keeps the output stream deterministic and bit-identical to the
 //! retained string-keyed reference kernel in [`crate::reference`].  The
 //! [`ProbeFunnel`] counters expose how many posting entries were scanned
-//! or skipped and how many candidates survived each stage.
+//! or skipped and how many candidates survived the length filter and the
+//! merge.
 //!
 //! The join kernel lives in [`SshJoinCore`]; [`SshJoinCore::from_exact`]
 //! implements the paper's §3.3 state handover: it rebuilds the inverted
@@ -52,7 +64,9 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use linkage_text::{normalize, GramId, QGramCoefficient, QGramConfig, QGramSet, SharedInterner};
+use linkage_text::{
+    normalize, overlap_at_least, GramId, QGramCoefficient, QGramConfig, QGramSet, SharedInterner,
+};
 use linkage_types::{MatchPair, PerSide, Record, Result, ShardId, Side, SidedRecord};
 
 use crate::batch::PreparedBatch;
@@ -60,68 +74,23 @@ use crate::exact::orient;
 use crate::iterator::{Operator, OperatorState};
 use crate::state::KeyTable;
 
-/// The verification primitive behind every candidate scoring site: exact
-/// `|a ∩ b|` with the early-exit contract of
-/// [`overlap_at_least`](linkage_text::overlap_at_least).
-///
-/// With the `simd` feature the probe side is read from the scratch's
-/// epoch-stamped gram table (filled by [`ProbeScratch::stamp_probe`]
-/// once per probe, so `a` **must** be the most recently stamped set) and
-/// the candidate side is counted with the branch-free 8-lane chunk loop
-/// of [`overlap_stamped`]; the element-at-a-time galloping merge is
-/// retained for lopsided pairs, where skipping beats scanning.  Without
-/// the feature it is the plain merge.  Every path computes the same
-/// exact count, so the emitted match stream is bit-identical either way.
-#[inline]
-fn verify_overlap(scratch: &ProbeScratch, a: &[GramId], b: &[GramId], min: usize) -> Option<usize> {
-    #[cfg(feature = "simd")]
-    {
-        if b.len() >= linkage_text::GALLOP_RATIO * a.len().max(1) {
-            return linkage_text::overlap_at_least(a, b, min);
-        }
-        overlap_stamped(&scratch.gram_stamps, scratch.gram_epoch, b, min)
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        let _ = scratch;
-        linkage_text::overlap_at_least(a, b, min)
-    }
+/// The 128-bit signature of a gram set: bit `mix(id) mod 128` is set for
+/// every gram id.  A shared gram sets the same bit on both sides, so each
+/// bit in which two signatures differ is owed to a gram of the symmetric
+/// difference, which bounds the overlap from above (see
+/// [`signature_overlap_bound`]).  The multiplicative mix spreads the dense
+/// first-sight ids, whose low values all belong to the commonest grams.
+fn signature(grams: &[GramId]) -> u128 {
+    grams.iter().fold(0, |sig, g| {
+        sig | 1 << (g.as_u32().wrapping_mul(0x9E37_79B1) >> 25)
+    })
 }
 
-/// Count how many of `b`'s gram ids are stamped with the current probe
-/// epoch — exactly `|a ∩ b|` for the stamped probe set `a`, since gram
-/// sets are deduplicated.  The candidate slice is consumed in
-/// [`CHUNK_LANES`](linkage_text::CHUNK_LANES)-wide blocks whose lane
-/// bodies are branch-free table lookups (each compiles to a compare +
-/// add, with no data-dependent branches for the predictor to miss, and
-/// the per-block trip count is static so the compiler unrolls it);
-/// between blocks the usual infeasibility exit applies.  `get` rather
-/// than indexing because candidate ids beyond the stamped range simply
-/// cannot have been stamped.
-#[cfg(feature = "simd")]
-#[inline]
-fn overlap_stamped(stamps: &[u32], epoch: u32, b: &[GramId], min: usize) -> Option<usize> {
-    if b.len() < min {
-        return None;
-    }
-    let mut count = 0usize;
-    let mut remaining = b.len();
-    let mut chunks = b.chunks_exact(linkage_text::CHUNK_LANES);
-    for chunk in &mut chunks {
-        if count + remaining < min {
-            return None;
-        }
-        let mut hits = 0usize;
-        for g in chunk {
-            hits += usize::from(stamps.get(g.as_usize()) == Some(&epoch));
-        }
-        count += hits;
-        remaining -= linkage_text::CHUNK_LANES;
-    }
-    for g in chunks.remainder() {
-        count += usize::from(stamps.get(g.as_usize()) == Some(&epoch));
-    }
-    (count >= min).then_some(count)
+/// An upper bound on `|A ∩ B|` from the sets' sizes and signatures:
+/// `popcount(sigA ^ sigB) ≤ |A Δ B| = |A| + |B| − 2·|A ∩ B|`.  Equal sets
+/// have equal signatures and reach the bound `|A|` exactly.
+fn signature_overlap_bound(len_a: usize, len_b: usize, sig_a: u128, sig_b: u128) -> usize {
+    (len_a + len_b - (sig_a ^ sig_b).count_ones() as usize) / 2
 }
 
 /// One tuple resident in the SSH join, with its pre-extracted q-gram set.
@@ -207,17 +176,6 @@ struct ProbeScratch {
     /// Checked on every lookup, so a stale table self-invalidates even
     /// if a caller bypasses [`SshJoinCore::set_coefficient`].
     bounds_key: Option<(QGramCoefficient, f64)>,
-    /// Epoch stamp per **gram id** (cf. `stamps`, which is per tuple
-    /// position): the direct-address table behind the `simd`
-    /// verification kernel.  [`Self::stamp_probe`] marks the current
-    /// probe's gram ids here so [`overlap_stamped`] can count a
-    /// candidate's overlap with plain table lookups instead of a
-    /// branchy merge.  Sized to the largest gram id stamped so far.
-    gram_stamps: Vec<u32>,
-    /// Current epoch of `gram_stamps` (same O(1)-reset discipline as
-    /// `epoch`/`stamps`).
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
-    gram_epoch: u32,
     /// Cumulative candidate-funnel counters.
     funnel: ProbeFunnel,
 }
@@ -260,38 +218,6 @@ impl ProbeScratch {
         (entry.0 as usize, entry.1 as usize)
     }
 
-    /// Mark `grams` (a sorted, deduplicated gram-id set — the probe's)
-    /// in the gram-id stamp table under a fresh epoch, so the `simd`
-    /// verification kernel can count candidate overlaps by lookup.
-    /// Must be called after candidate generation and before the first
-    /// [`verify_overlap`] of each probe; in batch mode that means once
-    /// per tuple in the *verify* phase, because phase 1 stamps would be
-    /// stale by the time phase 2 reads them.
-    #[cfg(feature = "simd")]
-    fn stamp_probe(&mut self, grams: &[GramId]) {
-        // Sorted input: the last id is the largest, so this bounds the
-        // whole set.
-        let needed = grams.last().map_or(0, |g| g.as_usize() + 1);
-        if self.gram_stamps.len() < needed {
-            self.gram_stamps.resize(needed, 0);
-        }
-        self.gram_epoch = self.gram_epoch.wrapping_add(1);
-        if self.gram_epoch == 0 {
-            self.gram_stamps.fill(0);
-            self.gram_epoch = 1;
-        }
-        let epoch = self.gram_epoch;
-        for g in grams {
-            self.gram_stamps[g.as_usize()] = epoch;
-        }
-    }
-
-    /// Without the `simd` feature verification merges the sets directly,
-    /// so stamping would be pure overhead.
-    #[cfg(not(feature = "simd"))]
-    #[inline(always)]
-    fn stamp_probe(&mut self, _grams: &[GramId]) {}
-
     /// Drop the memoised bounds (coefficient or θ changed).
     fn invalidate_bounds(&mut self) {
         self.bounds.clear();
@@ -304,7 +230,6 @@ impl ProbeScratch {
     /// RAM from the state accounting.
     fn heap_bytes(&self) -> usize {
         self.stamps.capacity() * std::mem::size_of::<u32>()
-            + self.gram_stamps.capacity() * std::mem::size_of::<u32>()
             + self.candidates.capacity() * std::mem::size_of::<u32>()
             + self.ranges.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.stored_pos.capacity() * std::mem::size_of::<u32>()
@@ -326,6 +251,10 @@ pub struct GramIndex {
     /// filter and the similarity arithmetic read, kept flat so the probe
     /// loop never touches the (much larger) tuple entries.
     lens: Vec<u32>,
+    /// [`signature`] per tuple position, read by the signature filter
+    /// right after `lens`.  Derived from the gram ids at insert, so a
+    /// restored or migrated index rebuilds it and no snapshot carries it.
+    sigs: Vec<u128>,
     /// CSR-style gram **column**: every resident's sorted gram ids,
     /// concatenated in arrival order.  Verification reads candidate gram
     /// sets as cache-linear slices of this column instead of chasing the
@@ -381,10 +310,10 @@ impl GramIndex {
     /// (sorted **and** rare-first permutation), the CSR gram column the
     /// verifier reads (sorted ids concatenated, plus offsets) and the
     /// flat inverted index (headers of *populated* posting lists,
-    /// posting entries, per-tuple length column).  Two things are
-    /// deliberately **not**
-    /// counted here: gram *text*, stored once in the join's shared
-    /// [`SharedInterner`] (see [`SshJoinCore::interner_bytes`]); and the
+    /// posting entries, per-tuple length and signature columns).  Two
+    /// things are deliberately **not** counted here: gram *text*, stored
+    /// once in the join's shared [`SharedInterner`] (see
+    /// [`SshJoinCore::interner_bytes`]); and the
     /// slack of the flat posting layout — never-populated slot headers
     /// and unused posting capacity — reported separately by
     /// [`Self::postings_slack_bytes`].  Same estimate-not-measurement
@@ -396,7 +325,8 @@ impl GramIndex {
         let postings = self.postings.iter().filter(|p| !p.is_empty()).count()
             * std::mem::size_of::<Vec<u32>>()
             + self.posting_entries * std::mem::size_of::<u32>();
-        let lens = self.lens.len() * std::mem::size_of::<u32>();
+        let lens = self.lens.len() * std::mem::size_of::<u32>()
+            + self.sigs.len() * std::mem::size_of::<u128>();
         let csr = self.grams.len() * std::mem::size_of::<GramId>()
             + self.offsets.len() * std::mem::size_of::<u32>();
         tuples + keys + gram_ids + postings + lens + csr
@@ -437,6 +367,7 @@ impl GramIndex {
     fn reserve_batch(&mut self, tuples: usize, gram_total: usize, max_id: Option<GramId>) {
         self.tuples.reserve(tuples);
         self.lens.reserve(tuples);
+        self.sigs.reserve(tuples);
         self.offsets
             .reserve(tuples + usize::from(self.offsets.is_empty()));
         self.grams.reserve(gram_total);
@@ -470,6 +401,7 @@ impl GramIndex {
         self.offsets.push(end);
         self.posting_entries += stored.grams.len();
         self.lens.push(stored.grams.len() as u32);
+        self.sigs.push(signature(stored.grams.gram_ids()));
         self.tuples.push(stored);
         idx
     }
@@ -477,10 +409,11 @@ impl GramIndex {
     /// Generate the candidates of `probe` into `scratch` by scanning only
     /// the **rare-first prefix** of its posting lists.  After the call
     /// `scratch.candidates` holds the touched positions that survived
-    /// the first-touch length filter, sorted by arrival position
-    /// (deterministic output order).  Exact per-candidate overlap is
-    /// *not* counted here — callers verify survivors with a sorted-id
-    /// merge against the stored gram column.
+    /// the first-touch length and signature filters, sorted by arrival
+    /// position (deterministic output order).  Exact per-candidate
+    /// overlap is *not* counted here — callers verify survivors with a
+    /// sorted-id merge against the stored gram column, rejecting below
+    /// the `min_overlap` bound this returns.
     ///
     /// With `t = coefficient.min_overlap(|A|, θ)` (recomputed on every
     /// probe, so a mid-stream coefficient or θ change takes effect
@@ -495,18 +428,23 @@ impl GramIndex {
     /// The length filter is sound: a candidate with `|B|` grams is
     /// dropped only when `coefficient.from_overlap(|A|, |B|,
     /// min(|A|, |B|))` — its best achievable similarity — is below
-    /// `theta`.  Equal-key partners always survive it (identical keys
-    /// tokenise to identical sets, whose best similarity is 1).
+    /// `theta`.  The signature filter is sound because it drops a
+    /// candidate only when [`signature_overlap_bound`] is below `t`,
+    /// where verification rejects it anyway; with `t = 1` (the Overlap
+    /// coefficient) it drops nothing.  Equal-key partners always survive
+    /// both (identical keys tokenise to identical sets, whose best
+    /// similarity is 1 and whose signatures are equal).
     fn probe_into(
         &self,
         probe: &QGramSet,
         coefficient: QGramCoefficient,
         theta: f64,
         scratch: &mut ProbeScratch,
-    ) {
+    ) -> usize {
         scratch.candidates.clear();
-        let (_, prefix) = scratch.bounds(coefficient, theta, probe.len());
-        self.probe_arena(probe, coefficient, theta, prefix, scratch);
+        let bounds = scratch.bounds(coefficient, theta, probe.len());
+        self.probe_arena(probe, coefficient, theta, bounds, scratch);
+        bounds.0
     }
 
     /// The arena-based scan behind [`Self::probe_into`] and the batched
@@ -520,12 +458,13 @@ impl GramIndex {
         probe: &QGramSet,
         coefficient: QGramCoefficient,
         theta: f64,
-        prefix: usize,
+        (min_overlap, prefix): (usize, usize),
         scratch: &mut ProbeScratch,
     ) -> (u32, u32) {
         scratch.begin_probe(self.tuples.len());
         let epoch = scratch.epoch;
         let probe_len = probe.len();
+        let probe_sig = signature(probe.gram_ids());
         let order = probe.probe_order();
         let start = scratch.candidates.len();
         for id in &order[..prefix] {
@@ -545,7 +484,13 @@ impl GramIndex {
                     candidate_len,
                     probe_len.min(candidate_len),
                 );
-                if best >= theta {
+                if best < theta {
+                    continue;
+                }
+                scratch.funnel.candidates_after_length_filter += 1;
+                let sig = self.sigs[pos as usize];
+                if signature_overlap_bound(probe_len, candidate_len, probe_sig, sig) >= min_overlap
+                {
                     scratch.candidates.push(pos);
                 }
             }
@@ -555,7 +500,6 @@ impl GramIndex {
                 scratch.funnel.prefix_postings_skipped += list.len() as u64;
             }
         }
-        scratch.funnel.candidates_after_length_filter += (scratch.candidates.len() - start) as u64;
         scratch.candidates[start..].sort_unstable();
         let end = u32::try_from(scratch.candidates.len()).expect("candidate arena exceeds u32");
         (start as u32, end)
@@ -698,14 +642,17 @@ impl SshJoinCore {
         let core = &mut self;
 
         // Migrate: tokenise every resident tuple and rebuild both indexes.
-        // Keys stored by the exact core are already normalised, and
-        // normalisation is idempotent, so extraction sees identical text.
+        // Keys stored by the exact core are already normalised.
         // The interner lock is taken per tuple, not around the whole
         // rebuild, so concurrent shard handovers interleave their
         // interning instead of serialising their entire migrations.
         for side in Side::BOTH {
             for stored in tables[side].tuples() {
-                let grams = QGramSet::extract(&stored.key, &core.config, &mut core.interner.lock());
+                let grams = QGramSet::extract_normalized(
+                    &stored.key,
+                    &core.config,
+                    &mut core.interner.lock(),
+                );
                 core.sides[side].insert(SshStored {
                     record: stored.record.clone(),
                     key: Arc::clone(&stored.key),
@@ -727,15 +674,11 @@ impl SshJoinCore {
         let (left_index, right_index) = (&core.sides.left, &core.sides.right);
         let scratch = &mut core.scratch;
         for l in left_index.tuples() {
-            let (bound, _) = scratch.bounds(coefficient, theta, l.grams.len());
-            right_index.probe_into(&l.grams, coefficient, theta, scratch);
-            scratch.stamp_probe(l.grams.gram_ids());
+            let bound = right_index.probe_into(&l.grams, coefficient, theta, scratch);
             let mut verified = 0u64;
-            for i in 0..scratch.candidates.len() {
-                let pos = scratch.candidates[i];
+            for &pos in &scratch.candidates {
                 let r = &right_index.tuples()[pos as usize];
-                let Some(shared) = verify_overlap(
-                    scratch,
+                let Some(shared) = overlap_at_least(
                     l.grams.gram_ids(),
                     right_index.gram_column(pos as usize),
                     bound,
@@ -793,8 +736,8 @@ impl SshJoinCore {
     /// posting-array indexing.
     pub fn prepare(&self, sided: &SidedRecord) -> Result<(Arc<str>, QGramSet)> {
         let raw = sided.record.key_str(self.keys[sided.side])?;
-        let key: Arc<str> = Arc::from(normalize(raw, &self.config.normalize).as_str());
-        let grams = QGramSet::extract(raw, &self.config, &mut self.interner.lock());
+        let key: Arc<str> = Arc::from(normalize(raw, &self.config.normalize));
+        let grams = QGramSet::extract_normalized(&key, &self.config, &mut self.interner.lock());
         Ok((key, grams))
     }
 
@@ -817,28 +760,23 @@ impl SshJoinCore {
     ) -> Result<usize> {
         let coefficient = self.coefficient;
         let theta = self.theta;
-        let (bound, _) = self.scratch.bounds(coefficient, theta, grams.len());
-
         let (own, opposite) = self.sides.own_and_opposite_mut(sided.side);
         let scratch = &mut self.scratch;
-        opposite.probe_into(grams, coefficient, theta, scratch);
-        scratch.stamp_probe(grams.gram_ids());
+        let bound = opposite.probe_into(grams, coefficient, theta, scratch);
         let mut emitted = 0usize;
         let mut verified = 0u64;
         let mut matched_exactly = false;
-        let mut exact_partners: Vec<usize> = Vec::new();
         for &pos in &scratch.candidates {
             let idx = pos as usize;
-            let Some(shared) =
-                verify_overlap(scratch, grams.gram_ids(), opposite.gram_column(idx), bound)
+            let Some(shared) = overlap_at_least(grams.gram_ids(), opposite.gram_column(idx), bound)
             else {
                 continue;
             };
-            let partner = &opposite.tuples[idx];
+            let partner = &mut opposite.tuples[idx];
             verified += 1;
             let pair = if partner.key == *key {
                 matched_exactly = true;
-                exact_partners.push(idx);
+                partner.matched_exactly = true;
                 let (l, r) = orient(sided.side, sided.record.clone(), partner.record.clone());
                 MatchPair::exact(l, r)
             } else {
@@ -858,9 +796,6 @@ impl SshJoinCore {
             emitted += 1;
         }
         scratch.funnel.candidates_verified += verified;
-        for idx in exact_partners {
-            opposite.tuples[idx].matched_exactly = true;
-        }
         if store {
             own.insert(SshStored {
                 record: sided.record.clone(),
@@ -882,8 +817,7 @@ impl SshJoinCore {
     /// so later tuples of the same batch still see earlier ones, exactly
     /// as in serial execution.  Phase 2 (*verify*) scores every
     /// surviving (probe, candidate) pair in blocks, reading candidate
-    /// gram sets as cache-linear slices of the CSR gram column (with the
-    /// `simd` feature, through the chunked 8-lane kernel).  Epoch
+    /// gram sets as cache-linear slices of the CSR gram column.  Epoch
     /// management and scratch growth are amortised across the batch, and
     /// the emission order is the serial order: tuples in batch order,
     /// each tuple's candidates in arrival order.
@@ -931,9 +865,9 @@ impl SshJoinCore {
         }
         for i in 0..batch.len() {
             let grams = &batch.grams[i];
-            let prefix = self.scratch.bounds(coefficient, theta, grams.len()).1;
+            let bounds = self.scratch.bounds(coefficient, theta, grams.len());
             let (own, opposite) = self.sides.own_and_opposite_mut(batch.sided[i].side);
-            let range = opposite.probe_arena(grams, coefficient, theta, prefix, &mut self.scratch);
+            let range = opposite.probe_arena(grams, coefficient, theta, bounds, &mut self.scratch);
             self.scratch.ranges.push(range);
             if store_home == Some(batch.homes[i]) {
                 // The matched-exactly flag is not known until this
@@ -959,29 +893,21 @@ impl SshJoinCore {
             let grams = &batch.grams[i];
             let bound = self.scratch.bounds(coefficient, theta, grams.len()).0;
             let (start, end) = self.scratch.ranges[i];
-            // Stamp here, not in phase 1: the gram-stamp table holds one
-            // probe's ids at a time, and by phase 2 a phase-1 stamp
-            // would have been overwritten by every later tuple's scan.
-            self.scratch.stamp_probe(grams.gram_ids());
             let (own, opposite) = self.sides.own_and_opposite_mut(sided.side);
             let mut verified = 0u64;
             let mut matched_exactly = false;
-            let mut exact_partners: Vec<usize> = Vec::new();
-            for c in start as usize..end as usize {
-                let idx = self.scratch.candidates[c] as usize;
-                let Some(shared) = verify_overlap(
-                    &self.scratch,
-                    grams.gram_ids(),
-                    opposite.gram_column(idx),
-                    bound,
-                ) else {
+            for &pos in &self.scratch.candidates[start as usize..end as usize] {
+                let idx = pos as usize;
+                let Some(shared) =
+                    overlap_at_least(grams.gram_ids(), opposite.gram_column(idx), bound)
+                else {
                     continue;
                 };
                 verified += 1;
-                let partner = &opposite.tuples[idx];
+                let partner = &mut opposite.tuples[idx];
                 let pair = if partner.key == *key {
                     matched_exactly = true;
-                    exact_partners.push(idx);
+                    partner.matched_exactly = true;
                     let (l, r) = orient(sided.side, sided.record.clone(), partner.record.clone());
                     MatchPair::exact(l, r)
                 } else {
@@ -1001,9 +927,6 @@ impl SshJoinCore {
                 emitted_total += 1;
             }
             self.scratch.funnel.candidates_verified += verified;
-            for idx in exact_partners {
-                opposite.tuples[idx].matched_exactly = true;
-            }
             let pos = self.scratch.stored_pos[i];
             if matched_exactly && pos != u32::MAX {
                 own.tuples[pos as usize].matched_exactly = true;
@@ -1061,20 +984,14 @@ impl SshJoinCore {
         let theta = self.theta;
         for (side, f) in foreign {
             let scratch = &mut self.scratch;
-            let bound = scratch.bounds(coefficient, theta, f.grams.len()).0;
             let local = &self.sides[side.opposite()];
-            local.probe_into(&f.grams, coefficient, theta, scratch);
-            scratch.stamp_probe(f.grams.gram_ids());
+            let bound = local.probe_into(&f.grams, coefficient, theta, scratch);
             let mut verified = 0u64;
-            for i in 0..scratch.candidates.len() {
-                let pos = scratch.candidates[i];
+            for &pos in &scratch.candidates {
                 let partner = &local.tuples[pos as usize];
-                let Some(shared) = verify_overlap(
-                    scratch,
-                    f.grams.gram_ids(),
-                    local.gram_column(pos as usize),
-                    bound,
-                ) else {
+                let Some(shared) =
+                    overlap_at_least(f.grams.gram_ids(), local.gram_column(pos as usize), bound)
+                else {
                     continue;
                 };
                 verified += 1;
@@ -1377,6 +1294,60 @@ mod tests {
             .process_prepared(&probe, &key, &grams, false, &mut out)
             .unwrap();
         assert_eq!(emitted, 0);
+    }
+
+    #[test]
+    fn signature_filter_drops_what_the_merge_would_reject() {
+        // Resident and probe are equally long and share only the seven
+        // grams of "TAA BZ ": the length filter passes the candidate, the
+        // merge would reject it (7 < ⌈0.8·34⌉), and the signature filter
+        // spares the merge.  Two right-side residents holding the probe's
+        // tail make its unshared grams the frequent ones, so the shared
+        // grams fall inside the rare-first prefix and the candidate is
+        // scanned at all.
+        const TAIL: &str = "XKWQJ YPOMZFUH DLGVRNEICS";
+        let mut core = SshJoinCore::new(PerSide::new(0, 0), QGramConfig::default(), 0.8);
+        let mut out = VecDeque::new();
+        core.process(sided(Side::Left, 0, LONG_A), &mut out)
+            .unwrap();
+        for id in 0..2 {
+            core.process(sided(Side::Right, id, TAIL), &mut out)
+                .unwrap();
+        }
+        let probe = sided(Side::Right, 2, &format!("TAA BZ {TAIL}"));
+        let (key, grams) = core.prepare(&probe).unwrap();
+        let left = &core.sides[Side::Left];
+        assert_eq!(grams.len(), left.lens[0] as usize);
+
+        let mut scratch = ProbeScratch::default();
+        let bound = left.probe_into(&grams, QGramCoefficient::Jaccard, 0.8, &mut scratch);
+        assert_eq!(
+            scratch.funnel.candidates_after_length_filter, 1,
+            "counted before the signature test"
+        );
+        assert!(scratch.candidates.is_empty(), "dropped before the merge");
+        assert_eq!(
+            overlap_at_least(grams.gram_ids(), left.gram_column(0), bound),
+            None,
+            "the merge would have rejected it"
+        );
+        // Overlap's bound is one shared gram: the filter is inert.
+        left.probe_into(&grams, QGramCoefficient::Overlap, 0.8, &mut scratch);
+        assert_eq!(scratch.candidates, [0]);
+
+        let before = core.funnel();
+        let emitted = core
+            .process_prepared(&probe, &key, &grams, false, &mut out)
+            .unwrap();
+        assert_eq!(emitted, 0);
+        assert_eq!(
+            core.funnel().candidates_after_length_filter,
+            before.candidates_after_length_filter + 1
+        );
+        assert_eq!(
+            core.funnel().candidates_verified,
+            before.candidates_verified
+        );
     }
 
     #[test]
@@ -1858,6 +1829,32 @@ mod tests {
     }
 
     #[test]
+    fn state_bytes_per_resident_is_pinned() {
+        // One more resident with an already indexed key costs its tuple
+        // entry, its key text, four id-sized words per gram (sorted ids,
+        // rare-first permutation, CSR column, posting entries) and one
+        // slot in each flat column: length 4 B, signature 16 B, offset 4 B.
+        let mut core = SshJoinCore::new(PerSide::new(0, 0), QGramConfig::default(), 0.8);
+        let mut out = VecDeque::new();
+        core.process(sided(Side::Left, 0, LONG_A), &mut out)
+            .unwrap();
+        let one = core.state_bytes().left;
+        let interner = core.interner_bytes();
+        core.process(sided(Side::Left, 1, LONG_A), &mut out)
+            .unwrap();
+        let grams = core.sides[Side::Left].tuples()[0].grams.len();
+        assert_eq!(
+            core.state_bytes().left - one,
+            std::mem::size_of::<SshStored>() + LONG_A.len() + 4 * 4 * grams + 4 + 16 + 4
+        );
+        // The gram table: text once, an `Arc<str>` and a frequency per
+        // id, and a 16 B inline-keyed slot per (three-character) gram.
+        assert_eq!(core.interner_bytes(), interner, "no new gram");
+        let text: usize = core.interner().lock().texts().iter().map(|t| t.len()).sum();
+        assert_eq!(interner, text + grams * (16 + 4 + 16));
+    }
+
+    #[test]
     fn state_bytes_counts_index_growth_and_interner_separately() {
         let mut core = SshJoinCore::new(PerSide::new(0, 0), QGramConfig::default(), 0.8);
         let mut out = VecDeque::new();
@@ -1878,5 +1875,65 @@ mod tests {
         core.process(sided(Side::Left, 2, UNRELATED), &mut out)
             .unwrap();
         assert_eq!(core.interner_bytes(), interner_two);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The signature bound never under-estimates `|A ∩ B|`, so for no
+        /// coefficient and threshold does the filter drop a pair that
+        /// reaches θ — over Unicode keys with characters above U+FFFF,
+        /// keys shorter than `q`, and both paddings.
+        #[test]
+        fn signature_bound_never_underestimates_the_overlap(
+            a in "[abAB éß𝄞😀]{0,12}",
+            b in "[abAB éß𝄞😀]{0,12}",
+            noise in proptest::collection::vec("[a-z]{1,9}", 0..40),
+            pad in 0usize..2,
+        ) {
+            let mut config = QGramConfig::default();
+            config.pad = pad == 1;
+            let interner = SharedInterner::new();
+            // Other keys first: which bit a gram sets depends on its id.
+            for key in &noise {
+                QGramSet::extract(key, &config, &mut interner.lock());
+            }
+            let sa = QGramSet::extract(&a, &config, &mut interner.lock());
+            let sb = QGramSet::extract(&b, &config, &mut interner.lock());
+            let shared = sa.intersection_size(&sb);
+            let bound = signature_overlap_bound(
+                sa.len(),
+                sb.len(),
+                signature(sa.gram_ids()),
+                signature(sb.gram_ids()),
+            );
+            prop_assert!(bound >= shared, "bound {} < overlap {}", bound, shared);
+            for coefficient in QGramCoefficient::ALL {
+                for theta in [0.1, 0.3, 0.5, 0.8, 1.0] {
+                    if sa.is_empty() || coefficient.from_overlap(sa.len(), sb.len(), shared) < theta {
+                        continue;
+                    }
+                    let mut index = GramIndex::default();
+                    index.insert(SshStored {
+                        record: Record::new(0u64, Vec::new()),
+                        key: Arc::from(b.as_str()),
+                        grams: sb.clone(),
+                        matched_exactly: false,
+                    });
+                    let mut scratch = ProbeScratch::default();
+                    index.probe_into(&sa, coefficient, theta, &mut scratch);
+                    prop_assert!(
+                        scratch.candidates == [0],
+                        "{} θ={}: a pair reaching θ was filtered",
+                        coefficient.name(),
+                        theta
+                    );
+                }
+            }
+        }
     }
 }

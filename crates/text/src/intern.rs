@@ -9,10 +9,16 @@
 //! `Vec<Vec<u32>>` indexed directly by id, and set operations between
 //! [`QGramSet`]s are merges over sorted `u32`s.
 //!
-//! The one remaining string-keyed map (gram text → id, consulted once per
-//! *window* at tokenisation) uses [`FxHasher`], a fast non-cryptographic
-//! multiply-rotate hash; grams are tiny (q ≈ 3 characters) and the table
-//! is private to the join, so HashDoS resistance buys nothing here.
+//! The gram → id lookup runs once per *window* at tokenisation, so it is
+//! integer work too: a gram of up to three characters (every gram at the
+//! paper's `q = 3`) is keyed by its characters packed
+//! into one `u64`, stored inline in the table — a hit neither builds a
+//! `String` nor dereferences one, and the gram text is materialised only
+//! on first sight.  Wider grams keep a string-keyed table; which table a
+//! gram lives in is decided by its length alone.  Both hash with
+//! [`FxHasher`], a fast non-cryptographic multiply-rotate hash; the
+//! tables are private to the join, so HashDoS resistance buys nothing
+//! here.
 //!
 //! [`SharedInterner`] wraps the table in `Arc<Mutex<…>>` so the sharded
 //! executor's workers can share one id space: the coordinator interns
@@ -75,9 +81,13 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// The low bits of the last multiply depend only on the low bits of
+    /// the words fed in, and the low bits are the ones `HashMap` picks
+    /// buckets by — short grams over a small alphabet would pile into a
+    /// few bucket groups.  Rotating brings the well-mixed high bits down.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 
     #[inline]
@@ -103,6 +113,49 @@ impl Hasher for FxHasher {
 /// `BuildHasher` producing [`FxHasher`]s.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// A gram of at most [`Self::MAX_CHARS`] characters as one integer: 21
+/// bits per character (a `char` is below 2²¹), most recent character
+/// lowest, each biased by one so that a shorter gram differs from a gram
+/// with leading NULs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub(crate) struct PackedGram(u64);
+
+impl PackedGram {
+    /// The widest gram one key holds.
+    pub(crate) const MAX_CHARS: usize = 64 / Self::BITS;
+    const BITS: usize = 21;
+
+    /// Slide `c` into a window of width `q ≤ MAX_CHARS`, dropping the
+    /// character that falls out.
+    #[inline]
+    pub(crate) fn slide(self, c: char, q: usize) -> Self {
+        debug_assert!((1..=Self::MAX_CHARS).contains(&q));
+        let mask = u64::MAX >> (64 - Self::BITS * q);
+        Self(((self.0 << Self::BITS) | (u64::from(c) + 1)) & mask)
+    }
+
+    /// Pack `gram`, or `None` when it is too wide.
+    fn pack(gram: &str) -> Option<Self> {
+        let mut chars = gram.chars();
+        let mut packed = Self::default();
+        for c in chars.by_ref().take(Self::MAX_CHARS) {
+            packed = packed.slide(c, Self::MAX_CHARS);
+        }
+        chars.next().is_none().then_some(packed)
+    }
+
+    /// The gram's text.
+    fn text(self) -> String {
+        (0..Self::MAX_CHARS)
+            .rev()
+            .filter_map(|i| {
+                let biased = (self.0 >> (Self::BITS * i)) as u32 & ((1 << Self::BITS) - 1);
+                char::from_u32(biased.checked_sub(1)?)
+            })
+            .collect()
+    }
+}
+
 /// The gram ⇄ id table: each distinct gram is stored once and mapped to a
 /// dense [`GramId`].
 ///
@@ -115,7 +168,10 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// prefix bound is sound under *any* traversal order.
 #[derive(Debug, Clone, Default)]
 pub struct GramInterner {
-    map: HashMap<Arc<str>, GramId, FxBuildHasher>,
+    /// Grams of at most [`PackedGram::MAX_CHARS`] characters, keyed inline.
+    packed: HashMap<PackedGram, GramId, FxBuildHasher>,
+    /// Every wider gram, keyed by its text (shared with `texts`).
+    wide: HashMap<Arc<str>, GramId, FxBuildHasher>,
     texts: Vec<Arc<str>>,
     /// `doc_freq[id]` = number of noted gram sets containing `id`.
     doc_freq: Vec<u32>,
@@ -144,16 +200,37 @@ impl GramInterner {
     /// re-interning an already-known gram is a hash lookup with no
     /// allocation.
     pub fn intern(&mut self, gram: &str) -> GramId {
-        if let Some(&id) = self.map.get(gram) {
+        if let Some(packed) = PackedGram::pack(gram) {
+            return self.intern_packed(packed);
+        }
+        if let Some(&id) = self.wide.get(gram) {
             return id;
         }
+        let text: Arc<str> = Arc::from(gram);
+        let id = self.push_text(Arc::clone(&text));
+        self.wide.insert(text, id);
+        id
+    }
+
+    /// [`Self::intern`] for a gram already packed — the tokeniser's
+    /// per-window path.
+    #[inline]
+    pub(crate) fn intern_packed(&mut self, gram: PackedGram) -> GramId {
+        if let Some(&id) = self.packed.get(&gram) {
+            return id;
+        }
+        let id = self.push_text(Arc::from(gram.text()));
+        self.packed.insert(gram, id);
+        id
+    }
+
+    /// Issue the next dense id, for `text`.
+    fn push_text(&mut self, text: Arc<str>) -> GramId {
         let id = GramId::new(
             u32::try_from(self.texts.len()).expect("more than u32::MAX distinct grams"),
         );
-        let text: Arc<str> = Arc::from(gram);
-        self.texts.push(Arc::clone(&text));
+        self.texts.push(text);
         self.doc_freq.push(0);
-        self.map.insert(text, id);
         id
     }
 
@@ -191,7 +268,10 @@ impl GramInterner {
 
     /// The id of `gram`, if it was interned before.
     pub fn get(&self, gram: &str) -> Option<GramId> {
-        self.map.get(gram).copied()
+        match PackedGram::pack(gram) {
+            Some(packed) => self.packed.get(&packed).copied(),
+            None => self.wide.get(gram).copied(),
+        }
     }
 
     /// The text behind `id`, if the id was issued by this interner.
@@ -213,7 +293,7 @@ impl GramInterner {
 
     /// Rebuild a table from its snapshot columns: `texts[i]` becomes the
     /// text of `GramId(i)` with document frequency `doc_freq[i]`, and the
-    /// text → id map is re-derived.  Fails with a typed
+    /// gram → id tables are re-derived.  Fails with a typed
     /// [`LinkageError::Snapshot`] when the columns disagree in length or
     /// a gram text repeats (dense ids require distinct texts).
     pub fn from_parts(texts: Vec<Arc<str>>, doc_freq: Vec<u32>) -> Result<Self> {
@@ -224,35 +304,38 @@ impl GramInterner {
                 doc_freq.len()
             )));
         }
-        let mut map: HashMap<Arc<str>, GramId, FxBuildHasher> =
-            HashMap::with_capacity_and_hasher(texts.len(), FxBuildHasher::default());
+        let mut table = Self {
+            doc_freq,
+            ..Self::default()
+        };
         for (i, text) in texts.iter().enumerate() {
-            if map
-                .insert(Arc::clone(text), GramId::new(i as u32))
-                .is_some()
-            {
+            let id = GramId::new(i as u32);
+            let repeated = match PackedGram::pack(text) {
+                Some(packed) => table.packed.insert(packed, id),
+                None => table.wide.insert(Arc::clone(text), id),
+            };
+            if repeated.is_some() {
                 return Err(LinkageError::snapshot(format!(
                     "interner snapshot repeats gram text {text:?}"
                 )));
             }
         }
-        Ok(Self {
-            map,
-            texts,
-            doc_freq,
-        })
+        table.texts = texts;
+        Ok(table)
     }
 
     /// Estimated size of the table in bytes: the gram text (stored once
-    /// per distinct gram), the id column, and the map's key/value slots.
+    /// per distinct gram), the id column, and the key/value slots of the
+    /// packed and the string-keyed table.
     /// Same estimate-not-measurement caveat as the operators' state
     /// accounting.
     pub fn state_bytes(&self) -> usize {
         let text: usize = self.texts.iter().map(|t| t.len()).sum();
         let columns = self.texts.len() * std::mem::size_of::<Arc<str>>()
             + self.doc_freq.len() * std::mem::size_of::<u32>();
-        let map = self.map.len() * std::mem::size_of::<(Arc<str>, GramId)>();
-        text + columns + map
+        let tables = self.packed.len() * std::mem::size_of::<(PackedGram, GramId)>()
+            + self.wide.len() * std::mem::size_of::<(Arc<str>, GramId)>();
+        text + columns + tables
     }
 }
 
@@ -462,6 +545,75 @@ mod tests {
         assert_ne!(hash("abcdefgh"), hash("abcdefgi"), "8-byte chunk path");
         assert_ne!(hash("abcdefghij"), hash("abcdefghik"), "tail path");
         assert_eq!(hash("abc"), hash("abc"));
+    }
+
+    /// `HashMap` picks a bucket from the low bits of the hash.  Every
+    /// 3-character gram over a 40-symbol alphabet, hashed as the packed
+    /// table and as the string table hash it, must spread over the low 15
+    /// bits: with the raw multiply as `finish` one value held 1 600 packed
+    /// grams.
+    #[test]
+    fn fx_hasher_spreads_short_grams_over_the_low_bits() {
+        use std::hash::BuildHasher;
+        const BITS: u32 = 15;
+        let alphabet: Vec<char> = ('A'..='Z').chain('0'..='9').chain(" -'.".chars()).collect();
+        assert_eq!(alphabet.len(), 40);
+        let build = FxBuildHasher::default();
+        let mut packed = vec![0u32; 1 << BITS];
+        let mut strings = vec![0u32; 1 << BITS];
+        let mut grams = 0u32;
+        for &a in &alphabet {
+            for &b in &alphabet {
+                for &c in &alphabet {
+                    let text: String = [a, b, c].iter().collect();
+                    let key = PackedGram::pack(&text).expect("three characters pack");
+                    let low = |hash: u64| (hash & ((1 << BITS) - 1)) as usize;
+                    packed[low(build.hash_one(key))] += 1;
+                    strings[low(build.hash_one(text.as_str()))] += 1;
+                    grams += 1;
+                }
+            }
+        }
+        let fair = grams.div_ceil(1 << BITS);
+        for (table, counts) in [("packed", &packed), ("string", &strings)] {
+            let worst = *counts.iter().max().unwrap();
+            assert!(
+                worst <= 8 * fair,
+                "{table} keys: one low-{BITS}-bit value holds {worst} of {grams} grams (fair share {fair})"
+            );
+        }
+    }
+
+    #[test]
+    fn packed_grams_round_trip_their_text() {
+        for text in ["", "a", "ab", "abc", "\0\0a", "\0", "ß𝄞\u{10FFFF}"] {
+            let packed = PackedGram::pack(text).expect("at most three characters");
+            assert_eq!(packed.text(), text);
+        }
+        assert_eq!(PackedGram::pack("abcd"), None, "too wide for one key");
+        assert_ne!(PackedGram::pack("\0a"), PackedGram::pack("a"));
+        // Sliding at width q keeps the last q characters only.
+        let slid = "xyabc"
+            .chars()
+            .fold(PackedGram::default(), |w, c| w.slide(c, 3));
+        assert_eq!(Some(slid), PackedGram::pack("abc"));
+    }
+
+    #[test]
+    fn short_and_wide_grams_share_one_dense_id_space() {
+        let mut interner = GramInterner::new();
+        let short = interner.intern("abc");
+        let wide = interner.intern("abcd");
+        assert_eq!((short.as_u32(), wide.as_u32()), (0, 1));
+        assert_eq!(interner.intern("abcd"), wide);
+        assert_eq!(interner.get("abc"), Some(short));
+        assert_eq!(interner.get("abcd"), Some(wide));
+        assert_eq!(interner.get("abce"), None);
+        assert_eq!(interner.resolve(wide), Some("abcd"));
+        // 16 B per packed slot, 24 B per string-keyed slot, plus text and
+        // the two per-id columns.
+        let per_id = std::mem::size_of::<Arc<str>>() + std::mem::size_of::<u32>();
+        assert_eq!(interner.state_bytes(), (3 + 4) + 2 * per_id + 16 + 24);
     }
 
     #[test]

@@ -42,10 +42,7 @@ pub use edit::{levenshtein_distance, NormalizedLevenshtein};
 pub use intern::{FxBuildHasher, FxHasher, GramId, GramInterner, SharedInterner};
 pub use jaro::{jaro_similarity, jaro_winkler_similarity, JaroWinkler};
 pub use normalize::{normalize, NormalizeConfig};
-pub use qgram::{
-    overlap_at_least, overlap_block, overlap_chunked, Gram, QGramConfig, QGramSet, StringGramSet,
-    CHUNK_LANES, GALLOP_RATIO,
-};
+pub use qgram::{overlap_at_least, Gram, QGramConfig, QGramSet, StringGramSet};
 pub use similarity::{
     QGramCoefficient, QGramCosine, QGramDice, QGramJaccard, QGramOverlap, SimilarityFn,
     StringSimilarity,

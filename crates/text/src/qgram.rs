@@ -15,7 +15,9 @@
 //!   a dense [`GramId`] through a [`GramInterner`], and the set is a sorted
 //!   `Vec<GramId>`.  Set operations are integer merges and the approximate
 //!   join's inverted index can use ids as direct array indexes — no string
-//!   hashing anywhere on the probe path.
+//!   hashing anywhere on the probe path.  At `q ≤ 3` tokenisation builds no
+//!   strings either: each window is a rolling integer key (see
+//!   `intern::PackedGram`).
 //! * [`StringGramSet`] — the retained string-keyed reference: sorted
 //!   `Arc<str>` grams, exactly the representation the kernel used before
 //!   interning.  The standalone similarity functions build on it (they
@@ -28,7 +30,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::intern::{GramId, GramInterner};
+use crate::intern::{GramId, GramInterner, PackedGram};
 use crate::normalize::{normalize, NormalizeConfig};
 
 /// A single q-gram as shared text.
@@ -115,28 +117,24 @@ impl QGramConfig {
     }
 }
 
-/// Enumerate the sliding windows of `input` under `config`, calling `f`
-/// with each window's text.  Returns the window count (the paper's
-/// `|jA| + q − 1` with padding); both set representations share this
-/// enumeration so they tokenise bit-identically.
-fn for_each_window(input: &str, config: &QGramConfig, mut f: impl FnMut(&str)) -> usize {
-    if config.q == 0 {
+/// The characters the window slides over: `normalized`, with `q − 1`
+/// begin and end markers around it when padding is on.  Both window
+/// enumerations below read this sequence, so they tokenise identically.
+fn padded_chars<'a>(normalized: &'a str, config: &QGramConfig) -> impl Iterator<Item = char> + 'a {
+    let pad = if config.pad { config.q - 1 } else { 0 };
+    std::iter::repeat_n(config.pad_begin, pad)
+        .chain(normalized.chars())
+        .chain(std::iter::repeat_n(config.pad_end, pad))
+}
+
+/// Enumerate the sliding windows of the already normalised `normalized`
+/// under `config`, calling `f` with each window's text.  Returns the
+/// window count (the paper's `|jA| + q − 1` with padding).
+fn for_each_window(normalized: &str, config: &QGramConfig, mut f: impl FnMut(&str)) -> usize {
+    if config.q == 0 || normalized.is_empty() {
         return 0;
     }
-    let normalized = normalize(input, &config.normalize);
-    if normalized.is_empty() {
-        return 0;
-    }
-
-    let mut chars: Vec<char> = Vec::with_capacity(normalized.len() + 2 * (config.q - 1));
-    if config.pad {
-        chars.extend(std::iter::repeat_n(config.pad_begin, config.q - 1));
-    }
-    chars.extend(normalized.chars());
-    if config.pad {
-        chars.extend(std::iter::repeat_n(config.pad_end, config.q - 1));
-    }
-
+    let chars: Vec<char> = padded_chars(normalized, config).collect();
     let mut buf = String::with_capacity(config.q * 4);
     if chars.len() < config.q {
         // Unpadded short string: take the whole string as one gram.
@@ -152,6 +150,34 @@ fn for_each_window(input: &str, config: &QGramConfig, mut f: impl FnMut(&str)) -
         window_count += 1;
     }
     window_count
+}
+
+/// [`for_each_window`] for `q ≤ PackedGram::MAX_CHARS`, without building
+/// any string: the window is a rolling [`PackedGram`] and `f` receives
+/// one key per window.
+fn for_each_packed_window(
+    normalized: &str,
+    config: &QGramConfig,
+    mut f: impl FnMut(PackedGram),
+) -> usize {
+    if config.q == 0 || normalized.is_empty() {
+        return 0;
+    }
+    let mut window = PackedGram::default();
+    let mut fed = 0usize;
+    for c in padded_chars(normalized, config) {
+        window = window.slide(c, config.q);
+        fed += 1;
+        if fed >= config.q {
+            f(window);
+        }
+    }
+    if fed < config.q {
+        // Unpadded short string: take the whole string as one gram.
+        f(window);
+        return 1;
+    }
+    fed + 1 - config.q
 }
 
 /// The deduplicated, **interned** q-gram set of one string.
@@ -199,10 +225,27 @@ impl QGramSet {
     /// frequency sidecar (once per distinct gram) and snapshots the
     /// rare-first [`Self::probe_order`] from the updated frequencies.
     pub fn extract(input: &str, config: &QGramConfig, interner: &mut GramInterner) -> Self {
+        Self::extract_normalized(&normalize(input, &config.normalize), config, interner)
+    }
+
+    /// [`Self::extract`] for a key that already went through
+    /// [`normalize`] under `config.normalize` — the join normalises each
+    /// key once, for its equality test, and tokenises that text.
+    pub fn extract_normalized(
+        normalized: &str,
+        config: &QGramConfig,
+        interner: &mut GramInterner,
+    ) -> Self {
         let mut grams: Vec<GramId> = Vec::new();
-        let window_count = for_each_window(input, config, |window| {
-            grams.push(interner.intern(window));
-        });
+        let window_count = if config.q <= PackedGram::MAX_CHARS {
+            for_each_packed_window(normalized, config, |window| {
+                grams.push(interner.intern_packed(window));
+            })
+        } else {
+            for_each_window(normalized, config, |window| {
+                grams.push(interner.intern(window));
+            })
+        };
         grams.sort_unstable();
         grams.dedup();
         interner.note_document(&grams);
@@ -341,10 +384,8 @@ impl QGramSet {
 }
 
 /// Size ratio beyond which [`overlap_at_least`] switches from the linear
-/// merge to galloping (exponential search) over the longer side, and
-/// [`overlap_block`] prefers the galloping merge over the chunked
-/// kernel.
-pub const GALLOP_RATIO: usize = 8;
+/// merge to galloping (exponential search) over the longer side.
+const GALLOP_RATIO: usize = 8;
 
 /// Exact `|a ∩ b|` of two sorted, deduplicated [`GramId`] slices — unless
 /// the intersection provably cannot reach `min`, in which case `None` is
@@ -410,100 +451,6 @@ fn lower_bound_gallop(b: &[GramId], target: GramId) -> usize {
     lo + b[lo..hi].partition_point(|&x| x < target)
 }
 
-/// Lane width of the [`overlap_chunked`] block kernel: candidate gram
-/// columns are compared eight `u32`s at a time, one SSE/NEON register's
-/// worth, so the lane loop compiles to a vector compare on any target
-/// without unstable intrinsics.
-pub const CHUNK_LANES: usize = 8;
-
-/// Exact `|a ∩ b|` with the same early-exit contract as
-/// [`overlap_at_least`], computed by the **chunked block kernel**: for
-/// each element of the shorter side, the longer side is advanced in
-/// [`CHUNK_LANES`]-wide chunks — one branch to skip a whole chunk that
-/// sits entirely below the needle, then a branch-free eight-lane
-/// `<`-count to place the needle inside the chunk.  The lane loop is an
-/// explicit fixed-trip-count loop over a `[GramId; 8]`, which LLVM
-/// lowers to a vector compare + horizontal add on every mainstream
-/// target.
-///
-/// Compared to the element-at-a-time merge this trades branch
-/// mispredictions (one unpredictable three-way compare per element) for
-/// predictable chunk arithmetic, which wins when the two sides are of
-/// similar length — the common case after the length filter.  For
-/// lopsided pairs (ratio ≥ [`GALLOP_RATIO`]×) the galloping merge in
-/// [`overlap_at_least`] is still faster; [`overlap_block`] dispatches
-/// between the two.
-pub fn overlap_chunked(a: &[GramId], b: &[GramId], min: usize) -> Option<usize> {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if short.len() < min {
-        return None;
-    }
-    let mut count = 0usize;
-    let mut j = 0usize;
-    for (k, &needle) in short.iter().enumerate() {
-        if count + (short.len() - k) < min {
-            return None;
-        }
-        // Skip whole chunks strictly below the needle: one comparison
-        // against the chunk's last lane retires eight candidates.
-        while j + CHUNK_LANES <= long.len() && long[j + CHUNK_LANES - 1] < needle {
-            j += CHUNK_LANES;
-        }
-        if j + CHUNK_LANES <= long.len() {
-            // The needle lands inside this chunk (its last lane is
-            // `>= needle`): count the lanes below it branch-free.
-            let chunk: &[GramId; CHUNK_LANES] = long[j..j + CHUNK_LANES].try_into().unwrap();
-            let mut below = 0usize;
-            for &lane in chunk {
-                below += usize::from(lane < needle);
-            }
-            j += below;
-            if long[j] == needle {
-                count += 1;
-                j += 1;
-            }
-        } else {
-            // Scalar tail: fewer than CHUNK_LANES elements left.
-            while j < long.len() && long[j] < needle {
-                j += 1;
-            }
-            match long.get(j) {
-                Some(&x) if x == needle => {
-                    count += 1;
-                    j += 1;
-                }
-                Some(_) => {}
-                None => {
-                    // The longer side is exhausted; only the early-exit
-                    // bound can still fail.
-                    return (count >= min).then_some(count);
-                }
-            }
-        }
-    }
-    (count >= min).then_some(count)
-}
-
-/// Block-verification entry point: exact `|a ∩ b|` under the
-/// [`overlap_at_least`] early-exit contract, dispatching between the
-/// chunked kernel ([`overlap_chunked`]) for similar-length pairs and the
-/// galloping merge ([`overlap_at_least`]) when one side is ≥
-/// [`GALLOP_RATIO`]× longer — lopsided intersections are dominated by
-/// skipping, which exponential search does in `O(short · log long)`
-/// while the chunk loop still walks every chunk boundary.
-pub fn overlap_block(a: &[GramId], b: &[GramId], min: usize) -> Option<usize> {
-    let (short_len, long_len) = if a.len() <= b.len() {
-        (a.len(), b.len())
-    } else {
-        (b.len(), a.len())
-    };
-    if long_len >= GALLOP_RATIO * short_len.max(1) {
-        overlap_at_least(a, b, min)
-    } else {
-        overlap_chunked(a, b, min)
-    }
-}
-
 impl fmt::Display for QGramSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
@@ -539,7 +486,8 @@ impl StringGramSet {
     /// Extract the q-gram set of `input` under `config`.
     pub fn extract(input: &str, config: &QGramConfig) -> Self {
         let mut set: BTreeSet<Gram> = BTreeSet::new();
-        let window_count = for_each_window(input, config, |window| {
+        let normalized = normalize(input, &config.normalize);
+        let window_count = for_each_window(&normalized, config, |window| {
             if !set.contains(window) {
                 set.insert(Arc::from(window));
             }
@@ -908,63 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_kernel_matches_merge_on_crafted_shapes() {
-        let ids = |xs: &[u32]| xs.iter().copied().map(GramId::new).collect::<Vec<_>>();
-        let cases: Vec<(Vec<GramId>, Vec<GramId>)> = vec![
-            (ids(&[]), ids(&[])),
-            (ids(&[1]), ids(&[])),
-            (ids(&[1]), ids(&[1])),
-            (ids(&[1, 2, 3]), ids(&[4, 5, 6])),
-            // Exactly one chunk on the long side.
-            (ids(&[3, 9]), ids(&[0, 1, 2, 3, 4, 5, 6, 9])),
-            // Needle past the last chunk boundary (scalar tail).
-            (ids(&[7, 8, 20]), ids(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 20])),
-            // Long side a multiple of the lane width, matches at chunk
-            // edges.
-            (ids(&[0, 7, 8, 15]), (0..16u32).map(GramId::new).collect()),
-            // Similar lengths, interleaved.
-            (
-                ids(&[1, 3, 5, 7, 9, 11, 13, 15, 17]),
-                ids(&[0, 3, 4, 7, 8, 11, 12, 15, 16]),
-            ),
-        ];
-        for (a, b) in cases {
-            let exact = overlap_at_least(&a, &b, 0).unwrap();
-            for min in 0..=exact + 2 {
-                let expect = overlap_at_least(&a, &b, min);
-                assert_eq!(
-                    overlap_chunked(&a, &b, min),
-                    expect,
-                    "{a:?} {b:?} min={min}"
-                );
-                assert_eq!(overlap_chunked(&b, &a, min), expect, "swapped");
-                assert_eq!(overlap_block(&a, &b, min), expect, "block dispatch");
-                assert_eq!(overlap_block(&b, &a, min), expect, "block swapped");
-            }
-        }
-    }
-
-    #[test]
-    fn block_dispatch_covers_the_gallop_regime() {
-        // Ratio far beyond GALLOP_RATIO: overlap_block takes the
-        // galloping path; results must still match the chunk kernel.
-        let long: Vec<GramId> = (0..1024u32).map(GramId::new).collect();
-        let short: Vec<GramId> = [5u32, 511, 1023, 4096]
-            .into_iter()
-            .map(GramId::new)
-            .collect();
-        for min in 0..=4 {
-            assert_eq!(
-                overlap_block(&short, &long, min),
-                overlap_chunked(&short, &long, min)
-            );
-        }
-        assert_eq!(overlap_block(&short, &long, 0), Some(3));
-        assert_eq!(overlap_block(&[], &long, 0), Some(0), "empty short side");
-        assert_eq!(overlap_block(&[], &long, 1), None);
-    }
-
-    #[test]
     fn display_lists_gram_ids_and_strings() {
         let (set, _) = interned("ab", &unpadded_ascii(2));
         assert_eq!(set.to_string(), "{#0}");
@@ -981,6 +872,13 @@ mod proptests {
     fn arb_key() -> impl Strategy<Value = String> {
         // Uppercase words similar to the generator's alphabet.
         proptest::collection::vec("[A-Z]{1,8}", 1..5).prop_map(|words| words.join(" "))
+    }
+
+    /// Keys over a small alphabet (so sets overlap) that exercises
+    /// multi-byte and astral characters, a one-to-two uppercase expansion
+    /// (`ß`) and whitespace, from empty up to a dozen characters.
+    fn arb_unicode_key() -> impl Strategy<Value = String> {
+        "[abAB éß𝄞😀]{0,12}"
     }
 
     proptest! {
@@ -1056,6 +954,53 @@ mod proptests {
             prop_assert_eq!(resolved, expected);
         }
 
+        /// Tokenising through rolling packed keys is indistinguishable
+        /// from interning each window's text one by one — same ids in the
+        /// same first-sight order, same rare-first orders, same window
+        /// counts, same table columns (hence the same snapshot bytes) —
+        /// over Unicode keys with characters above U+FFFF, keys shorter
+        /// than `q`, and widths on both sides of the packing limit.  A
+        /// table restored from those columns answers `get`/`intern` with
+        /// the same ids and tokenises to the same sets.
+        #[test]
+        fn packed_interning_matches_interning_window_strings(
+            keys in proptest::collection::vec(arb_unicode_key(), 1..6),
+            q in 1usize..6,
+            pad in 0usize..2,
+        ) {
+            let cfg = QGramConfig { pad: pad == 1, ..QGramConfig::with_q(q) };
+            let mut fast = GramInterner::new();
+            let mut slow = GramInterner::new();
+            let mut sets = Vec::new();
+            for key in &keys {
+                let set = QGramSet::extract(key, &cfg, &mut fast);
+                let mut ids = Vec::new();
+                let normalized = normalize(key, &cfg.normalize);
+                let windows = for_each_window(&normalized, &cfg, |w| ids.push(slow.intern(w)));
+                ids.sort_unstable();
+                ids.dedup();
+                slow.note_document(&ids);
+                prop_assert_eq!(set.gram_ids(), &ids[..]);
+                prop_assert_eq!(set.probe_order(), &slow.rank_order(&ids)[..]);
+                prop_assert_eq!(set.window_count(), windows);
+                sets.push(set);
+            }
+            prop_assert_eq!(fast.texts(), slow.texts());
+            prop_assert_eq!(fast.doc_freqs(), slow.doc_freqs());
+
+            let mut restored =
+                GramInterner::from_parts(fast.texts().to_vec(), fast.doc_freqs().to_vec()).unwrap();
+            for (i, text) in fast.texts().iter().enumerate() {
+                let id = GramId::new(i as u32);
+                prop_assert_eq!(restored.get(text), Some(id));
+                prop_assert_eq!(restored.intern(text), id);
+            }
+            for (key, set) in keys.iter().zip(&sets) {
+                prop_assert_eq!(&QGramSet::extract(key, &cfg, &mut restored), set);
+            }
+            prop_assert_eq!(restored.len(), fast.len());
+        }
+
         /// The early-exit/galloping merge agrees with the plain
         /// intersection for every input and every bound: exact size when
         /// reachable, `None` exactly when not.
@@ -1076,27 +1021,6 @@ mod proptests {
             } else {
                 prop_assert_eq!(bounded, None);
             }
-        }
-
-        /// The chunked block kernel and its dispatcher agree with the
-        /// merge for arbitrary sorted-dedup id sets and every bound —
-        /// including shapes that never arise from q-gram extraction.
-        #[test]
-        fn chunked_kernel_agrees_with_merge(
-            a in proptest::collection::vec(0u64..200, 0..48),
-            b in proptest::collection::vec(0u64..200, 0..48),
-            min in 0usize..40,
-        ) {
-            let (mut xs, mut ys) = (a.clone(), b.clone());
-            xs.sort_unstable();
-            xs.dedup();
-            ys.sort_unstable();
-            ys.dedup();
-            let xs: Vec<GramId> = xs.into_iter().map(|x| GramId::new(x as u32)).collect();
-            let ys: Vec<GramId> = ys.into_iter().map(|x| GramId::new(x as u32)).collect();
-            let expect = overlap_at_least(&xs, &ys, min);
-            prop_assert_eq!(overlap_chunked(&xs, &ys, min), expect);
-            prop_assert_eq!(overlap_block(&xs, &ys, min), expect);
         }
 
         /// The prefix bound is sound for all four coefficients: any pair

@@ -58,15 +58,13 @@ SHA="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
 # iteration (`target/release/bench_probe --smoke|--full [--out PATH]`);
 # bench_scaling runs the same measurement itself and embeds it into the
 # trajectory document as probe_ns_per_tuple / insert_ns_per_tuple, so the
-# pipeline does not run it twice.  Both are built with the `simd`
-# feature: the trajectory records the chunked block-verify kernel — the
-# configuration the perf numbers in docs/perf.md describe.  `fault` is
-# enabled too so a `--server` run also measures the faulty-mode point
+# pipeline does not run it twice.  Both are built with the `fault`
+# feature so a `--server` run also measures the faulty-mode point
 # (faulty_request_p99_ms: RetryClient traffic under a 1% injected
 # connection drop); failpoints stay disarmed everywhere else, so the
 # healthy-path numbers are unaffected.
-echo "==> cargo build --release -p linkage-experiments --features simd,fault --bin bench_scaling --bin bench_probe"
-cargo build --release -p linkage-experiments --features simd,fault --bin bench_scaling --bin bench_probe
+echo "==> cargo build --release -p linkage-experiments --features fault --bin bench_scaling --bin bench_probe"
+cargo build --release -p linkage-experiments --features fault --bin bench_scaling --bin bench_probe
 
 echo "==> bench_scaling ${MODE} -> ${OUT} (sha ${SHA})"
 target/release/bench_scaling "${MODE}" --out "${OUT}" --sha "${SHA}" ${EXTRA[@]+"${EXTRA[@]}"}
