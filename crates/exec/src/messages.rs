@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use linkage_operators::{PerKind, ProbeFunnel, SshStored};
+use linkage_types::snapshot::{Decoder, Encoder, SnapshotFile};
 use linkage_types::{MatchPair, PerSide, Result, ShardId, Side, SidedRecord};
 
 // The structure-of-arrays batch now lives beside the batched probe
@@ -37,10 +38,11 @@ pub enum ShardCmd {
     /// either phase) and reply with [`ShardReply::Snapshot`].
     Snapshot,
     /// Install previously snapshotted state into a pristine shard: the
-    /// worker decodes `core_bytes` through the operator-layer codecs
-    /// (replaying inserts re-derives its index structures) and adopts
-    /// the counters, then replies [`ShardReply::Restored`].
-    Restore(Box<ShardSnapshot>),
+    /// worker decodes its own `SHARD` section of the (shared, verified)
+    /// container — the kernel through the operator-layer codecs, which
+    /// rebuild its index structures — and adopts the counters, then
+    /// replies [`ShardReply::Restored`].
+    Restore(SnapshotFile),
     /// Report final statistics and exit.
     Finish,
 }
@@ -69,16 +71,16 @@ pub enum ShardReply {
     Finished(Box<ShardStats>),
 }
 
-/// One shard's durable state, as shipped over the wire in both
-/// directions: the coordinator persists it as a `SHARD` section and
-/// ships it back verbatim on resume.
+/// One shard's durable state, as a worker reports it for a snapshot:
+/// the coordinator persists it as a `SHARD` section, and on resume
+/// every worker reads its own section back straight from the shared
+/// snapshot buffer.
 ///
 /// The kernel itself travels **encoded** (`core_bytes`, the operator
 /// layer's `EXACT_CORE`/`SSH_CORE` payload of `docs/format.md`) rather
-/// than as a live structure: on resume every worker decodes — and
-/// therefore replays — its own partition in parallel, and the bytes are
-/// exactly what the snapshot file stores, so there is one codec path to
-/// trust, not two.
+/// than as a live structure: on resume every worker decodes its own
+/// partition in parallel, and the bytes are exactly what the snapshot
+/// file stores, so there is one codec path to trust, not two.
 #[derive(Debug, Clone)]
 pub struct ShardSnapshot {
     /// Whether the shard had performed the §3.3 handover (`core_bytes`
@@ -92,6 +94,48 @@ pub struct ShardSnapshot {
     pub probes: u64,
     /// Pairs this shard emitted, by kind.
     pub emitted: PerKind,
+}
+
+impl ShardSnapshot {
+    /// The `SHARD` section payload of `docs/format.md`.
+    pub(crate) fn encode_section(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_bool(self.approx);
+        e.put_u64(self.stored_tuples);
+        e.put_u64(self.probes);
+        e.put_u64(self.emitted.exact);
+        e.put_u64(self.emitted.approximate);
+        e.put_bytes(&self.core_bytes);
+        e.finish()
+    }
+}
+
+/// A decoded `SHARD` section: [`ShardSnapshot`]'s fields, with the
+/// encoded kernel borrowed from the snapshot buffer instead of copied.
+pub(crate) struct ShardSection<'a> {
+    pub approx: bool,
+    pub core_bytes: &'a [u8],
+    pub stored_tuples: u64,
+    pub probes: u64,
+    pub emitted: PerKind,
+}
+
+impl<'a> ShardSection<'a> {
+    pub(crate) fn decode(payload: &'a [u8]) -> Result<Self> {
+        let mut d = Decoder::new(payload, "SHARD");
+        let section = Self {
+            approx: d.get_bool()?,
+            stored_tuples: d.get_u64()?,
+            probes: d.get_u64()?,
+            emitted: PerKind {
+                exact: d.get_u64()?,
+                approximate: d.get_u64()?,
+            },
+            core_bytes: d.get_bytes()?,
+        };
+        d.finish()?;
+        Ok(section)
+    }
 }
 
 /// What one shard did over its lifetime.

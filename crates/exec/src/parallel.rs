@@ -35,6 +35,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use linkage_core::{Assessment, GlobalControlState, GlobalController, SwitchEvent, SwitchPolicy};
+use linkage_operators::switch::skip_consumed_prefix;
 use linkage_operators::{
     snapshot as opsnap, JoinPhase, Operator, OperatorState, PerKind, SshJoinCore, SshStored,
 };
@@ -45,7 +46,7 @@ use linkage_types::{
 };
 
 use crate::config::ParallelJoinConfig;
-use crate::messages::{PreparedBatch, ShardCmd, ShardReply, ShardSnapshot, ShardStats};
+use crate::messages::{PreparedBatch, ShardCmd, ShardReply, ShardSection, ShardStats};
 use crate::shard::ShardWorker;
 
 /// One spawned worker: its command channel, reply channel and thread.
@@ -593,14 +594,7 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         for i in 0..self.workers.len() {
             match self.workers[i].recv()? {
                 ShardReply::Snapshot(shard) => {
-                    let mut e = Encoder::new();
-                    e.put_bool(shard.approx);
-                    e.put_u64(shard.stored_tuples);
-                    e.put_u64(shard.probes);
-                    e.put_u64(shard.emitted.exact);
-                    e.put_u64(shard.emitted.approximate);
-                    e.put_bytes(&shard.core_bytes);
-                    builder.push_section(shard_kind(kind::SHARD, i as u16), e.finish());
+                    builder.push_section(shard_kind(kind::SHARD, i as u16), shard.encode_section());
                 }
                 ShardReply::Pairs(Err(e)) => return Err(e),
                 _ => {
@@ -687,25 +681,14 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
                     "shard sections are not dense: expected shard {i}, found {shard}"
                 )));
             }
-            let mut d = Decoder::new(payload, "SHARD");
-            let approx = d.get_bool()?;
-            if approx != (phase == JoinPhase::Approximate) {
+            if ShardSection::decode(payload)?.approx != (phase == JoinPhase::Approximate) {
                 return Err(LinkageError::snapshot(format!(
                     "shard {i} phase contradicts the CONTROLLER section"
                 )));
             }
-            let shard = ShardSnapshot {
-                approx,
-                stored_tuples: d.get_u64()?,
-                probes: d.get_u64()?,
-                emitted: PerKind {
-                    exact: d.get_u64()?,
-                    approximate: d.get_u64()?,
-                },
-                core_bytes: d.get_bytes()?.to_vec(),
-            };
-            d.finish()?;
-            self.workers[i].send(ShardCmd::Restore(Box::new(shard)))?;
+            // Each worker decodes its own section out of the shared
+            // buffer: nothing is copied to ship it.
+            self.workers[i].send(ShardCmd::Restore(file.clone()))?;
         }
         for i in 0..self.workers.len() {
             match self.workers[i].recv()? {
@@ -730,23 +713,8 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         self.exhausted = exhausted;
         self.controller.restore_control_state(control);
 
-        while self.consumed.left < consumed.left || self.consumed.right < consumed.right {
-            let Some(sided) = self.input.next()? else {
-                return Err(LinkageError::snapshot(format!(
-                    "input ended while skipping the consumed prefix: snapshot consumed \
-                     {}/{} tuples (left/right), input supplied only {}/{}",
-                    consumed.left, consumed.right, self.consumed.left, self.consumed.right
-                )));
-            };
-            self.consumed[sided.side] += 1;
-            if self.consumed[sided.side] > consumed[sided.side] {
-                return Err(LinkageError::snapshot(format!(
-                    "input does not match the snapshot: saw more {:?}-side tuples in the \
-                     prefix than the snapshotted run consumed ({} > {})",
-                    sided.side, self.consumed[sided.side], consumed[sided.side]
-                )));
-            }
-        }
+        skip_consumed_prefix(&mut self.input, consumed)?;
+        self.consumed = consumed;
         Ok(())
     }
 

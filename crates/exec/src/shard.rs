@@ -22,9 +22,10 @@ use linkage_operators::{
     snapshot as opsnap, ExactJoinCore, PerKind, SshJoinCore, SwitchJoinConfig,
 };
 use linkage_text::SharedInterner;
+use linkage_types::snapshot::{kind, shard_kind, SnapshotFile};
 use linkage_types::{LinkageError, MatchKind, MatchPair, PerSide, ShardId};
 
-use crate::messages::{ShardCmd, ShardReply, ShardSnapshot, ShardStats};
+use crate::messages::{ShardCmd, ShardReply, ShardSection, ShardSnapshot, ShardStats};
 
 // One long-lived instance per worker thread: the inline size gap
 // between the kernels (the approximate core carries its probe scratch)
@@ -150,31 +151,34 @@ impl ShardWorker {
                     emitted: self.emitted,
                 }))
             }
-            ShardCmd::Restore(snapshot) => ShardReply::Restored(self.restore(&snapshot)),
+            ShardCmd::Restore(file) => ShardReply::Restored(self.restore(&file)),
             ShardCmd::Finish => ShardReply::Finished(Box::new(self.stats())),
         }
     }
 
-    /// Install snapshotted state: decode (replay) the kernel for this
-    /// shard's partition and adopt the counters.  Only a shard that has
-    /// processed nothing may be restored — the coordinator sends this
-    /// right after spawning the fleet.
-    fn restore(&mut self, snapshot: &ShardSnapshot) -> linkage_types::Result<()> {
+    /// Install snapshotted state: decode the kernel for this shard's
+    /// partition from its `SHARD` section of `file` and adopt the
+    /// counters.  Only a shard that has processed nothing may be
+    /// restored — the coordinator sends this right after spawning the
+    /// fleet.
+    fn restore(&mut self, file: &SnapshotFile) -> linkage_types::Result<()> {
         if self.stored_tuples != 0 || self.probes != 0 || self.emitted.total() != 0 {
             return Err(LinkageError::snapshot(format!(
                 "{}: restore requires a pristine shard",
                 self.id
             )));
         }
+        let snapshot =
+            ShardSection::decode(file.section(shard_kind(kind::SHARD, self.id.0 as u16))?)?;
         self.core = if snapshot.approx {
             Core::Approx(opsnap::decode_ssh_core(
-                &snapshot.core_bytes,
+                snapshot.core_bytes,
                 &self.config,
                 self.interner.clone(),
             )?)
         } else {
             Core::Exact(opsnap::decode_exact_core(
-                &snapshot.core_bytes,
+                snapshot.core_bytes,
                 &self.config,
             )?)
         };

@@ -301,8 +301,14 @@ fn run_snapshot_bench(config: &ScalingConfig, data: &GeneratedData) -> Result<Sn
             }
         }
     }
-    let path =
-        std::env::temp_dir().join(format!("linkage-bench-snapshot-{}.bin", std::process::id()));
+    // Unique per call, not just per process: concurrent sweeps (the
+    // test harness runs several) must not delete each other's file.
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "linkage-bench-snapshot-{}-{}.bin",
+        std::process::id(),
+        SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
     let start = Instant::now();
     stream.snapshot(&path)?;
     let snapshot = start.elapsed();

@@ -115,6 +115,12 @@ impl ExactJoinCore {
         self.tables
     }
 
+    /// Pre-size `side`'s table for `tuples` upcoming
+    /// [`Self::insert_restored`] calls, so the replay never regrows it.
+    pub fn reserve_restored(&mut self, side: Side, tuples: usize) {
+        self.tables[side].reserve(tuples);
+    }
+
     /// Re-insert one tuple during snapshot restore.
     ///
     /// The snapshot stores only the arrival-order tuple column (record,

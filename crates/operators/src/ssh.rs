@@ -337,7 +337,8 @@ impl GramIndex {
     /// price of O(1) direct indexing into a shared id space) plus the
     /// unused capacity push-growth left in populated lists.  The latter
     /// drops to ~0 after the internal `shrink_postings` pass run at the
-    /// §3.3 switch/handover.
+    /// §3.3 switch/handover, and starts at 0 in an index bulk-loaded by a
+    /// snapshot restore, whose lists are sized exactly.
     pub fn postings_slack_bytes(&self) -> usize {
         let empty_headers =
             self.postings.iter().filter(|p| p.is_empty()).count() * std::mem::size_of::<Vec<u32>>();
@@ -356,6 +357,68 @@ impl GramIndex {
     fn shrink_postings(&mut self) {
         for list in &mut self.postings {
             list.shrink_to_fit();
+        }
+    }
+
+    /// Build the index over `tuples` (arrival order) in bulk: a counting
+    /// pass sizes every posting list exactly, then one pass fills the
+    /// postings and the flat columns — no list ever regrows and none
+    /// carries slack afterwards.  The result is the index per-tuple
+    /// [`Self::insert`] calls would have built, minus the push-growth
+    /// capacity.  Fills the columns itself instead of looping over
+    /// `insert`, which stays the steady-state path's alone.
+    fn bulk_load(tuples: Vec<SshStored>) -> Self {
+        assert!(
+            u32::try_from(tuples.len()).is_ok(),
+            "more than u32::MAX resident tuples"
+        );
+        // The ids are sorted, so each tuple's last one is its largest.
+        let slots = tuples
+            .iter()
+            .filter_map(|t| t.grams.gram_ids().last())
+            .max()
+            .map_or(0, |max| max.as_usize() + 1);
+        let mut counts = vec![0u32; slots];
+        let mut posting_entries = 0usize;
+        for t in &tuples {
+            for id in t.grams.gram_ids() {
+                counts[id.as_usize()] += 1;
+            }
+            posting_entries += t.grams.len();
+        }
+        assert!(
+            u32::try_from(posting_entries).is_ok(),
+            "CSR gram column exceeds u32::MAX ids"
+        );
+        let mut postings: Vec<Vec<u32>> = counts
+            .iter()
+            .map(|&count| Vec::with_capacity(count as usize))
+            .collect();
+        let mut lens = Vec::with_capacity(tuples.len());
+        let mut sigs = Vec::with_capacity(tuples.len());
+        let mut grams = Vec::with_capacity(posting_entries);
+        let mut offsets = Vec::with_capacity(tuples.len() + 1);
+        if !tuples.is_empty() {
+            offsets.push(0);
+        }
+        for (pos, t) in tuples.iter().enumerate() {
+            let ids = t.grams.gram_ids();
+            for id in ids {
+                postings[id.as_usize()].push(pos as u32);
+            }
+            grams.extend_from_slice(ids);
+            offsets.push(grams.len() as u32);
+            lens.push(ids.len() as u32);
+            sigs.push(signature(ids));
+        }
+        Self {
+            tuples,
+            postings,
+            lens,
+            sigs,
+            grams,
+            offsets,
+            posting_entries,
         }
     }
 
@@ -619,8 +682,8 @@ impl SshJoinCore {
     /// join's tables and recover missed approximate matches among the
     /// already-seen tuples, pushing them into `out`.
     ///
-    /// Every resident key is tokenised and interned exactly once (one
-    /// short-lived interner lock per key).  Pairs whose keys are
+    /// Every resident key is tokenised and interned exactly once, a
+    /// side at a time under one interner lock.  Pairs whose keys are
     /// identical are skipped when both tuples carry the matched-exactly
     /// flag — the exact operator already emitted them, and re-emitting
     /// would duplicate output.  Returns the core and the number of
@@ -641,18 +704,22 @@ impl SshJoinCore {
         );
         let core = &mut self;
 
-        // Migrate: tokenise every resident tuple and rebuild both indexes.
-        // Keys stored by the exact core are already normalised.
-        // The interner lock is taken per tuple, not around the whole
-        // rebuild, so concurrent shard handovers interleave their
-        // interning instead of serialising their entire migrations.
+        // Migrate: tokenise a side's residents under one interner lock —
+        // concurrent shard handovers take turns by side instead of
+        // contending for the lock once per key — then index them.  Keys
+        // stored by the exact core are already normalised.
         for side in Side::BOTH {
-            for stored in tables[side].tuples() {
-                let grams = QGramSet::extract_normalized(
-                    &stored.key,
-                    &core.config,
-                    &mut core.interner.lock(),
-                );
+            let tokenised: Vec<QGramSet> = {
+                let mut interner = core.interner.lock();
+                tables[side]
+                    .tuples()
+                    .iter()
+                    .map(|stored| {
+                        QGramSet::extract_normalized(&stored.key, &core.config, &mut interner)
+                    })
+                    .collect()
+            };
+            for (stored, grams) in tables[side].tuples().iter().zip(tokenised) {
                 core.sides[side].insert(SshStored {
                     record: stored.record.clone(),
                     key: Arc::clone(&stored.key),
@@ -1064,32 +1131,39 @@ impl SshJoinCore {
         self.scratch.funnel
     }
 
-    /// Re-insert one resident tuple during snapshot restore, without
-    /// probing.
+    /// Install a snapshot's resident state into a freshly built core.
     ///
     /// The snapshot stores only the arrival-order tuple column per side
     /// (record, key, gram-id set with its original rare-first probe
-    /// order, matched-exactly flag); replaying the inserts in that order
-    /// re-derives every index structure — flat postings, the length
-    /// column, the CSR gram column and the posting-entry count — so none
-    /// of them is ever written to disk.  **Snapshot restore only**; call
-    /// [`Self::finish_restore`] once after the last insert.
-    pub fn insert_restored(&mut self, side: Side, stored: SshStored) {
-        self.sides[side].insert(stored);
-    }
-
-    /// Finish a snapshot restore: release posting push-growth slack
-    /// (the replayed lists are long-lived, exactly as at the §3.3
-    /// handover) and restore the counters that replaying inserts cannot
-    /// re-derive — the emission counters and the cumulative probe
-    /// funnel.
-    pub fn finish_restore(&mut self, emitted_exact: u64, emitted_approx: u64, funnel: ProbeFunnel) {
-        for side in Side::BOTH {
-            self.sides[side].shrink_postings();
-        }
+    /// order, matched-exactly flag); every index structure — flat
+    /// postings, the length and signature columns, the CSR gram column
+    /// and the posting-entry count — is re-derived from it in bulk
+    /// (`GramIndex::bulk_load`), so none of them is ever written to
+    /// disk.  The counters a rebuild cannot re-derive — the emission
+    /// counters and the cumulative probe funnel — are set explicitly.
+    /// **Snapshot restore only.**
+    pub(crate) fn bulk_restore(
+        &mut self,
+        tuples: PerSide<Vec<SshStored>>,
+        emitted_exact: u64,
+        emitted_approx: u64,
+        funnel: ProbeFunnel,
+    ) {
+        self.sides = PerSide::new(
+            GramIndex::bulk_load(tuples.left),
+            GramIndex::bulk_load(tuples.right),
+        );
         self.emitted_exact = emitted_exact;
         self.emitted_approx = emitted_approx;
         self.scratch.funnel = funnel;
+    }
+
+    /// Re-insert one resident tuple through the steady-state insert
+    /// path, without probing — the per-tuple replay [`Self::bulk_restore`]
+    /// replaced, retained as the reference it is tested against.
+    #[cfg(test)]
+    pub(crate) fn insert_restored(&mut self, side: Side, stored: SshStored) {
+        self.sides[side].insert(stored);
     }
 }
 

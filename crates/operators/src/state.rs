@@ -47,6 +47,13 @@ impl KeyTable {
         self.tuples.is_empty()
     }
 
+    /// Reserve room for `additional` more tuples (and as many distinct
+    /// keys — an upper bound).
+    pub fn reserve(&mut self, additional: usize) {
+        self.tuples.reserve(additional);
+        self.by_key.reserve(additional);
+    }
+
     /// Insert a tuple under its normalised key, returning its position.
     pub fn insert(&mut self, record: Record, key: Arc<str>) -> usize {
         let idx = self.tuples.len();

@@ -171,6 +171,50 @@ pub struct SwitchRestore {
     pub switched_after: Option<u64>,
 }
 
+/// Fast-forward a freshly opened `input` past the prefix a snapshotted
+/// run had consumed (`consumed` tuples per side), verifying the counts
+/// as it goes — a source that ends early or interleaves differently is a
+/// typed [`LinkageError::Snapshot`], never silent corruption.
+///
+/// An input that was itself rebuilt at an absolute position
+/// ([`Operator::resume_offset`] nonzero) no longer holds the prefix:
+/// nothing is pulled, and the snapshot's total must equal that offset.
+pub fn skip_consumed_prefix<I: Operator<Item = SidedRecord>>(
+    input: &mut I,
+    consumed: PerSide<u64>,
+) -> Result<()> {
+    let offset = input.resume_offset();
+    if offset > 0 {
+        if offset != consumed.left + consumed.right {
+            return Err(LinkageError::snapshot(format!(
+                "input does not match the snapshot: the input resumes after {offset} \
+                 tuples, the snapshotted run had consumed {}",
+                consumed.left + consumed.right
+            )));
+        }
+        return Ok(());
+    }
+    let mut seen = PerSide::new(0u64, 0u64);
+    while seen.left < consumed.left || seen.right < consumed.right {
+        let Some(sided) = input.next()? else {
+            return Err(LinkageError::snapshot(format!(
+                "input ended while skipping the consumed prefix: snapshot consumed \
+                 {}/{} tuples (left/right), input supplied only {}/{}",
+                consumed.left, consumed.right, seen.left, seen.right
+            )));
+        };
+        seen[sided.side] += 1;
+        if seen[sided.side] > consumed[sided.side] {
+            return Err(LinkageError::snapshot(format!(
+                "input does not match the snapshot: saw more {:?}-side tuples in the \
+                 prefix than the snapshotted run consumed ({} > {})",
+                sided.side, seen[sided.side], consumed[sided.side]
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// A join operator that can swap its kernel mid-stream.
 pub struct SwitchJoin<I> {
     input: I,
@@ -390,24 +434,8 @@ impl<I: Operator<Item = SidedRecord>> SwitchJoin<I> {
         self.recovered_at_switch = snap.recovered_at_switch;
         self.switched_after = snap.switched_after;
 
-        let target = snap.consumed;
-        while self.consumed.left < target.left || self.consumed.right < target.right {
-            let Some(sided) = self.input.next()? else {
-                return Err(LinkageError::snapshot(format!(
-                    "input ended while skipping the consumed prefix: snapshot consumed \
-                     {}/{} tuples (left/right), input supplied only {}/{}",
-                    target.left, target.right, self.consumed.left, self.consumed.right
-                )));
-            };
-            self.consumed[sided.side] += 1;
-            if self.consumed[sided.side] > target[sided.side] {
-                return Err(LinkageError::snapshot(format!(
-                    "input does not match the snapshot: saw more {:?}-side tuples in the \
-                     prefix than the snapshotted run consumed ({} > {})",
-                    sided.side, self.consumed[sided.side], target[sided.side]
-                )));
-            }
-        }
+        skip_consumed_prefix(&mut self.input, snap.consumed)?;
+        self.consumed = snap.consumed;
         Ok(())
     }
 

@@ -4,14 +4,16 @@
 //!
 //! A **session** wraps an incrementally fed [`Pipeline`] (serial or
 //! sharded — the manager only sees the boxed engine behind a
-//! [`MatchStream`]) plus the feed log the pipeline has been given so
-//! far.  The log is what makes eviction possible: the engine state goes
-//! to disk via [`MatchStream::snapshot`] (PR 7's bit-identical-resume
-//! contract), and the log goes to a sidecar file so rehydration can
-//! rebuild the session input, replay the log into it, and let
-//! [`Pipeline::resume`] fast-forward past the consumed prefix.  The
-//! rehydrated stream then yields exactly the events the evicted session
-//! had not yet delivered.
+//! [`MatchStream`]) and its [`SessionInput`].  Eviction splits the
+//! session where the engine stands: everything it consumed goes to disk
+//! inside the engine state ([`MatchStream::snapshot_builder`], under
+//! the bit-identical-resume contract), and the sidecar file carries
+//! only what the snapshot cannot — the configuration, the input's
+//! absolute position and the few records pushed but not yet consumed.
+//! Rehydration re-declares the pipeline, positions a fresh input there
+//! and hands the verified snapshot to [`Pipeline::resume_from`]; the
+//! stream then yields exactly the events the evicted session had not
+//! yet delivered.
 //!
 //! Admission control: the manager enforces a live-session cap and a
 //! global state-bytes budget.  Both are relieved by evicting the least
@@ -31,14 +33,20 @@ use linkage::types::{LinkageError, Result, SidedRecord};
 use crate::proto::{wire_event, WireEvent};
 
 /// Section kind of the eviction sidecar's metadata payload (config,
-/// fingerprint, input-finished flag, pushed count).  Outside the
-/// snapshot container's own `1..=8` registry on purpose: the sidecar is
-/// a separate file reusing the same container format.
+/// fingerprint, input-finished flag, pushed count, fed bytes).  Outside
+/// the snapshot container's own `1..=8` registry on purpose: the sidecar
+/// is a separate file reusing the same container format.
 pub const FEED_META_KIND: u32 = 64;
 
-/// Section kind of the eviction sidecar's feed log (the full sequence
-/// of records ever pushed into the session, in push order).
-pub const FEED_LOG_KIND: u32 = 65;
+/// Section kind of the eviction sidecar's pending input: the records
+/// pushed into the session but not yet consumed by its engine, in push
+/// order.  (The consumed prefix lives in the `.snap` file's engine
+/// state and is not stored twice.)
+pub const FEED_PENDING_KIND: u32 = 65;
+
+/// Fewest payload bytes one sided record can occupy: side `u8`, id
+/// `u64`, arity `u32`.
+const MIN_SIDED_RECORD_BYTES: usize = 1 + 8 + 4;
 
 /// Section kind of the eviction manifest payload: session id, config
 /// fingerprint, then length + CRC-32 of the `.snap` and `.feed` files.
@@ -100,10 +108,9 @@ pub struct Session {
     fingerprint: u32,
     stream: MatchStream,
     input: SessionInput,
-    /// Every record ever pushed, in push order — retained until the
-    /// session finishes so eviction can persist it for resume.
-    log: Vec<SidedRecord>,
-    log_bytes: u64,
+    /// [`record_bytes`] of every record fed so far — what the session
+    /// holds against the budget until it finishes.
+    fed_bytes: u64,
     /// `FIN` received: the input is complete.
     fin: bool,
     /// The `Finished` event was delivered; the session is drained.
@@ -135,8 +142,7 @@ impl Session {
             fingerprint,
             stream,
             input,
-            log: Vec::new(),
-            log_bytes: 0,
+            fed_bytes: 0,
             fin: false,
             done: false,
             done_counted: false,
@@ -156,7 +162,7 @@ impl Session {
 
     /// Estimated resident bytes this session holds against the budget.
     pub fn state_bytes(&self) -> u64 {
-        self.log_bytes
+        self.fed_bytes
     }
 
     /// Total records fed so far.
@@ -209,10 +215,9 @@ impl Session {
         let mut added = 0u64;
         for record in records {
             added += record_bytes(&record);
-            self.input.push_sided(record.clone())?;
-            self.log.push(record);
+            self.input.push_sided(record)?;
         }
-        self.log_bytes += added;
+        self.fed_bytes += added;
         self.stream.advance(self.input.pushed())?;
         Ok(added)
     }
@@ -228,7 +233,7 @@ impl Session {
 
     /// Drain up to `max` ready events.  Before `FIN` only events that
     /// need no further input are returned; after `FIN` the stream drains
-    /// to its `Finished` event, which frees the feed log.  Returns the
+    /// to its `Finished` event, which releases the fed bytes.  Returns the
     /// events plus the bytes released (nonzero only when the session
     /// finishes).
     pub fn poll(&mut self, max: usize) -> Result<(Vec<WireEvent>, u64)> {
@@ -247,9 +252,7 @@ impl Session {
                 Some(Ok(event)) => {
                     if matches!(event, MatchEvent::Finished(_)) {
                         self.done = true;
-                        released = self.log_bytes;
-                        self.log_bytes = 0;
-                        self.log = Vec::new();
+                        released = std::mem::take(&mut self.fed_bytes);
                     }
                     events.push(wire_event(&event));
                 }
@@ -265,8 +268,9 @@ impl Session {
     ///
     /// The protocol: write the `.snap` (engine + stream state, plus an
     /// [`EVICT_BIND_KIND`] section naming this session) and `.feed`
-    /// (config + feed log sidecar) files under their final names, fsync
-    /// both, then commit by writing a [`MANIFEST_KIND`] manifest —
+    /// (config, input position, pending input) files under their final
+    /// names, fsync both, then commit by writing a [`MANIFEST_KIND`]
+    /// manifest —
     /// carrying both files' lengths and CRCs — to a temp sibling and
     /// renaming it into place.  The rename is the single commit point:
     /// a crash anywhere earlier leaves data files without a manifest,
@@ -304,13 +308,15 @@ impl Session {
         meta.put_u32(self.fingerprint);
         meta.put_bool(self.fin);
         meta.put_u64(self.input.pushed());
+        meta.put_u64(self.fed_bytes);
         builder.push_section(FEED_META_KIND, meta.finish());
-        let mut log = Encoder::new();
-        log.put_u32(self.log.len() as u32);
-        for record in &self.log {
-            put_sided_record(&mut log, record);
+        let pending = self.input.buffered_records();
+        let mut queue = Encoder::new();
+        queue.put_u32(pending.len() as u32);
+        for record in &pending {
+            put_sided_record(&mut queue, record);
         }
-        builder.push_section(FEED_LOG_KIND, log.finish());
+        builder.push_section(FEED_PENDING_KIND, queue.finish());
         let feed_bytes = builder.to_bytes();
         write_evict_file(feed_path, &feed_bytes, "evict.feed")?;
 
@@ -330,11 +336,12 @@ impl Session {
     }
 
     /// Rebuild a session from the files written by [`Self::evict_to`]:
-    /// re-declare the pipeline from the sidecar's config, replay the
-    /// feed log into a fresh session input, and let [`Pipeline::resume`]
-    /// fast-forward the engine past the consumed prefix.  The manifest
-    /// is deleted first (un-committing the pair), then the data files,
-    /// on success.
+    /// re-declare the pipeline from the sidecar's config, position a
+    /// fresh session input where the evicted one stood (absolute pushed
+    /// count, pending records queued) and resume the engine from the
+    /// snapshot, which is read, verified and decoded exactly once.  The
+    /// manifest is deleted first (un-committing the pair), then the data
+    /// files, on success.
     ///
     /// The snapshot's [`EVICT_BIND_KIND`] section is cross-checked
     /// against the sidecar's declared id and fingerprint; a mismatched
@@ -351,6 +358,7 @@ impl Session {
         let fingerprint = meta.get_u32()?;
         let fin = meta.get_bool()?;
         let pushed = meta.get_u64()?;
+        let fed_bytes = meta.get_u64()?;
         meta.finish()?;
 
         let snap_file = SnapshotFile::read_from(snap_path)?;
@@ -368,30 +376,27 @@ impl Session {
                 feed_path.display()
             )));
         }
-        let mut log_dec = Decoder::new(sidecar.section(FEED_LOG_KIND)?, "FEED_LOG");
-        let count = log_dec.get_u32()? as usize;
-        let mut log = Vec::with_capacity(count);
+        let mut queue = Decoder::new(sidecar.section(FEED_PENDING_KIND)?, "FEED_PENDING");
+        let count = queue.get_count(MIN_SIDED_RECORD_BYTES)?;
+        let mut pending = Vec::with_capacity(count);
         for _ in 0..count {
-            log.push(get_sided_record(&mut log_dec)?);
+            pending.push(get_sided_record(&mut queue)?);
         }
-        log_dec.finish()?;
-        if pushed != log.len() as u64 {
+        queue.finish()?;
+        let Some(consumed) = pushed.checked_sub(pending.len() as u64) else {
             return Err(LinkageError::snapshot(format!(
-                "feed sidecar of session {id} claims {pushed} pushed records but logs {}",
-                log.len()
+                "feed sidecar of session {id} claims {pushed} pushed records but holds {} \
+                 pending ones",
+                pending.len()
             )));
-        }
+        };
 
         let (pipeline, input) = Pipeline::builder().config(config.clone()).session()?;
-        let mut log_bytes = 0u64;
-        for record in &log {
-            log_bytes += record_bytes(record);
-            input.push_sided(record.clone())?;
-        }
+        input.restore_position(consumed, pending)?;
         if fin {
             input.finish();
         }
-        let stream = pipeline.resume(snap_path)?;
+        let stream = pipeline.resume_from(&snap_file)?;
         // Un-commit before removing the data: a crash between these
         // removes leaves an uncommitted remainder the recovery sweep
         // quarantines, never a committed pair with a file missing.
@@ -404,8 +409,7 @@ impl Session {
             fingerprint,
             stream,
             input,
-            log,
-            log_bytes,
+            fed_bytes,
             fin,
             done: false,
             done_counted: false,
@@ -782,6 +786,23 @@ impl SessionManager {
         }
     }
 
+    /// Make room for one more live session under the cap, evicting idle
+    /// sessions LRU first; typed [`LinkageError::Busy`] when the cap is
+    /// reached and nothing idle can be evicted.
+    fn make_room(&mut self) -> Result<()> {
+        while self.live_count() >= self.max_sessions {
+            if !self.evict_one()? {
+                self.stats.rejected_busy += 1;
+                return Err(LinkageError::busy(format!(
+                    "session table full ({} live, cap {}, nothing idle to evict)",
+                    self.live_count(),
+                    self.max_sessions
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Make room for `incoming` more bytes, evicting idle sessions LRU
     /// first; typed [`LinkageError::OverBudget`] when the budget cannot
     /// be met.
@@ -810,16 +831,7 @@ impl SessionManager {
                  about the config codec"
             )));
         }
-        while self.live_count() >= self.max_sessions {
-            if !self.evict_one()? {
-                self.stats.rejected_busy += 1;
-                return Err(LinkageError::busy(format!(
-                    "session table full ({} live, cap {})",
-                    self.live_count(),
-                    self.max_sessions
-                )));
-            }
-        }
+        self.make_room()?;
         let id = self.next_id;
         self.next_id += 1;
         let mut session = Session::build(id, config, fingerprint)?;
@@ -831,8 +843,11 @@ impl SessionManager {
     }
 
     /// Check a session out for the duration of a request, rehydrating it
-    /// from disk if it was evicted.  While checked out, other requests
-    /// for the same session are rejected `Busy`.
+    /// from disk if it was evicted — which, like [`Self::open`], first
+    /// evicts LRU idle sessions until the live count is under the cap
+    /// (typed [`LinkageError::Busy`] when nothing is evictable).  While
+    /// checked out, other requests for the same session are rejected
+    /// `Busy`.
     pub fn checkout(&mut self, id: u64) -> Result<Box<Session>> {
         match self.slots.get(&id) {
             None => Err(LinkageError::unknown_session(format!(
@@ -848,6 +863,9 @@ impl SessionManager {
                 )))
             }
             Some(Slot::Evicted) => {
+                // A rehydrated session is live again: make room under
+                // the cap first, exactly as `open` does.
+                self.make_room()?;
                 let rehydrated = Session::rehydrate(
                     id,
                     &self.snap_path(id),

@@ -13,10 +13,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use linkage::api::PipelineConfig;
-use linkage::types::snapshot::{crc32, Encoder, SnapshotBuilder};
+use linkage::types::snapshot::{crc32, Encoder, SnapshotBuilder, SnapshotFile};
+use linkage::types::wire::put_sided_record;
 use linkage::types::{LinkageError, PerSide, Side, SidedRecord};
 use linkage_datagen::{generate, DatagenConfig, GeneratedData};
-use linkage_server::session::{record_bytes, MANIFEST_KIND};
+use linkage_server::session::{record_bytes, FEED_META_KIND, FEED_PENDING_KIND, MANIFEST_KIND};
 use linkage_server::SessionManager;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -299,4 +300,65 @@ fn a_mixed_eviction_pair_fails_rehydration_with_a_typed_cross_check() {
     let stats = manager.stats();
     assert_eq!(stats.quarantined_sessions, 1);
     assert_eq!(stats.evicted_sessions, 0);
+}
+
+/// A sidecar that is committed and CRC-clean but whose contents lie —
+/// a pending-record count no payload could hold, or more pending records
+/// than were ever pushed — passes the sweep (the commit record is
+/// self-consistent) and must fail rehydration as a typed quarantine:
+/// never an allocation sized from the count, never an adoption.
+#[test]
+fn a_sidecar_with_impossible_counts_is_quarantined_not_trusted() {
+    let data = generate(&DatagenConfig::mid_stream_dirty(40, 3)).unwrap();
+    let config = session_config(data.parents.len() as u64);
+    let sequence = feed_sequence(&data);
+    let trio = Trio::capture(&config, &sequence);
+    let honest = SnapshotFile::from_bytes(&trio.feed).unwrap();
+    let meta = honest.section(FEED_META_KIND).unwrap().to_vec();
+
+    let mut huge = Encoder::new();
+    huge.put_u32(u32::MAX);
+    // FEED_META ends with the pushed count and the fed bytes, a `u64`
+    // each: claim nothing was ever pushed, yet queue one record.
+    let mut nothing_pushed = meta.clone();
+    let at = nothing_pushed.len() - 16;
+    nothing_pushed[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+    let mut one = Encoder::new();
+    one.put_u32(1);
+    put_sided_record(&mut one, &sequence[0]);
+
+    for (meta, pending, needle) in [
+        (meta, huge.finish(), "count 4294967295"),
+        (
+            nothing_pushed,
+            one.finish(),
+            "0 pushed records but holds 1 pending",
+        ),
+    ] {
+        let mut sidecar = SnapshotBuilder::new();
+        sidecar.push_section(FEED_META_KIND, meta);
+        sidecar.push_section(FEED_PENDING_KIND, pending);
+        let feed = sidecar.to_bytes();
+        let mut m = Encoder::new();
+        m.put_u64(trio.id);
+        m.put_u32(config.fingerprint());
+        m.put_u64(trio.snap.len() as u64);
+        m.put_u32(crc32(&trio.snap));
+        m.put_u64(feed.len() as u64);
+        m.put_u32(crc32(&feed));
+        let mut commit = SnapshotBuilder::new();
+        commit.push_section(MANIFEST_KIND, m.finish());
+
+        let dir = scratch_dir("lying-sidecar");
+        trio.rig(&dir, &trio.snap, &feed, &commit.to_bytes());
+        let mut manager = SessionManager::new(8, u64::MAX, dir).unwrap();
+        assert_eq!(manager.recovery().adopted, vec![trio.id]);
+        match manager.checkout(trio.id) {
+            Err(LinkageError::Quarantined(message)) => {
+                assert!(message.contains(needle), "got: {message}")
+            }
+            other => panic!("expected a typed quarantine, got {other:?}"),
+        }
+        assert_eq!(manager.stats().quarantined_sessions, 1);
+    }
 }

@@ -304,9 +304,17 @@ impl GramInterner {
                 doc_freq.len()
             )));
         }
+        // One counting pass sizes both tables, so neither rehashes
+        // while the columns are loaded.
+        let packed = texts
+            .iter()
+            .filter(|t| PackedGram::pack(t).is_some())
+            .count();
         let mut table = Self {
+            packed: HashMap::with_capacity_and_hasher(packed, FxBuildHasher::default()),
+            wide: HashMap::with_capacity_and_hasher(texts.len() - packed, FxBuildHasher::default()),
+            texts: Vec::new(),
             doc_freq,
-            ..Self::default()
         };
         for (i, text) in texts.iter().enumerate() {
             let id = GramId::new(i as u32);

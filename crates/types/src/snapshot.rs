@@ -103,31 +103,60 @@ pub fn split_kind(kind: u32) -> (u16, u16) {
     ((kind & 0xFFFF) as u16, (kind >> 16) as u16)
 }
 
-/// CRC-32/ISO-HDLC (the zlib/PNG polynomial, reflected `0xEDB88320`) of
-/// `bytes`, computed with a compile-time 256-entry table.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// The eight slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic
+/// bytewise table of the reflected polynomial `0xEDB88320`, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight table lookups advance the checksum over eight input bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
             i += 1;
         }
-        table
-    };
+        t += 1;
+    }
+    tables
+};
+
+/// CRC-32/ISO-HDLC (the zlib/PNG polynomial, reflected `0xEDB88320`) of
+/// `bytes`, computed eight bytes per step with compile-time
+/// slicing-by-8 tables and a bytewise tail.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -334,6 +363,29 @@ impl<'a> Decoder<'a> {
         self.take(len)
     }
 
+    /// Read exactly `n` raw bytes (no length prefix) — a fixed-width
+    /// column whose element count an earlier field already gave.
+    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.take(n)
+    }
+
+    /// Read a `u32` element count whose elements each occupy at least
+    /// `min_item_bytes` of payload, rejecting a count the remaining
+    /// bytes cannot possibly hold — so a corrupt (but CRC-valid) count
+    /// is a typed error before anything is allocated for it.
+    pub fn get_count(&mut self, min_item_bytes: usize) -> Result<usize> {
+        let count = self.get_u32()? as usize;
+        if count.saturating_mul(min_item_bytes) > self.remaining() {
+            return Err(err(format!(
+                "{} section: count {count} needs at least {} bytes, only {} remain",
+                self.section,
+                count.saturating_mul(min_item_bytes),
+                self.remaining()
+            )));
+        }
+        Ok(count)
+    }
+
     /// Read `u32`-length-prefixed UTF-8 text.
     pub fn get_str(&mut self) -> Result<&'a str> {
         std::str::from_utf8(self.get_bytes()?)
@@ -480,9 +532,15 @@ impl SnapshotBuilder {
 }
 
 /// A parsed, checksum-verified snapshot container.
-#[derive(Debug)]
+///
+/// Holds the file's bytes once; every section accessor hands out a slice
+/// of that one buffer, and a clone shares it (the sharded engine hands
+/// each worker a clone to decode its own section from).
+#[derive(Debug, Clone)]
 pub struct SnapshotFile {
-    sections: Vec<(u32, Vec<u8>)>,
+    bytes: Arc<Vec<u8>>,
+    /// `(kind, payload range within `bytes`)`, in table order.
+    sections: Vec<(u32, std::ops::Range<usize>)>,
 }
 
 impl SnapshotFile {
@@ -490,6 +548,12 @@ impl SnapshotFile {
     /// file length, and every section's CRC.  All failures are typed
     /// [`LinkageError::Snapshot`] errors.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        Self::from_vec(bytes.to_vec())
+    }
+
+    /// [`Self::from_bytes`] taking ownership of the buffer: the bytes are
+    /// hashed once and never copied.
+    pub fn from_vec(bytes: Vec<u8>) -> Result<Self> {
         if bytes.len() < 16 {
             return Err(err(format!(
                 "file too short for a header: {} bytes, need 16",
@@ -544,15 +608,15 @@ impl SnapshotFile {
                     bytes.len()
                 )));
             };
-            let payload = &bytes[offset as usize..end as usize];
-            let actual = crc32(payload);
+            let range = offset as usize..end as usize;
+            let actual = crc32(&bytes[range.clone()]);
             if actual != crc {
                 return Err(err(format!(
                     "checksum mismatch in section {}: stored {crc:#010x}, computed {actual:#010x}",
                     label()
                 )));
             }
-            sections.push((kind, payload.to_vec()));
+            sections.push((kind, range));
             expected_offset = end;
         }
         if expected_offset != bytes.len() as u64 {
@@ -561,12 +625,15 @@ impl SnapshotFile {
                 bytes.len() as u64 - expected_offset
             )));
         }
-        Ok(Self { sections })
+        Ok(Self {
+            bytes: Arc::new(bytes),
+            sections,
+        })
     }
 
     /// Read and verify a container from `path`.
     pub fn read_from(path: impl AsRef<Path>) -> Result<Self> {
-        Self::from_bytes(&std::fs::read(path)?)
+        Self::from_vec(std::fs::read(path)?)
     }
 
     /// The payload of the section with exactly this `kind`, if present.
@@ -574,7 +641,7 @@ impl SnapshotFile {
         self.sections
             .iter()
             .find(|(k, _)| *k == kind)
-            .map(|(_, p)| p.as_slice())
+            .map(|(_, range)| &self.bytes[range.clone()])
     }
 
     /// The payload of the section with exactly this `kind`; a typed
@@ -593,10 +660,9 @@ impl SnapshotFile {
     /// pairs sorted by shard index.
     pub fn sections_with_base(&self, base: u16) -> Vec<(u16, &[u8])> {
         let mut found: Vec<(u16, &[u8])> = self
-            .sections
-            .iter()
+            .sections()
             .filter(|(k, _)| split_kind(*k).0 == base)
-            .map(|(k, p)| (split_kind(*k).1, p.as_slice()))
+            .map(|(k, p)| (split_kind(k).1, p))
             .collect();
         found.sort_by_key(|(shard, _)| *shard);
         found
@@ -604,7 +670,9 @@ impl SnapshotFile {
 
     /// All sections in table order, as `(kind, payload)` pairs.
     pub fn sections(&self) -> impl Iterator<Item = (u32, &[u8])> {
-        self.sections.iter().map(|(k, p)| (*k, p.as_slice()))
+        self.sections
+            .iter()
+            .map(|(k, range)| (*k, &self.bytes[range.clone()]))
     }
 }
 
@@ -612,11 +680,52 @@ impl SnapshotFile {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time table loop `crc32` replaced, retained as the
+    /// reference the word-at-a-time version is checked against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical CRC-32/ISO-HDLC check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_offset() {
+        // xorshift64: any fixed non-trivial byte soup will do.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buffer: Vec<u8> = (0..192)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        for offset in 0..buffer.len() - 64 {
+            for len in 0..=64 {
+                let slice = &buffer[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+        assert_eq!(crc32(&buffer), crc32_bytewise(&buffer));
     }
 
     #[test]
@@ -740,6 +849,30 @@ mod tests {
         assert!(matches!(d.get_bool(), Err(LinkageError::Snapshot(m)) if m.contains("bool")));
         let d = Decoder::new(&[0, 0], "T");
         assert!(matches!(d.finish(), Err(LinkageError::Snapshot(m)) if m.contains("trailing")));
+    }
+
+    #[test]
+    fn an_impossible_count_is_rejected_before_allocation() {
+        let mut e = Encoder::new();
+        e.put_u32(u32::MAX);
+        e.put_u64(7);
+        let bytes = e.finish();
+        let mut d = Decoder::new(&bytes, "T");
+        assert!(matches!(
+            d.get_count(8),
+            Err(LinkageError::Snapshot(m)) if m.contains("count 4294967295")
+        ));
+        // A count the payload can hold passes, and the cursor sits
+        // right behind it.
+        let mut e = Encoder::new();
+        e.put_u32(1);
+        e.put_u64(7);
+        let bytes = e.finish();
+        let mut d = Decoder::new(&bytes, "T");
+        assert_eq!(d.get_count(8).unwrap(), 1);
+        assert_eq!(d.get_raw(8).unwrap(), 7u64.to_le_bytes());
+        assert!(matches!(d.get_raw(1), Err(LinkageError::Snapshot(_))));
+        d.finish().unwrap();
     }
 
     #[test]

@@ -26,4 +26,11 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+# The benchmark is its own workspace calling this tree's public items
+# from outside: building and smoking it here makes a reshaped signature
+# it depends on fail the check, not the next benchmark run.
+echo "==> perfbench: build against the tree, quick smoke, own tests"
+bash perfbench/run.sh --quick
+(cd perfbench && cargo test --offline -q)
+
 echo "All checks passed."

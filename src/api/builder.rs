@@ -66,7 +66,14 @@ impl Pipeline {
     /// consumed prefix, and the returned stream yields the remaining
     /// events bit-identically to the uninterrupted run.
     pub fn resume(self, path: impl AsRef<std::path::Path>) -> Result<MatchStream> {
-        let file = SnapshotFile::read_from(path.as_ref())?;
+        self.resume_from(&SnapshotFile::read_from(path.as_ref())?)
+    }
+
+    /// [`resume`](Self::resume) from a container the caller already read
+    /// and verified — the bytes are hashed and parsed once, however many
+    /// of its sections the caller inspects first (the server's
+    /// rehydration checks its own binding section before resuming).
+    pub fn resume_from(self, file: &SnapshotFile) -> Result<MatchStream> {
         // Decode the stream's own section first: a malformed file is
         // rejected before the engine spawns anything.
         let mut d = Decoder::new(file.section(kind::STREAM as u32)?, "STREAM");
@@ -80,7 +87,7 @@ impl Pipeline {
 
         let mut engine = self.engine;
         engine.open()?;
-        if let Err(e) = engine.restore_state(&file) {
+        if let Err(e) = engine.restore_state(file) {
             let _ = engine.close();
             return Err(e);
         }

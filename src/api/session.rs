@@ -27,6 +27,9 @@ struct FeedState {
     queue: VecDeque<SidedRecord>,
     /// Total records ever pushed (not just currently queued).
     pushed: u64,
+    /// Records a previous incarnation of the session had already handed
+    /// to its engine (see [`SessionInput::restore_position`]).
+    offset: u64,
     finished: bool,
 }
 
@@ -107,6 +110,37 @@ impl SessionInput {
     pub fn buffered(&self) -> usize {
         self.lock().queue.len()
     }
+
+    /// The records pushed but not yet consumed by the engine, oldest
+    /// first — with [`pushed`](Self::pushed), everything a session must
+    /// persist about its input: the consumed prefix lives on in the
+    /// engine's own snapshot.
+    pub fn buffered_records(&self) -> Vec<SidedRecord> {
+        self.lock().queue.iter().cloned().collect()
+    }
+
+    /// Position a pristine input where an evicted session's input
+    /// stood: `consumed` records already handed to the engine (and not
+    /// held here any more), then `pending` still queued.  Afterwards
+    /// [`pushed`](Self::pushed) is `consumed + pending.len()`, and
+    /// [`Pipeline::resume_from`](crate::api::Pipeline::resume_from)
+    /// checks the snapshot's consumed count against `consumed` instead
+    /// of pulling and discarding a replayed prefix.
+    ///
+    /// Fails with [`LinkageError::OperatorState`] on an input that was
+    /// already pushed into or finished.
+    pub fn restore_position(&self, consumed: u64, pending: Vec<SidedRecord>) -> Result<()> {
+        let mut state = self.lock();
+        if state.pushed != 0 || state.finished {
+            return Err(LinkageError::operator_state(
+                "cannot reposition a session input that is already in use",
+            ));
+        }
+        state.offset = consumed;
+        state.pushed = consumed + pending.len() as u64;
+        state.queue = pending.into();
+        Ok(())
+    }
 }
 
 /// The operator end of a [`SessionInput`]: a sided-record stream that
@@ -158,6 +192,13 @@ impl Operator for SessionStream {
         self.op_state = OperatorState::Closed;
         Ok(())
     }
+
+    fn resume_offset(&self) -> u64 {
+        self.state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .offset
+    }
 }
 
 #[cfg(test)]
@@ -186,6 +227,36 @@ mod tests {
         assert!(stream.next().unwrap().is_none());
         assert!(matches!(
             input.push(Side::Left, rec(3)),
+            Err(LinkageError::OperatorState(_))
+        ));
+    }
+
+    #[test]
+    fn a_restored_position_keeps_absolute_counts_and_only_the_pending_records() {
+        let input = SessionInput::new();
+        let mut stream = input.stream();
+        stream.open().unwrap();
+        assert_eq!(stream.resume_offset(), 0);
+        let pending = vec![
+            SidedRecord::new(Side::Left, rec(8)),
+            SidedRecord::new(Side::Right, rec(9)),
+        ];
+        input.restore_position(7, pending).unwrap();
+        assert_eq!(input.pushed(), 9);
+        assert_eq!(input.buffered(), 2);
+        assert_eq!(stream.resume_offset(), 7);
+        let ids: Vec<_> = input
+            .buffered_records()
+            .iter()
+            .map(|r| r.record.id)
+            .collect();
+        assert_eq!(ids, vec![8.into(), 9.into()]);
+        assert_eq!(stream.next().unwrap().unwrap().record.id, 8.into());
+        input.push(Side::Left, rec(10)).unwrap();
+        assert_eq!(input.pushed(), 10);
+        // Only a pristine input can be repositioned.
+        assert!(matches!(
+            input.restore_position(1, Vec::new()),
             Err(LinkageError::OperatorState(_))
         ));
     }

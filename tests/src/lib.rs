@@ -1376,11 +1376,12 @@ mod server_service {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    use linkage::api::{Pipeline, PipelineConfig, SwitchPolicy};
+    use linkage::api::{ExecutionMode, Pipeline, PipelineConfig, SwitchPolicy};
     use linkage_datagen::{generate, DatagenConfig, GeneratedData};
     use linkage_server::proto::{wire_event, WireEvent};
-    use linkage_server::session::record_bytes;
+    use linkage_server::session::{record_bytes, FEED_PENDING_KIND};
     use linkage_server::{Client, LinkageServer, ServerConfig, SessionManager};
+    use linkage_types::snapshot::{Decoder, SnapshotFile};
     use linkage_types::{PerSide, Side, SidedRecord};
     use proptest::prelude::*;
 
@@ -1487,6 +1488,161 @@ mod server_service {
                 manager.checkin(session, 0);
                 assert_eq!(got, expected, "cut={cut} polled={polled}");
             }
+        }
+    }
+
+    /// One facade-level evict → rehydrate cycle: push the first `cut`
+    /// records, let the engine consume all but (at least) `hold_back` of
+    /// them, deliver `polled` events, snapshot; then rebuild the
+    /// pipeline, position a fresh input where the old one stood (only
+    /// the unconsumed records come back), resume, and feed the rest.
+    /// Returns every event of the two halves plus how many records were
+    /// pending at the cut.
+    fn cycle_events(
+        config: &PipelineConfig,
+        sequence: &[SidedRecord],
+        cut: usize,
+        hold_back: usize,
+        polled: usize,
+    ) -> (Vec<WireEvent>, usize) {
+        let (pipeline, input) = Pipeline::builder()
+            .config(config.clone())
+            .session()
+            .expect("session build");
+        let mut stream = pipeline.run().expect("session run");
+        for record in &sequence[..cut] {
+            input.push_sided(record.clone()).expect("push");
+        }
+        stream.advance((cut - hold_back) as u64).expect("advance");
+        let mut events = Vec::new();
+        while events.len() < polled {
+            match stream.next_ready() {
+                Some(event) => events.push(wire_event(&event.expect("event"))),
+                None => break,
+            }
+        }
+        let snapshot =
+            SnapshotFile::from_vec(stream.snapshot_builder().expect("snapshot").to_bytes())
+                .expect("container");
+        let pending = input.buffered_records();
+        assert!(pending.len() >= hold_back);
+        let consumed = input.pushed() - pending.len() as u64;
+        drop(stream);
+
+        let (pipeline, input) = Pipeline::builder()
+            .config(config.clone())
+            .session()
+            .expect("session rebuild");
+        let held = pending.len();
+        input
+            .restore_position(consumed, pending)
+            .expect("reposition");
+        assert_eq!(input.pushed(), cut as u64);
+        let mut stream = pipeline.resume_from(&snapshot).expect("resume");
+        assert_eq!(
+            input.buffered(),
+            held,
+            "resume must not pull a replayed prefix"
+        );
+        for record in &sequence[cut..] {
+            input.push_sided(record.clone()).expect("push rest");
+        }
+        stream.advance(input.pushed()).expect("advance rest");
+        input.finish();
+        events.extend(stream.map(|event| wire_event(&event.expect("event"))));
+        (events, held)
+    }
+
+    /// Rehydration restores the input at its absolute position: with
+    /// nothing, one record, and a whole epoch pushed but not yet
+    /// consumed at the cut — serial and on two shards, before, at and
+    /// after the §3.3 switch — the two halves together are the
+    /// bit-identical event sequence of an uninterrupted session.
+    #[test]
+    fn rehydration_restores_pending_input_on_both_engines() {
+        const BATCH: usize = 8;
+        let data = generate(&DatagenConfig::mid_stream_dirty(80, 17)).expect("datagen");
+        let sequence = feed_sequence(&data);
+        let switch_at = sequence.len() / 2 / BATCH * BATCH;
+        for execution in [ExecutionMode::Serial, ExecutionMode::Sharded { shards: 2 }] {
+            let mut config = session_config(data.parents.len() as u64);
+            config.execution = execution;
+            config.batch_size = BATCH;
+            config.switch_policy = SwitchPolicy::ForceAt(switch_at as u64);
+            let expected = solo_events(&config, &sequence);
+            assert!(expected.iter().any(|e| matches!(e, WireEvent::Switched(_))));
+
+            let mut most_pending = 0;
+            for cut in [switch_at - 2 * BATCH, switch_at, switch_at + 4 * BATCH] {
+                for hold_back in [0, 1, BATCH] {
+                    for polled in [0, 3] {
+                        let (got, pending) =
+                            cycle_events(&config, &sequence, cut, hold_back, polled);
+                        assert_eq!(
+                            got, expected,
+                            "{execution:?} cut={cut} hold_back={hold_back} polled={polled}"
+                        );
+                        most_pending = most_pending.max(pending);
+                    }
+                }
+            }
+            assert!(most_pending >= BATCH, "a whole epoch was held back");
+        }
+    }
+
+    /// The same through the server's own eviction: a sharded session
+    /// parks with part of an epoch unconsumed, so its sidecar carries
+    /// exactly those records — not the feed log — and the rehydrated
+    /// session continues bit-identically.
+    #[test]
+    fn a_sharded_session_evicts_with_only_its_pending_input_in_the_sidecar() {
+        const BATCH: usize = 8;
+        let data = generate(&DatagenConfig::mid_stream_dirty(80, 17)).expect("datagen");
+        let sequence = feed_sequence(&data);
+        let mut config = session_config(data.parents.len() as u64);
+        config.execution = ExecutionMode::Sharded { shards: 2 };
+        config.batch_size = BATCH;
+        let expected = solo_events(&config, &sequence);
+
+        for cut in [BATCH * 3, BATCH * 3 + 1, BATCH * 4 - 1, sequence.len() - 5] {
+            let dir = scratch_dir("sharded-evict");
+            let mut manager = SessionManager::new(2, u64::MAX, dir.clone()).expect("manager");
+            let id = manager
+                .open(config.clone(), config.fingerprint())
+                .expect("open");
+            let mut session = manager.checkout(id).expect("checkout");
+            let added = session.feed(sequence[..cut].to_vec()).expect("feed prefix");
+            let (mut got, _) = session.poll(2).expect("poll prefix");
+            manager.checkin(session, added as i64);
+            assert_eq!(manager.evict_all().expect("evict"), 1);
+
+            let sidecar =
+                SnapshotFile::read_from(dir.join(format!("session-{id}.feed"))).expect("sidecar");
+            let mut queue = Decoder::new(
+                sidecar.section(FEED_PENDING_KIND).expect("pending section"),
+                "FEED_PENDING",
+            );
+            let pending = queue.get_u32().expect("count") as usize;
+            assert!(pending < cut, "the sidecar must not hold the feed log");
+            if cut < sequence.len() / 4 {
+                // Still exact: whole epochs are consumed, the rest waits.
+                assert_eq!(pending, cut % BATCH, "cut={cut}");
+            }
+
+            let mut session = manager.checkout(id).expect("rehydrate");
+            assert_eq!(session.fed(), cut as u64);
+            assert_eq!(
+                session.state_bytes(),
+                added,
+                "the budget keeps its currency"
+            );
+            session.feed(sequence[cut..].to_vec()).expect("feed rest");
+            session.fin();
+            while !session.is_done() {
+                got.extend(session.poll(64).expect("drain").0);
+            }
+            manager.checkin(session, 0);
+            assert_eq!(got, expected, "cut={cut}");
         }
     }
 
@@ -1597,6 +1753,16 @@ mod server_service {
             "docs/server.md is out of date"
         );
         assert_eq!(constant("MAX_FRAME_BYTES"), MAX_FRAME_BYTES);
+        assert_eq!(
+            constant("FEED_META_KIND"),
+            linkage_server::session::FEED_META_KIND,
+            "the eviction sidecar's meta section kind drifted from the spec"
+        );
+        assert_eq!(
+            constant("FEED_PENDING_KIND"),
+            FEED_PENDING_KIND,
+            "the eviction sidecar's pending-input section kind drifted from the spec"
+        );
         assert_eq!(
             constant("MANIFEST_KIND"),
             linkage_server::session::MANIFEST_KIND,
