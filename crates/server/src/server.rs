@@ -8,8 +8,8 @@
 //! contract.  A fixed pool of **worker** threads pulls connections and
 //! serves each one frame-by-frame.  Sessions are *checked out* of the
 //! shared [`SessionManager`] for the duration of a request, so feeding
-//! one session never serialises against polling another; only the table
-//! bookkeeping itself is under the lock.
+//! one session never serialises against polling another; the manager
+//! holds its table lock only for the bookkeeping, never across disk I/O.
 //!
 //! Graceful shutdown (the `SHUTDOWN` message, [`LinkageServer::shutdown`],
 //! [`Drop`], or — when enabled — SIGTERM) stops the acceptor, lets every
@@ -24,7 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use linkage::types::fault;
@@ -141,7 +141,7 @@ impl Default for ServerConfig {
 
 /// State shared by the acceptor, the workers and the handle.
 struct Shared {
-    manager: Mutex<SessionManager>,
+    manager: SessionManager,
     shutting_down: AtomicBool,
     handle_sigterm: bool,
     request_deadline: Duration,
@@ -151,13 +151,6 @@ impl Shared {
     fn is_shutting_down(&self) -> bool {
         self.shutting_down.load(Ordering::Relaxed)
             || (self.handle_sigterm && sig::termination_requested())
-    }
-
-    fn manager(&self) -> MutexGuard<'_, SessionManager> {
-        match self.manager.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
     }
 }
 
@@ -190,7 +183,7 @@ impl LinkageServer {
         });
         let manager = SessionManager::new(config.max_sessions, config.budget_bytes, evict_dir)?;
         let shared = Arc::new(Shared {
-            manager: Mutex::new(manager),
+            manager,
             shutting_down: AtomicBool::new(false),
             handle_sigterm: config.handle_sigterm,
             request_deadline: config.request_deadline.max(Duration::from_millis(1)),
@@ -230,7 +223,7 @@ impl LinkageServer {
 
     /// The counters a `STATS` request would report, read directly.
     pub fn stats(&self) -> crate::session::ServerStats {
-        self.shared.manager().stats()
+        self.shared.manager.stats()
     }
 
     /// Block until shutdown is requested — by SIGTERM (when enabled) or
@@ -257,7 +250,7 @@ impl LinkageServer {
             let _ = thread.join();
         }
         // Workers are gone, so every slot is idle: persist the rest.
-        self.shared.manager().evict_all()
+        self.shared.manager.evict_all()
     }
 }
 
@@ -283,7 +276,7 @@ fn accept_loop(
                 Ok(()) => {}
                 Err(TrySendError::Full(mut stream))
                 | Err(TrySendError::Disconnected(mut stream)) => {
-                    shared.manager().count_busy();
+                    shared.manager.count_busy();
                     let payload =
                         encode_error(code::BUSY, "accept queue full — retry after a backoff");
                     let _ = write_frame(&mut stream, msg::ERR, &payload);
@@ -319,7 +312,7 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<TcpStream>>>, poll: Dura
                     serve_connection(shared, &stream, poll);
                 }));
                 if outcome.is_err() {
-                    shared.manager().count_worker_panic();
+                    shared.manager.count_worker_panic();
                 }
             }
             Err(_) => return, // acceptor gone: shutdown
@@ -422,7 +415,7 @@ fn handle_request(shared: &Shared, kind: u8, payload: &[u8]) -> Result<(u8, Vec<
     match kind {
         msg::OPEN => {
             if shared.is_shutting_down() {
-                shared.manager().count_busy();
+                shared.manager.count_busy();
                 return Ok((
                     msg::ERR,
                     encode_error(code::SHUTTING_DOWN, "shutting down: no new sessions"),
@@ -438,7 +431,7 @@ fn handle_request(shared: &Shared, kind: u8, payload: &[u8]) -> Result<(u8, Vec<
             let config = decode_config(&mut d)?;
             let fingerprint = d.get_u32()?;
             d.finish()?;
-            let id = shared.manager().open(config, fingerprint)?;
+            let id = shared.manager.open(config, fingerprint)?;
             let mut e = Encoder::new();
             e.put_u64(id);
             Ok((msg::OPENED, e.finish()))
@@ -453,18 +446,15 @@ fn handle_request(shared: &Shared, kind: u8, payload: &[u8]) -> Result<(u8, Vec<
             }
             d.finish()?;
             let incoming: u64 = records.iter().map(record_bytes).sum();
-            let mut session = {
-                let mut manager = shared.manager();
-                let session = manager.checkout(id)?;
-                // Reserve after checkout: a checked-out session is not
-                // evictable, so the reservation can never evict the very
-                // session it is feeding.
-                if let Err(e) = manager.reserve_bytes(incoming) {
-                    manager.checkin(session, 0);
-                    return Err(e);
-                }
-                session
-            };
+            let manager = &shared.manager;
+            let mut session = manager.checkout(id)?;
+            // Reserve after checkout: a checked-out session is not
+            // evictable, so the reservation can never evict the very
+            // session it is feeding.
+            if let Err(e) = manager.reserve_bytes(incoming) {
+                manager.checkin(session, 0);
+                return Err(e);
+            }
             let prior = session.state_bytes();
             // The request boundary: a panic inside the engine must not
             // kill the worker.  The session Box unwinds with the stack,
@@ -474,7 +464,6 @@ fn handle_request(shared: &Shared, kind: u8, payload: &[u8]) -> Result<(u8, Vec<
                 let result = session.feed(records);
                 (session, result)
             }));
-            let mut manager = shared.manager();
             match outcome {
                 Ok((session, Ok(added))) => {
                     let accepted = session.fed();
@@ -507,14 +496,14 @@ fn handle_request(shared: &Shared, kind: u8, payload: &[u8]) -> Result<(u8, Vec<
             let id = d.get_u64()?;
             let max = d.get_u32()? as usize;
             d.finish()?;
-            let session = shared.manager().checkout(id)?;
+            let manager = &shared.manager;
+            let session = manager.checkout(id)?;
             let prior = session.state_bytes();
             let outcome = catch_unwind(AssertUnwindSafe(move || {
                 let mut session = session;
                 let result = session.poll(max);
                 (session, result)
             }));
-            let mut manager = shared.manager();
             match outcome {
                 Ok((session, Ok((events, released)))) => {
                     manager.checkin(session, -(released as i64));
@@ -547,10 +536,10 @@ fn handle_request(shared: &Shared, kind: u8, payload: &[u8]) -> Result<(u8, Vec<
             let mut d = Decoder::new(payload, "FIN");
             let id = d.get_u64()?;
             d.finish()?;
-            let mut session = shared.manager().checkout(id)?;
+            let manager = &shared.manager;
+            let mut session = manager.checkout(id)?;
             session.fin();
             let accepted = session.fed();
-            let mut manager = shared.manager();
             manager.checkin(session, 0);
             let mut e = Encoder::new();
             e.put_u64(accepted);
@@ -561,11 +550,11 @@ fn handle_request(shared: &Shared, kind: u8, payload: &[u8]) -> Result<(u8, Vec<
             let mut d = Decoder::new(payload, "CLOSE");
             let id = d.get_u64()?;
             d.finish()?;
-            shared.manager().close(id)?;
+            shared.manager.close(id)?;
             Ok((msg::CLOSED, Vec::new()))
         }
         msg::STATS => {
-            let stats = shared.manager().stats();
+            let stats = shared.manager.stats();
             Ok((msg::STATS_REPLY, stats.encode()))
         }
         msg::SHUTDOWN => {

@@ -20,9 +20,20 @@
 //! recently used *idle* session (not checked out by a worker, not yet
 //! finished); when nothing can be evicted the request is rejected with
 //! a typed [`LinkageError::Busy`] / [`LinkageError::OverBudget`].
+//!
+//! Concurrency: the manager owns the lock over its slot table and holds
+//! it only to pick slots, change their state and move byte accounting.
+//! Encoding, writing, fsyncing, reading, decoding and unlinking eviction
+//! files — and dropping a session — always happen with the lock
+//! released, so two workers overlap their eviction and rehydration work.
+//! A slot in flight (`Evicting`, `Rehydrating`) makes requests for that
+//! session wait until it settles (`docs/server.md`, "Admission and
+//! eviction state machine").
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use linkage::api::{MatchEvent, MatchStream, Pipeline, PipelineConfig, SessionInput};
 use linkage::types::fault;
@@ -62,6 +73,20 @@ pub const MANIFEST_KIND: u32 = 66;
 /// files, not a garbled decode.
 pub const EVICT_BIND_KIND: u32 = 67;
 
+thread_local! {
+    /// Whether this thread holds the session-table lock.
+    static HOLDS_TABLE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The lock discipline: no eviction file I/O and no session drop while
+/// the session-table lock is held.
+fn assert_table_unlocked(what: &str) {
+    debug_assert!(
+        !HOLDS_TABLE.get(),
+        "{what} while holding the session-table lock"
+    );
+}
+
 /// Write `bytes` to `path` and fsync, honoring two failpoints: `site`
 /// tears the write at the armed byte offset, and `evict.fsync` fails
 /// the durability barrier after a complete write.  An injected tear
@@ -69,6 +94,7 @@ pub const EVICT_BIND_KIND: u32 = 67;
 /// that byte would leave.
 fn write_evict_file(path: &Path, bytes: &[u8], site: &str) -> Result<()> {
     use std::io::Write as _;
+    assert_table_unlocked("eviction file write");
     if let Some(cut) = fault::fires(site) {
         let cut = (cut as usize).min(bytes.len());
         let mut file = std::fs::File::create(path)?;
@@ -85,6 +111,38 @@ fn write_evict_file(path: &Path, bytes: &[u8], site: &str) -> Result<()> {
     Ok(())
 }
 
+/// Fsync the directory holding `path`, so the entries created and
+/// renamed in it survive a power loss.  Failpoint `evict.dirsync` fails
+/// it.
+fn sync_dir_of(path: &Path) -> Result<()> {
+    assert_table_unlocked("directory fsync");
+    if fault::fires("evict.dirsync").is_some() {
+        return Err(fault::injected("evict.dirsync"));
+    }
+    let dir = path
+        .parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
+/// Remove a committed eviction's files, manifest first: a crash between
+/// the removes leaves an uncommitted remainder the recovery sweep
+/// quarantines, never a committed pair with a file missing.
+fn remove_committed(manifest: &Path, snap: &Path, feed: &Path) -> Result<()> {
+    assert_table_unlocked("eviction file removal");
+    std::fs::remove_file(manifest)?;
+    std::fs::remove_file(snap)?;
+    std::fs::remove_file(feed)?;
+    Ok(())
+}
+
+/// The `(.snap, .feed, .evict)` paths of session `id`'s eviction.
+fn evict_paths(dir: &Path, id: u64) -> [PathBuf; 3] {
+    ["snap", "feed", "evict"].map(|suffix| dir.join(format!("session-{id}.{suffix}")))
+}
+
 /// Estimated resident bytes of one fed record: values plus per-record
 /// bookkeeping.  The currency of the admission budget — deliberately an
 /// estimate; the budget bounds magnitude, not exact allocation.
@@ -99,6 +157,30 @@ pub fn record_bytes(record: &SidedRecord) -> u64 {
         })
         .sum();
     32 + values as u64
+}
+
+/// The eviction sidecar's [`FEED_META_KIND`] section.
+struct FeedMeta {
+    config: PipelineConfig,
+    fingerprint: u32,
+    fin: bool,
+    pushed: u64,
+    fed_bytes: u64,
+}
+
+impl FeedMeta {
+    fn read(sidecar: &SnapshotFile) -> Result<Self> {
+        let mut meta = Decoder::new(sidecar.section(FEED_META_KIND)?, "FEED_META");
+        let decoded = Self {
+            config: crate::proto::decode_config(&mut meta)?,
+            fingerprint: meta.get_u32()?,
+            fin: meta.get_bool()?,
+            pushed: meta.get_u64()?,
+            fed_bytes: meta.get_u64()?,
+        };
+        meta.finish()?;
+        Ok(decoded)
+    }
 }
 
 /// One live linkage session.
@@ -129,6 +211,12 @@ impl std::fmt::Debug for Session {
             .field("fin", &self.fin)
             .field("done", &self.done)
             .finish_non_exhaustive()
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        assert_table_unlocked("session drop");
     }
 }
 
@@ -270,15 +358,19 @@ impl Session {
     /// [`EVICT_BIND_KIND`] section naming this session) and `.feed`
     /// (config, input position, pending input) files under their final
     /// names, fsync both, then commit by writing a [`MANIFEST_KIND`]
-    /// manifest —
-    /// carrying both files' lengths and CRCs — to a temp sibling and
-    /// renaming it into place.  The rename is the single commit point:
-    /// a crash anywhere earlier leaves data files without a manifest,
-    /// which the startup recovery sweep quarantines instead of adopting.
+    /// manifest — carrying both files' lengths and CRCs — to a temp
+    /// sibling, fsyncing it, renaming it into place and fsyncing the
+    /// directory.  The rename is the single commit point: a crash
+    /// anywhere earlier leaves data files without a manifest, which the
+    /// startup recovery sweep quarantines instead of adopting.  The
+    /// directory fsync makes the commit durable; if it fails, the
+    /// eviction is un-committed and its files removed, because the
+    /// caller keeps the session live.
     ///
     /// Failpoints (`--features fault`): `evict.snap`, `evict.feed` and
     /// `evict.manifest` tear the respective write at the armed byte
-    /// offset; `evict.fsync` fails the durability barrier.
+    /// offset; `evict.fsync` fails a file's durability barrier and
+    /// `evict.dirsync` the directory's.
     ///
     /// On success the session object is unchanged (the caller decides
     /// whether to drop it); on error the caller keeps a fully usable
@@ -332,6 +424,10 @@ impl Session {
         let tmp = manifest_path.with_extension("evict.tmp");
         write_evict_file(&tmp, &commit.to_bytes(), "evict.manifest")?;
         std::fs::rename(&tmp, manifest_path)?;
+        if let Err(e) = sync_dir_of(manifest_path) {
+            let _ = remove_committed(manifest_path, snap_path, feed_path);
+            return Err(e);
+        }
         Ok(())
     }
 
@@ -346,20 +442,27 @@ impl Session {
     /// The snapshot's [`EVICT_BIND_KIND`] section is cross-checked
     /// against the sidecar's declared id and fingerprint; a mismatched
     /// pair is a typed [`LinkageError::Snapshot`] naming both files.
+    ///
+    /// Failpoint (`--features fault`): `rehydrate.read` fails the read
+    /// before any file is touched.
     pub fn rehydrate(
         id: u64,
         snap_path: &Path,
         feed_path: &Path,
         manifest_path: &Path,
     ) -> Result<Self> {
+        assert_table_unlocked("eviction file read");
+        if fault::fires("rehydrate.read").is_some() {
+            return Err(fault::injected("rehydrate.read"));
+        }
         let sidecar = SnapshotFile::read_from(feed_path)?;
-        let mut meta = Decoder::new(sidecar.section(FEED_META_KIND)?, "FEED_META");
-        let config = crate::proto::decode_config(&mut meta)?;
-        let fingerprint = meta.get_u32()?;
-        let fin = meta.get_bool()?;
-        let pushed = meta.get_u64()?;
-        let fed_bytes = meta.get_u64()?;
-        meta.finish()?;
+        let FeedMeta {
+            config,
+            fingerprint,
+            fin,
+            pushed,
+            fed_bytes,
+        } = FeedMeta::read(&sidecar)?;
 
         let snap_file = SnapshotFile::read_from(snap_path)?;
         let mut bind = Decoder::new(snap_file.section(EVICT_BIND_KIND)?, "EVICT_BIND");
@@ -397,12 +500,7 @@ impl Session {
             input.finish();
         }
         let stream = pipeline.resume_from(&snap_file)?;
-        // Un-commit before removing the data: a crash between these
-        // removes leaves an uncommitted remainder the recovery sweep
-        // quarantines, never a committed pair with a file missing.
-        std::fs::remove_file(manifest_path)?;
-        std::fs::remove_file(snap_path)?;
-        std::fs::remove_file(feed_path)?;
+        remove_committed(manifest_path, snap_path, feed_path)?;
         Ok(Self {
             id,
             config,
@@ -422,10 +520,22 @@ impl Session {
 enum Slot {
     /// In memory, idle.
     Live(Box<Session>),
-    /// Checked out by a worker processing a request.
+    /// Checked out by a worker processing a request — or, during `OPEN`,
+    /// admitted but not yet in the table.
     Taken,
-    /// On disk under the eviction directory.
-    Evicted,
+    /// Being written to disk, with the table lock released, by the worker
+    /// that picked it as an LRU victim.  Requests for it wait.
+    Evicting,
+    /// On disk under the eviction directory; `bytes` is what it charges
+    /// against the budget once it is back.
+    Evicted {
+        /// The session's [`Session::state_bytes`] when it was evicted.
+        bytes: u64,
+    },
+    /// Being read back, with the table lock released, by the worker whose
+    /// request touched it; its bytes are already reserved.  Requests for
+    /// it wait.
+    Rehydrating,
     /// Poisoned: a worker panicked mid-request, or the on-disk eviction
     /// files came back torn/corrupt.  Any surviving files are parked
     /// under `quarantine/`; every request except `CLOSE` gets a typed
@@ -455,7 +565,9 @@ pub struct RecoveryReport {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ServerStats {
-    /// Sessions currently in memory (idle or checked out).
+    /// Sessions holding room under the live-session cap: in memory (idle
+    /// or checked out) or being rehydrated.  A session being evicted
+    /// counts neither here nor in `evicted_sessions`.
     pub live_sessions: u64,
     /// Sessions currently evicted to disk.
     pub evicted_sessions: u64,
@@ -473,7 +585,9 @@ pub struct ServerStats {
     pub rejected_busy: u64,
     /// Requests rejected with `OVER_BUDGET`.
     pub rejected_over_budget: u64,
-    /// Estimated resident session bytes right now.
+    /// Estimated session bytes charged right now: every session in
+    /// memory, including those being evicted, plus the reservations of
+    /// those being rehydrated and of byte reservations still evicting.
     pub state_bytes: u64,
     /// The configured state-bytes budget.
     pub budget_bytes: u64,
@@ -537,29 +651,184 @@ impl ServerStats {
     }
 }
 
-/// The session table: slots, accounting, admission and eviction.
-///
-/// One instance lives behind a mutex in the server; workers check
-/// sessions *out* for the duration of a request (so feeding one session
-/// never blocks requests on another) and check them back in with the
-/// accounting delta.
-pub struct SessionManager {
+/// Sessions taken out of their slots to be evicted, still boxed as the
+/// slots held them.
+#[allow(clippy::vec_box)]
+type Victims = Vec<Box<Session>>;
+
+/// The slot table and its accounting: everything the manager's lock
+/// guards.
+struct Table {
     slots: HashMap<u64, Slot>,
     next_id: u64,
     clock: u64,
-    state_bytes: u64,
     max_sessions: usize,
     budget_bytes: u64,
-    evict_dir: PathBuf,
+    /// Bytes of every session in memory — idle, taken or being evicted —
+    /// plus the reservations of sessions being rehydrated and of
+    /// [`SessionManager::reserve_bytes`] calls whose victims are being
+    /// evicted.
+    state_bytes: u64,
+    /// The part of `state_bytes` held by `Evicting` sessions: room
+    /// already handed to whoever picked them.
+    leaving_bytes: u64,
+    /// The lifetime counters; [`Self::stats`] derives the gauges.
     stats: ServerStats,
+}
+
+impl Table {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Slots holding room under the cap: everything but the in-flight
+    /// evictions, the evicted and the quarantined.
+    fn occupied(&self) -> usize {
+        self.slots
+            .values()
+            .filter(|s| matches!(s, Slot::Live(_) | Slot::Taken | Slot::Rehydrating))
+            .count()
+    }
+
+    /// Bytes the budget must cover: resident sessions not being evicted,
+    /// plus rehydration reservations.
+    fn kept_bytes(&self) -> u64 {
+        self.state_bytes.saturating_sub(self.leaving_bytes)
+    }
+
+    /// Take the least recently used idle (live, unfinished) session out
+    /// of its slot and mark the slot `Evicting`.
+    fn take_victim(&mut self) -> Option<Box<Session>> {
+        let id = self
+            .slots
+            .iter()
+            .filter_map(|(id, slot)| match slot {
+                Slot::Live(s) if !s.is_done() => Some((*id, s.last_touch)),
+                _ => None,
+            })
+            .min_by_key(|(_, touch)| *touch)
+            .map(|(id, _)| id)?;
+        let Some(Slot::Live(session)) = self.slots.insert(id, Slot::Evicting) else {
+            unreachable!("the LRU candidate {id} was just seen live");
+        };
+        self.leaving_bytes += session.state_bytes();
+        Some(session)
+    }
+
+    /// Take LRU idle victims until `slots` more sessions fit under the cap
+    /// and `incoming` more bytes under the budget.  When everything idle
+    /// is gone first, the rejection is counted and returned beside the
+    /// victims — which are evicted either way, as a sequential evictor
+    /// would have.
+    fn make_room(&mut self, slots: usize, incoming: u64) -> (Victims, Result<()>) {
+        let mut victims = Vec::new();
+        loop {
+            let over_cap = self.occupied() + slots > self.max_sessions;
+            let over_budget = self.kept_bytes().saturating_add(incoming) > self.budget_bytes;
+            if !over_cap && !over_budget {
+                return (victims, Ok(()));
+            }
+            if let Some(victim) = self.take_victim() {
+                victims.push(victim);
+                continue;
+            }
+            let rejection = if over_cap {
+                self.stats.rejected_busy += 1;
+                LinkageError::busy(format!(
+                    "session table full ({} live, cap {}, nothing idle to evict)",
+                    self.occupied(),
+                    self.max_sessions
+                ))
+            } else {
+                self.stats.rejected_over_budget += 1;
+                LinkageError::over_budget(format!(
+                    "{incoming} incoming bytes would exceed the {} byte budget \
+                     ({} resident, nothing idle to evict)",
+                    self.budget_bytes,
+                    self.kept_bytes()
+                ))
+            };
+            return (victims, Err(rejection));
+        }
+    }
+
+    fn stats(&self) -> ServerStats {
+        let mut stats = self.stats.clone();
+        for slot in self.slots.values() {
+            match slot {
+                Slot::Live(_) | Slot::Taken | Slot::Rehydrating => stats.live_sessions += 1,
+                Slot::Evicted { .. } => stats.evicted_sessions += 1,
+                Slot::Quarantined { .. } => stats.quarantined_sessions += 1,
+                Slot::Evicting => {}
+            }
+        }
+        stats.state_bytes = self.state_bytes;
+        stats.budget_bytes = self.budget_bytes;
+        stats.max_sessions = self.max_sessions as u64;
+        stats
+    }
+}
+
+/// A held table lock.  Marks its thread so the eviction file helpers can
+/// assert the lock discipline.
+struct Locked<'a>(Option<MutexGuard<'a, Table>>);
+
+impl<'a> Locked<'a> {
+    fn new(guard: MutexGuard<'a, Table>) -> Self {
+        HOLDS_TABLE.set(true);
+        Self(Some(guard))
+    }
+
+    /// Release the lock until `settled` is signalled, then re-take it.
+    fn wait(mut self, settled: &Condvar) -> Self {
+        let guard = self.0.take().expect("a held table lock");
+        Self::new(settled.wait(guard).unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        if self.0.is_some() {
+            HOLDS_TABLE.set(false);
+        }
+    }
+}
+
+impl std::ops::Deref for Locked<'_> {
+    type Target = Table;
+    fn deref(&self) -> &Table {
+        self.0.as_ref().expect("a held table lock")
+    }
+}
+
+impl std::ops::DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut Table {
+        self.0.as_mut().expect("a held table lock")
+    }
+}
+
+/// The session table: slots, accounting, admission and eviction.
+///
+/// Shared by reference between the server's workers: it owns the lock
+/// over its table.  Workers check sessions *out* for the duration of a
+/// request (so feeding one session never blocks requests on another)
+/// and check them back in with the accounting delta.
+pub struct SessionManager {
+    table: Mutex<Table>,
+    /// Signalled whenever an `Evicting` or `Rehydrating` slot settles.
+    settled: Condvar,
+    evict_dir: PathBuf,
     recovery: RecoveryReport,
 }
 
 /// Check a session's eviction against its manifest: the manifest must
 /// parse, name this id, and both data files must match its declared
-/// length and CRC.  Any shortfall is the quarantine reason.
-fn verify_evicted(dir: &Path, id: u64) -> std::result::Result<(), String> {
-    let manifest_path = dir.join(format!("session-{id}.evict"));
+/// length and CRC.  Any shortfall is the quarantine reason.  On success,
+/// returns the bytes the session charges against the budget (0 when the
+/// sidecar's metadata does not decode — rehydration then quarantines).
+fn verify_evicted(dir: &Path, id: u64) -> std::result::Result<u64, String> {
+    let [snap_path, feed_path, manifest_path] = evict_paths(dir, id);
     if !manifest_path.exists() {
         return Err("no manifest: the eviction never committed".to_string());
     }
@@ -585,10 +854,13 @@ fn verify_evicted(dir: &Path, id: u64) -> std::result::Result<(), String> {
             "manifest names session {m_id} but the files are named session {id}"
         ));
     }
-    for (name, want_len, want_crc) in [("snap", snap_len, snap_crc), ("feed", feed_len, feed_crc)] {
-        let path = dir.join(format!("session-{id}.{name}"));
+    let mut fed_bytes = 0;
+    for (path, want_len, want_crc) in [
+        (&snap_path, snap_len, snap_crc),
+        (&feed_path, feed_len, feed_crc),
+    ] {
         let bytes =
-            std::fs::read(&path).map_err(|e| format!("{} unreadable: {e}", path.display()))?;
+            std::fs::read(path).map_err(|e| format!("{} unreadable: {e}", path.display()))?;
         if bytes.len() as u64 != want_len {
             return Err(format!(
                 "{} is {} bytes, manifest committed {want_len}",
@@ -603,21 +875,25 @@ fn verify_evicted(dir: &Path, id: u64) -> std::result::Result<(), String> {
                 path.display()
             ));
         }
+        if path == &feed_path {
+            fed_bytes = SnapshotFile::from_vec(bytes)
+                .and_then(|sidecar| FeedMeta::read(&sidecar))
+                .map_or(0, |meta| meta.fed_bytes);
+        }
     }
-    Ok(())
+    Ok(fed_bytes)
 }
 
 /// Park whatever remains of a session's eviction files under
 /// `quarantine/` (best-effort: quarantining must never raise on top of
 /// the fault that triggered it).
 fn park_in_quarantine(dir: &Path, id: u64) {
+    assert_table_unlocked("quarantine parking");
     let qdir = dir.join("quarantine");
     let _ = std::fs::create_dir_all(&qdir);
-    for suffix in ["snap", "feed", "evict"] {
-        let name = format!("session-{id}.{suffix}");
-        let path = dir.join(&name);
+    for path in evict_paths(dir, id) {
         if path.exists() {
-            let _ = std::fs::rename(&path, qdir.join(&name));
+            let _ = std::fs::rename(&path, qdir.join(path.file_name().unwrap_or_default()));
         }
     }
 }
@@ -663,8 +939,8 @@ impl SessionManager {
         for id in ids {
             next_id = next_id.max(id + 1);
             match verify_evicted(&evict_dir, id) {
-                Ok(()) => {
-                    slots.insert(id, Slot::Evicted);
+                Ok(bytes) => {
+                    slots.insert(id, Slot::Evicted { bytes });
                     report.adopted.push(id);
                 }
                 Err(reason) => {
@@ -679,20 +955,21 @@ impl SessionManager {
                 }
             }
         }
-        let mut manager = Self {
-            slots,
-            next_id,
-            clock: 0,
-            state_bytes: 0,
-            max_sessions: max_sessions.max(1),
-            budget_bytes,
+        Ok(Self {
+            table: Mutex::new(Table {
+                slots,
+                next_id,
+                clock: 0,
+                max_sessions: max_sessions.max(1),
+                budget_bytes,
+                state_bytes: 0,
+                leaving_bytes: 0,
+                stats: ServerStats::default(),
+            }),
+            settled: Condvar::new(),
             evict_dir,
-            stats: ServerStats::default(),
             recovery: report,
-        };
-        manager.stats.evicted_sessions = manager.recovery.adopted.len() as u64;
-        manager.stats.quarantined_sessions = manager.recovery.quarantined.len() as u64;
-        Ok(manager)
+        })
     }
 
     /// What the startup recovery sweep found.
@@ -700,129 +977,98 @@ impl SessionManager {
         &self.recovery
     }
 
-    fn snap_path(&self, id: u64) -> PathBuf {
-        self.evict_dir.join(format!("session-{id}.snap"))
+    fn lock(&self) -> Locked<'_> {
+        Locked::new(self.table.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    fn feed_path(&self, id: u64) -> PathBuf {
-        self.evict_dir.join(format!("session-{id}.feed"))
-    }
-
-    fn manifest_path(&self, id: u64) -> PathBuf {
-        self.evict_dir.join(format!("session-{id}.evict"))
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    fn live_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|(_, s)| matches!(s, Slot::Live(_) | Slot::Taken))
-            .count()
-    }
-
-    /// The least recently used idle (live, unfinished) session, if any.
-    fn lru_idle(&self) -> Option<u64> {
-        self.slots
-            .iter()
-            .filter_map(|(id, slot)| match slot {
-                Slot::Live(s) if !s.is_done() => Some((*id, s.last_touch)),
-                _ => None,
-            })
-            .min_by_key(|(_, touch)| *touch)
-            .map(|(id, _)| id)
-    }
-
-    /// Evict the LRU idle session to disk.  `Ok(false)` when nothing is
-    /// evictable.
+    /// Evict `victims` (slots already marked `Evicting`) with the table
+    /// lock released, then commit them all — and release the `held`
+    /// reservation bytes they made room for — in one lock hold, so a
+    /// waiter wakes to a settled transition.
     ///
-    /// On error the session is put back live and fully usable — an
-    /// eviction failure loses nothing.  A *real* error also cleans up
-    /// whatever partial files the attempt left (an uncommitted pair is
-    /// garbage); an injected fault deliberately leaves them, because it
-    /// is simulating a crash and the next startup's recovery sweep is
-    /// what gets tested against that debris.
-    fn evict_one(&mut self) -> Result<bool> {
-        let Some(id) = self.lru_idle() else {
-            return Ok(false);
-        };
-        let Some(Slot::Live(mut session)) = self.slots.remove(&id) else {
-            return Err(LinkageError::execution(format!(
-                "session table corrupted: lru candidate {id} is not live"
-            )));
-        };
-        let (snap, feed, manifest) = (
-            self.snap_path(id),
-            self.feed_path(id),
-            self.manifest_path(id),
-        );
-        match session.evict_to(&snap, &feed, &manifest) {
-            Ok(()) => {
-                let bytes = session.state_bytes();
-                self.slots.insert(id, Slot::Evicted);
-                self.state_bytes = self.state_bytes.saturating_sub(bytes);
-                self.stats.evictions += 1;
-                self.stats.evicted_sessions += 1;
-                self.stats.live_sessions = self.stats.live_sessions.saturating_sub(1);
-                Ok(true)
-            }
-            Err(e) => {
-                if !fault::is_injected(&e) {
-                    for path in [
-                        &snap,
-                        &feed,
-                        &manifest,
-                        &manifest.with_extension("evict.tmp"),
-                    ] {
-                        let _ = std::fs::remove_file(path);
+    /// A victim whose eviction fails is put back live and fully usable —
+    /// an eviction failure loses nothing — and the first error is
+    /// returned.  A *real* error also cleans up whatever partial files
+    /// the attempt left (an uncommitted pair is garbage); an injected
+    /// fault deliberately leaves them, because it is simulating a crash
+    /// and the next startup's recovery sweep is what gets tested against
+    /// that debris.
+    fn evict(&self, victims: Victims, held: u64) -> Result<()> {
+        if victims.is_empty() {
+            return Ok(());
+        }
+        let written: Vec<_> = victims
+            .into_iter()
+            .map(|mut session| {
+                let [snap, feed, manifest] = evict_paths(&self.evict_dir, session.id());
+                let written = session.evict_to(&snap, &feed, &manifest);
+                if let Err(e) = &written {
+                    if !fault::is_injected(e) {
+                        for path in [
+                            &snap,
+                            &feed,
+                            &manifest,
+                            &manifest.with_extension("evict.tmp"),
+                        ] {
+                            let _ = std::fs::remove_file(path);
+                        }
                     }
                 }
-                self.slots.insert(id, Slot::Live(session));
-                Err(e)
+                (session, written)
+            })
+            .collect();
+        let mut outcome = Ok(());
+        let mut gone = Vec::new();
+        let mut table = self.lock();
+        table.state_bytes = table.state_bytes.saturating_sub(held);
+        for (session, written) in written {
+            let (id, bytes) = (session.id(), session.state_bytes());
+            table.leaving_bytes -= bytes;
+            match written {
+                Ok(()) => {
+                    table.slots.insert(id, Slot::Evicted { bytes });
+                    table.state_bytes = table.state_bytes.saturating_sub(bytes);
+                    table.stats.evictions += 1;
+                    gone.push(session);
+                }
+                Err(e) => {
+                    table.slots.insert(id, Slot::Live(session));
+                    if outcome.is_ok() {
+                        outcome = Err(e);
+                    }
+                }
             }
         }
-    }
-
-    /// Make room for one more live session under the cap, evicting idle
-    /// sessions LRU first; typed [`LinkageError::Busy`] when the cap is
-    /// reached and nothing idle can be evicted.
-    fn make_room(&mut self) -> Result<()> {
-        while self.live_count() >= self.max_sessions {
-            if !self.evict_one()? {
-                self.stats.rejected_busy += 1;
-                return Err(LinkageError::busy(format!(
-                    "session table full ({} live, cap {}, nothing idle to evict)",
-                    self.live_count(),
-                    self.max_sessions
-                )));
-            }
-        }
-        Ok(())
+        drop(table);
+        self.settled.notify_all();
+        drop(gone);
+        outcome
     }
 
     /// Make room for `incoming` more bytes, evicting idle sessions LRU
     /// first; typed [`LinkageError::OverBudget`] when the budget cannot
     /// be met.
-    pub fn reserve_bytes(&mut self, incoming: u64) -> Result<()> {
-        while self.state_bytes + incoming > self.budget_bytes {
-            if !self.evict_one()? {
-                self.stats.rejected_over_budget += 1;
-                return Err(LinkageError::over_budget(format!(
-                    "{incoming} incoming bytes would exceed the {} byte budget \
-                     ({} resident, nothing idle to evict)",
-                    self.budget_bytes, self.state_bytes
-                )));
-            }
-        }
-        Ok(())
+    pub fn reserve_bytes(&self, incoming: u64) -> Result<()> {
+        let (victims, admitted, held) = {
+            let mut table = self.lock();
+            let (victims, admitted) = table.make_room(0, incoming);
+            // Hold the room while the victims are written, so another
+            // reservation cannot pass on it in the meantime.
+            let held = if admitted.is_ok() && !victims.is_empty() {
+                incoming
+            } else {
+                0
+            };
+            table.state_bytes += held;
+            (victims, admitted, held)
+        };
+        self.evict(victims, held)?;
+        admitted
     }
 
     /// Admit a new session.  Typed [`LinkageError::Busy`] when the live
     /// cap is reached and nothing idle can be evicted.
-    pub fn open(&mut self, config: PipelineConfig, fingerprint: u32) -> Result<u64> {
+    pub fn open(&self, config: PipelineConfig, fingerprint: u32) -> Result<u64> {
         let declared = config.fingerprint();
         if declared != fingerprint {
             return Err(LinkageError::protocol(format!(
@@ -831,182 +1077,225 @@ impl SessionManager {
                  about the config codec"
             )));
         }
-        self.make_room()?;
-        let id = self.next_id;
-        self.next_id += 1;
-        let mut session = Session::build(id, config, fingerprint)?;
-        session.last_touch = self.tick();
-        self.slots.insert(id, Slot::Live(Box::new(session)));
-        self.stats.opened += 1;
-        self.stats.live_sessions += 1;
+        let mut session = Box::new(Session::build(0, config, fingerprint)?);
+        let (victims, claimed) = {
+            let mut table = self.lock();
+            let (victims, admitted) = table.make_room(1, 0);
+            // Claim the room and the id before the victims land, so a
+            // concurrent admission cannot take either.
+            let claimed = admitted.map(|()| {
+                let id = table.next_id;
+                table.next_id += 1;
+                table.slots.insert(id, Slot::Taken);
+                id
+            });
+            (victims, claimed)
+        };
+        let evicted = self.evict(victims, 0);
+        let mut table = self.lock();
+        let id = match (claimed, evicted) {
+            (Ok(id), Ok(())) => id,
+            (Ok(id), Err(e)) => {
+                table.slots.remove(&id);
+                drop(table);
+                return Err(e);
+            }
+            (Err(_), Err(e)) | (Err(e), Ok(())) => {
+                drop(table);
+                return Err(e);
+            }
+        };
+        session.id = id;
+        session.last_touch = table.tick();
+        table.slots.insert(id, Slot::Live(session));
+        table.stats.opened += 1;
         Ok(id)
     }
 
     /// Check a session out for the duration of a request, rehydrating it
     /// from disk if it was evicted — which, like [`Self::open`], first
-    /// evicts LRU idle sessions until the live count is under the cap
-    /// (typed [`LinkageError::Busy`] when nothing is evictable).  While
+    /// evicts LRU idle sessions until it fits under the cap and its bytes
+    /// under the budget (typed [`LinkageError::Busy`] /
+    /// [`LinkageError::OverBudget`] when nothing is evictable).  While
     /// checked out, other requests for the same session are rejected
-    /// `Busy`.
-    pub fn checkout(&mut self, id: u64) -> Result<Box<Session>> {
-        match self.slots.get(&id) {
-            None => Err(LinkageError::unknown_session(format!(
-                "session {id} does not exist (never opened, closed, or lost)"
-            ))),
-            Some(Slot::Quarantined { reason }) => Err(LinkageError::quarantined(format!(
-                "session {id} is quarantined: {reason}"
-            ))),
-            Some(Slot::Taken) => {
-                self.stats.rejected_busy += 1;
-                Err(LinkageError::busy(format!(
-                    "session {id} is processing another request"
-                )))
-            }
-            Some(Slot::Evicted) => {
-                // A rehydrated session is live again: make room under
-                // the cap first, exactly as `open` does.
-                self.make_room()?;
-                let rehydrated = Session::rehydrate(
-                    id,
-                    &self.snap_path(id),
-                    &self.feed_path(id),
-                    &self.manifest_path(id),
-                );
-                let session = match rehydrated {
-                    Ok(session) => session,
-                    Err(e) => {
-                        // The pair is unusable (it verified at sweep
-                        // time, so this is new damage or an injected
-                        // fault).  Leaving the slot Evicted would retry
-                        // the same broken bytes forever; quarantine it.
-                        let reason = e.to_string();
-                        park_in_quarantine(&self.evict_dir, id);
-                        self.slots.insert(
-                            id,
-                            Slot::Quarantined {
-                                reason: reason.clone(),
-                            },
-                        );
-                        self.stats.evicted_sessions = self.stats.evicted_sessions.saturating_sub(1);
-                        self.stats.quarantined_sessions += 1;
-                        return Err(LinkageError::quarantined(format!(
-                            "session {id} failed rehydration and was quarantined: {reason}"
-                        )));
+    /// `Busy`; while it is being evicted or rehydrated, they wait.
+    pub fn checkout(&self, id: u64) -> Result<Box<Session>> {
+        let mut table = self.lock();
+        let (bytes, victims) = loop {
+            match table.slots.get(&id) {
+                None => {
+                    return Err(LinkageError::unknown_session(format!(
+                        "session {id} does not exist (never opened, closed, or lost)"
+                    )))
+                }
+                Some(Slot::Quarantined { reason }) => {
+                    return Err(LinkageError::quarantined(format!(
+                        "session {id} is quarantined: {reason}"
+                    )))
+                }
+                Some(Slot::Taken) => {
+                    table.stats.rejected_busy += 1;
+                    return Err(LinkageError::busy(format!(
+                        "session {id} is processing another request"
+                    )));
+                }
+                Some(Slot::Evicting | Slot::Rehydrating) => table = table.wait(&self.settled),
+                Some(Slot::Live(_)) => {
+                    let touch = table.tick();
+                    let Some(Slot::Live(mut session)) = table.slots.insert(id, Slot::Taken) else {
+                        unreachable!("slot {id} was just seen live");
+                    };
+                    session.last_touch = touch;
+                    return Ok(session);
+                }
+                Some(Slot::Evicted { bytes }) => {
+                    let bytes = *bytes;
+                    let (victims, admitted) = table.make_room(1, bytes);
+                    if let Err(rejection) = admitted {
+                        drop(table);
+                        self.evict(victims, 0)?;
+                        return Err(rejection);
                     }
-                };
-                let bytes = session.state_bytes();
-                self.stats.evicted_sessions = self.stats.evicted_sessions.saturating_sub(1);
-                self.stats.rehydrations += 1;
-                self.stats.live_sessions += 1;
-                self.slots.insert(id, Slot::Taken);
-                // The rehydrated bytes count against the budget again;
-                // evict others if the table meanwhile filled up.
-                self.state_bytes += bytes;
-                while self.state_bytes > self.budget_bytes && self.evict_one()? {}
+                    table.slots.insert(id, Slot::Rehydrating);
+                    table.state_bytes += bytes;
+                    break (bytes, victims);
+                }
+            }
+        };
+        drop(table);
+
+        let rehydrated = match self.evict(victims, 0) {
+            Ok(()) => {
+                let [snap, feed, manifest] = evict_paths(&self.evict_dir, id);
+                Session::rehydrate(id, &snap, &feed, &manifest)
+            }
+            Err(e) => {
+                // No room after all: the session stays on disk untouched.
+                let mut table = self.lock();
+                table.slots.insert(id, Slot::Evicted { bytes });
+                table.state_bytes = table.state_bytes.saturating_sub(bytes);
+                drop(table);
+                self.settled.notify_all();
+                return Err(e);
+            }
+        };
+        let outcome = match rehydrated {
+            Ok(session) => {
+                let mut table = self.lock();
+                table.slots.insert(id, Slot::Taken);
+                table.state_bytes = table.state_bytes.saturating_sub(bytes) + session.state_bytes();
+                table.stats.rehydrations += 1;
                 Ok(Box::new(session))
             }
-            Some(Slot::Live(_)) => match self.slots.insert(id, Slot::Taken) {
-                Some(Slot::Live(mut session)) => {
-                    session.last_touch = self.tick();
-                    Ok(session)
-                }
-                _ => Err(LinkageError::execution(format!(
-                    "session table corrupted: slot {id} changed under the lock"
-                ))),
-            },
-        }
+            Err(e) => {
+                // The pair is unusable (it verified at sweep time, so
+                // this is new damage or an injected fault).  Leaving the
+                // slot Evicted would retry the same broken bytes forever;
+                // quarantine it.
+                let reason = e.to_string();
+                park_in_quarantine(&self.evict_dir, id);
+                let mut table = self.lock();
+                table.slots.insert(
+                    id,
+                    Slot::Quarantined {
+                        reason: reason.clone(),
+                    },
+                );
+                table.state_bytes = table.state_bytes.saturating_sub(bytes);
+                Err(LinkageError::quarantined(format!(
+                    "session {id} failed rehydration and was quarantined: {reason}"
+                )))
+            }
+        };
+        self.settled.notify_all();
+        outcome
     }
 
     /// Return a checked-out session, folding `delta` bytes into the
     /// accounting (positive after a feed, negative after a finish).
-    pub fn checkin(&mut self, mut session: Box<Session>, delta: i64) {
-        let id = session.id();
-        session.last_touch = self.tick();
+    ///
+    /// Two requests can each pass [`Self::reserve_bytes`] on the same
+    /// headroom and together overshoot the budget; the next reservation
+    /// evicts to repay it.
+    pub fn checkin(&self, mut session: Box<Session>, delta: i64) {
+        let mut table = self.lock();
+        session.last_touch = table.tick();
         if session.freshly_done() {
-            self.stats.finished += 1;
+            table.stats.finished += 1;
         }
-        self.state_bytes = if delta >= 0 {
-            self.state_bytes + delta as u64
-        } else {
-            self.state_bytes.saturating_sub((-delta) as u64)
-        };
-        self.slots.insert(id, Slot::Live(session));
+        table.state_bytes = table.state_bytes.saturating_add_signed(delta);
+        table.slots.insert(session.id(), Slot::Live(session));
     }
 
     /// Drop a checked-out session that errored mid-request: its engine
     /// state is unusable, so the slot is released rather than checked
     /// back in.
-    pub fn discard(&mut self, session: Box<Session>) {
-        let bytes = session.state_bytes();
-        self.slots.remove(&session.id());
-        self.state_bytes = self.state_bytes.saturating_sub(bytes);
-        self.stats.closed += 1;
-        self.stats.live_sessions = self.stats.live_sessions.saturating_sub(1);
+    pub fn discard(&self, session: Box<Session>) {
+        let mut table = self.lock();
+        table.slots.remove(&session.id());
+        table.state_bytes = table.state_bytes.saturating_sub(session.state_bytes());
+        table.stats.closed += 1;
+        drop(table);
+        drop(session);
     }
 
     /// The `CLOSE` request: drop the session wherever it lives.  An
     /// evicted session is closed by deleting its files — no pointless
-    /// rehydration.
-    pub fn close(&mut self, id: u64) -> Result<()> {
-        match self.slots.get(&id) {
-            None => Err(LinkageError::unknown_session(format!(
-                "session {id} does not exist (never opened, closed, or lost)"
-            ))),
-            Some(Slot::Taken) => {
-                self.stats.rejected_busy += 1;
-                Err(LinkageError::busy(format!(
-                    "session {id} is processing another request"
-                )))
-            }
-            Some(Slot::Quarantined { .. }) => {
-                // CLOSE is how a client discards a quarantined session:
-                // delete its parked remains (best-effort — a poisoned
-                // in-memory session has none) and free the slot.
-                self.slots.remove(&id);
-                let qdir = self.evict_dir.join("quarantine");
-                for suffix in ["snap", "feed", "evict"] {
-                    let _ = std::fs::remove_file(qdir.join(format!("session-{id}.{suffix}")));
+    /// rehydration.  A session being evicted or rehydrated is waited for.
+    pub fn close(&self, id: u64) -> Result<()> {
+        let mut table = self.lock();
+        loop {
+            match table.slots.get(&id) {
+                None => {
+                    return Err(LinkageError::unknown_session(format!(
+                        "session {id} does not exist (never opened, closed, or lost)"
+                    )))
                 }
-                self.stats.closed += 1;
-                self.stats.quarantined_sessions = self.stats.quarantined_sessions.saturating_sub(1);
-                Ok(())
-            }
-            Some(Slot::Evicted) => {
-                self.slots.remove(&id);
-                // Manifest first: a crash mid-close leaves uncommitted
-                // leftovers the next sweep quarantines, not a committed
-                // pair with a file missing.
-                std::fs::remove_file(self.manifest_path(id))?;
-                std::fs::remove_file(self.snap_path(id))?;
-                std::fs::remove_file(self.feed_path(id))?;
-                self.stats.closed += 1;
-                self.stats.evicted_sessions = self.stats.evicted_sessions.saturating_sub(1);
-                Ok(())
-            }
-            Some(Slot::Live(_)) => {
-                let Some(Slot::Live(session)) = self.slots.remove(&id) else {
-                    return Err(LinkageError::execution(format!(
-                        "session table corrupted: slot {id} changed under the lock"
+                Some(Slot::Taken) => {
+                    table.stats.rejected_busy += 1;
+                    return Err(LinkageError::busy(format!(
+                        "session {id} is processing another request"
                     )));
-                };
-                self.state_bytes = self.state_bytes.saturating_sub(session.state_bytes());
-                self.stats.closed += 1;
-                self.stats.live_sessions = self.stats.live_sessions.saturating_sub(1);
+                }
+                Some(Slot::Evicting | Slot::Rehydrating) => table = table.wait(&self.settled),
+                Some(_) => break,
+            }
+        }
+        let slot = table.slots.remove(&id);
+        table.stats.closed += 1;
+        if let Some(Slot::Live(session)) = &slot {
+            table.state_bytes = table.state_bytes.saturating_sub(session.state_bytes());
+        }
+        drop(table);
+        match slot {
+            // CLOSE is how a client discards a quarantined session:
+            // delete its parked remains (best-effort — a poisoned
+            // in-memory session has none).
+            Some(Slot::Quarantined { .. }) => {
+                let qdir = self.evict_dir.join("quarantine");
+                for path in evict_paths(&qdir, id) {
+                    let _ = std::fs::remove_file(path);
+                }
                 Ok(())
             }
+            Some(Slot::Evicted { .. }) => {
+                let [snap, feed, manifest] = evict_paths(&self.evict_dir, id);
+                remove_committed(&manifest, &snap, &feed)
+            }
+            _ => Ok(()),
         }
     }
 
     /// Count a `Busy` rejection raised outside the manager (accept
     /// queue, shutdown gate).
-    pub fn count_busy(&mut self) {
-        self.stats.rejected_busy += 1;
+    pub fn count_busy(&self) {
+        self.lock().stats.rejected_busy += 1;
     }
 
     /// Count a worker panic that escaped the request boundary (the
     /// connection died with it; the worker itself was respawned).
-    pub fn count_worker_panic(&mut self) {
-        self.stats.worker_panics += 1;
+    pub fn count_worker_panic(&self) {
+        self.lock().stats.worker_panics += 1;
     }
 
     /// A worker panicked while holding session `id` checked out: the
@@ -1014,41 +1303,31 @@ impl SessionManager {
     /// state is gone.  Convert the `Taken` slot into a quarantined one
     /// (no files — there is nothing durable to park) and release the
     /// session's bytes, which unwound with it.
-    pub fn quarantine_poisoned(
-        &mut self,
-        id: u64,
-        prior_bytes: u64,
-        reason: impl std::fmt::Display,
-    ) {
-        self.slots.insert(
-            id,
-            Slot::Quarantined {
-                reason: reason.to_string(),
-            },
-        );
-        self.state_bytes = self.state_bytes.saturating_sub(prior_bytes);
-        self.stats.live_sessions = self.stats.live_sessions.saturating_sub(1);
-        self.stats.quarantined_sessions += 1;
-        self.stats.worker_panics += 1;
+    pub fn quarantine_poisoned(&self, id: u64, prior_bytes: u64, reason: impl std::fmt::Display) {
+        let reason = reason.to_string();
+        let mut table = self.lock();
+        table.slots.insert(id, Slot::Quarantined { reason });
+        table.state_bytes = table.state_bytes.saturating_sub(prior_bytes);
+        table.stats.worker_panics += 1;
     }
 
     /// Snapshot every live unfinished session to the eviction directory
     /// (graceful shutdown).  Returns how many were persisted.
-    pub fn evict_all(&mut self) -> Result<usize> {
+    pub fn evict_all(&self) -> Result<usize> {
         let mut persisted = 0;
-        while self.lru_idle().is_some() {
-            self.evict_one()?;
+        loop {
+            // One victim per lock hold: the eviction itself runs unlocked.
+            let victim = self.lock().take_victim();
+            let Some(victim) = victim else {
+                return Ok(persisted);
+            };
+            self.evict(vec![victim], 0)?;
             persisted += 1;
         }
-        Ok(persisted)
     }
 
     /// The current counters.
     pub fn stats(&self) -> ServerStats {
-        let mut stats = self.stats.clone();
-        stats.state_bytes = self.state_bytes;
-        stats.budget_bytes = self.budget_bytes;
-        stats.max_sessions = self.max_sessions as u64;
-        stats
+        self.lock().stats()
     }
 }

@@ -12,6 +12,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use linkage::api::{Pipeline, PipelineConfig};
 use linkage::types::fault::{self, Trigger};
@@ -19,7 +20,9 @@ use linkage::types::{LinkageError, PerSide, Side, SidedRecord};
 use linkage_datagen::{generate, DatagenConfig, GeneratedData};
 use linkage_server::proto::{wire_event, WireEvent};
 use linkage_server::session::record_bytes;
-use linkage_server::{LinkageServer, RetryClient, RetryPolicy, ServerConfig, SessionManager};
+use linkage_server::{
+    Client, LinkageServer, RetryClient, RetryPolicy, ServerConfig, SessionManager,
+};
 
 /// The fault registry is process-global: scenarios must not overlap.
 /// Each test takes this guard first and resets the registry on entry, so
@@ -164,7 +167,7 @@ fn eviction_torn_at_any_offset_is_quarantined_and_the_stream_survives() {
 
     // Learn the three file sizes from one clean eviction.
     let probe_dir = scratch_dir("cut-probe");
-    let (mut manager, id) = loaded_manager(&probe_dir, &config, &sequence);
+    let (manager, id) = loaded_manager(&probe_dir, &config, &sequence);
     assert_eq!(manager.evict_all().unwrap(), 1);
     let file_len = |suffix: &str| {
         std::fs::metadata(probe_dir.join(format!("session-{id}.{suffix}")))
@@ -181,7 +184,7 @@ fn eviction_torn_at_any_offset_is_quarantined_and_the_stream_survives() {
     for (site, len) in sites {
         for (i, cut) in cut_offsets(len).into_iter().enumerate() {
             let dir = scratch_dir("cut");
-            let (mut manager, id) = loaded_manager(&dir, &config, &sequence);
+            let (manager, id) = loaded_manager(&dir, &config, &sequence);
             fault::arm_with(site, Trigger::Nth(1), cut);
             let err = manager.evict_all().unwrap_err();
             assert!(
@@ -223,7 +226,7 @@ fn eviction_torn_at_any_offset_is_quarantined_and_the_stream_survives() {
 
     // A failed fsync barrier is a failed (uncommitted) eviction too.
     let dir = scratch_dir("fsync");
-    let (mut manager, id) = loaded_manager(&dir, &config, &sequence);
+    let (manager, id) = loaded_manager(&dir, &config, &sequence);
     fault::arm("evict.fsync", Trigger::Nth(1));
     let err = manager.evict_all().unwrap_err();
     assert!(fault::is_injected(&err));
@@ -473,4 +476,208 @@ fn interleaved_sessions_under_random_drops_and_eviction_pressure_stay_exact() {
         "the budget must have forced evictions"
     );
     server.shutdown().unwrap();
+}
+
+/// Block until a thread is parked at `site` (armed with
+/// [`Trigger::Pause`]).
+fn wait_parked(site: &str) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while fault::hits(site) == 0 {
+        assert!(Instant::now() < deadline, "no thread reached {site}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Unparks every paused site when dropped, so a failed assertion inside
+/// a thread scope unwinds instead of joining a parked thread forever.
+struct Unpark;
+
+impl Drop for Unpark {
+    fn drop(&mut self) {
+        fault::reset();
+    }
+}
+
+/// Give `waiter` time to reach its wait, then check it is still blocked.
+fn assert_blocked<T>(waiter: &std::thread::ScopedJoinHandle<'_, T>, what: &str) {
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(!waiter.is_finished(), "{what} must wait, not return");
+}
+
+/// A failed directory fsync after the manifest rename un-commits the
+/// eviction: the session stays live and usable, its files are gone, and
+/// nothing is left for a restart to adopt or quarantine.
+#[test]
+fn a_failed_directory_fsync_keeps_the_session_live_and_cleans_up() {
+    let _guard = serial();
+    let data = generate(&DatagenConfig::mid_stream_dirty(120, 23)).unwrap();
+    let config = session_config(data.parents.len() as u64);
+    let sequence = feed_sequence(&data);
+    let expected = solo_events(&config, &sequence);
+
+    let dir = scratch_dir("dirsync");
+    let (mut manager, id) = loaded_manager(&dir, &config, &sequence);
+    fault::arm("evict.dirsync", Trigger::Nth(1));
+    let err = manager.evict_all().unwrap_err();
+    assert!(fault::is_injected(&err), "{err}");
+    assert_eq!(fault::hits("evict.dirsync"), 1);
+    fault::reset();
+
+    let stats = manager.stats();
+    assert_eq!((stats.live_sessions, stats.evicted_sessions), (1, 0));
+    assert_eq!(stats.evictions, 0);
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "the un-committed eviction's files are removed"
+    );
+    assert_eq!(manager_drain(&mut manager, id), expected);
+    drop(manager);
+    let manager = SessionManager::new(8, u64::MAX, dir).unwrap();
+    assert_eq!(manager.recovery(), &Default::default());
+}
+
+/// A checkout that arrives while its session is being evicted waits for
+/// the eviction to commit — it is not answered `BUSY` — then rehydrates
+/// the session, whose stream is still the solo stream.
+#[test]
+fn a_checkout_during_an_eviction_waits_then_rehydrates() {
+    let _guard = serial();
+    let data = generate(&DatagenConfig::mid_stream_dirty(120, 23)).unwrap();
+    let config = session_config(data.parents.len() as u64);
+    let sequence = feed_sequence(&data);
+    let expected = solo_events(&config, &sequence);
+    let half = sequence.len() / 2;
+
+    let dir = scratch_dir("pause-evicting");
+    let (mut manager, id) = loaded_manager(&dir, &config, &sequence[..half]);
+    fault::arm("evict.snap", Trigger::Pause);
+    std::thread::scope(|scope| {
+        let _unpark = Unpark;
+        let evictor = scope.spawn(|| manager.evict_all());
+        wait_parked("evict.snap");
+        // In flight: neither live nor evicted yet.
+        let stats = manager.stats();
+        assert_eq!((stats.live_sessions, stats.evicted_sessions), (0, 0));
+        let waiter = scope.spawn(|| manager.checkout(id));
+        assert_blocked(&waiter, "a checkout of an evicting session");
+        fault::release("evict.snap");
+        assert_eq!(evictor.join().unwrap().unwrap(), 1);
+        let session = waiter.join().unwrap().unwrap();
+        manager.checkin(session, 0);
+    });
+    let stats = manager.stats();
+    assert_eq!((stats.evictions, stats.rehydrations), (1, 1));
+    assert_eq!(stats.rejected_busy, 0, "waiting is not a BUSY");
+
+    manager_feed(&mut manager, id, &sequence[half..]);
+    assert_eq!(manager_drain(&mut manager, id), expected);
+}
+
+/// `CLOSE` arriving while its session is being rehydrated waits for the
+/// rehydration; the rehydrating request then holds the session, so the
+/// `CLOSE` is `BUSY` (the checked-out rule) and succeeds once retried.
+/// The eviction files are removed exactly once, by the rehydration, and
+/// nothing is quarantined.
+#[test]
+fn close_during_a_rehydration_waits_and_quarantines_nothing() {
+    let _guard = serial();
+    let data = generate(&DatagenConfig::mid_stream_dirty(120, 23)).unwrap();
+    let config = session_config(data.parents.len() as u64);
+    let sequence = feed_sequence(&data);
+
+    let dir = scratch_dir("pause-rehydrating");
+    let (manager, id) = loaded_manager(&dir, &config, &sequence);
+    assert_eq!(manager.evict_all().unwrap(), 1);
+    fault::arm("rehydrate.read", Trigger::Pause);
+    std::thread::scope(|scope| {
+        let _unpark = Unpark;
+        let rehydrator = scope.spawn(|| manager.checkout(id));
+        wait_parked("rehydrate.read");
+        // Rehydrating holds room under the cap; its files are untouched.
+        let stats = manager.stats();
+        assert_eq!((stats.live_sessions, stats.evicted_sessions), (1, 0));
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
+        let closer = scope.spawn(|| manager.close(id));
+        assert_blocked(&closer, "CLOSE of a rehydrating session");
+        fault::release("rehydrate.read");
+        let session = rehydrator.join().unwrap().unwrap();
+        let closed = closer.join().unwrap();
+        assert!(matches!(closed, Err(LinkageError::Busy(_))), "{closed:?}");
+        manager.checkin(session, 0);
+    });
+    manager.close(id).unwrap();
+
+    let stats = manager.stats();
+    assert_eq!((stats.rehydrations, stats.closed), (1, 1));
+    assert_eq!(stats.quarantined_sessions, 0);
+    assert_eq!((stats.live_sessions, stats.state_bytes), (0, 0));
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+}
+
+/// Shutdown requested while a `FEED`'s eviction is parked mid-write: the
+/// shutdown waits for the request, the eviction commits, the FEED is
+/// acknowledged, and the rest is persisted.  A restart on the same
+/// directory adopts both sessions and finishes each with its solo
+/// stream — zero loss.
+#[test]
+fn shutdown_during_a_parked_eviction_loses_nothing_after_restart() {
+    let _guard = serial();
+    let data = generate(&DatagenConfig::mid_stream_dirty(120, 23)).unwrap();
+    let config = session_config(data.parents.len() as u64);
+    let sequence = feed_sequence(&data);
+    let expected = solo_events(&config, &sequence);
+    let (half, most) = (sequence.len() / 2, sequence.len() * 3 / 4);
+
+    // One whole sequence of budget: feeding b half of one after a holds
+    // three quarters evicts a.
+    let one: u64 = sequence.iter().map(record_bytes).sum();
+    let dir = scratch_dir("pause-shutdown");
+    let restart = || {
+        start_server("unused", |c| {
+            c.evict_dir = Some(dir.clone());
+            c.budget_bytes = one;
+        })
+    };
+    let server = restart();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let a = client.open(&config).unwrap();
+    let b = client.open(&config).unwrap();
+    client.feed(a, &sequence[..most]).unwrap();
+    let mut got_a = client.poll(a, u32::MAX).unwrap();
+
+    fault::arm("evict.snap", Trigger::Pause);
+    std::thread::scope(|scope| {
+        let _unpark = Unpark;
+        let feeder = scope.spawn(|| client.feed(b, &sequence[..half]));
+        wait_parked("evict.snap");
+        let stopper = scope.spawn(|| server.shutdown());
+        assert_blocked(&stopper, "shutdown during an in-flight FEED");
+        fault::release("evict.snap");
+        assert_eq!(feeder.join().unwrap().unwrap().accepted, half as u64);
+        assert_eq!(
+            stopper.join().unwrap().unwrap(),
+            1,
+            "b is persisted at shutdown"
+        );
+    });
+    drop(client);
+
+    let server = restart();
+    let stats = server.stats();
+    assert_eq!((stats.evicted_sessions, stats.quarantined_sessions), (2, 0));
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.feed(a, &sequence[most..]).unwrap();
+    got_a.extend(client.drain(a, 256).unwrap());
+    assert_eq!(got_a, expected, "a: evicted while parked");
+    client.close(a).unwrap();
+    client.feed(b, &sequence[half..]).unwrap();
+    assert_eq!(
+        client.drain(b, 256).unwrap(),
+        expected,
+        "b: fed when parked"
+    );
+    client.close(b).unwrap();
+    drop(client);
+    assert_eq!(server.shutdown().unwrap(), 0);
 }

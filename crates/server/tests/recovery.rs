@@ -65,7 +65,7 @@ impl Trio {
     /// Evict one part-fed session and read its three files back.
     fn capture(config: &PipelineConfig, sequence: &[SidedRecord]) -> Self {
         let dir = scratch_dir("trio");
-        let mut manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
+        let manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
         let id = manager.open(config.clone(), config.fingerprint()).unwrap();
         let delta: u64 = sequence.iter().map(record_bytes).sum();
         let mut session = manager.checkout(id).unwrap();
@@ -135,7 +135,7 @@ fn single_byte_corruption_at_any_offset_is_quarantined_never_adopted() {
                 "feed" => trio.rig(&dir, &trio.snap, &damaged, &trio.manifest),
                 _ => trio.rig(&dir, &damaged, &trio.feed, &trio.manifest),
             }
-            let mut manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
+            let manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
             assert!(
                 manager.recovery().adopted.is_empty(),
                 "{which} byte {offset}: corrupt files were adopted"
@@ -233,7 +233,7 @@ fn close_discards_a_quarantined_session_and_its_parked_files() {
     damaged[mid] ^= 0xFF;
     trio.rig(&dir, &trio.snap, &damaged, &trio.manifest);
 
-    let mut manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
+    let manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
     assert_eq!(manager.recovery().quarantined.len(), 1);
     manager.close(trio.id).unwrap();
     let qdir = dir.join("quarantine");
@@ -280,7 +280,7 @@ fn a_mixed_eviction_pair_fails_rehydration_with_a_typed_cross_check() {
     std::fs::write(dir.join(format!("session-{id}.feed")), &trio_b.feed).unwrap();
     std::fs::write(dir.join(format!("session-{id}.evict")), commit.to_bytes()).unwrap();
 
-    let mut manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
+    let manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
     assert_eq!(
         manager.recovery().adopted,
         vec![id],
@@ -351,7 +351,7 @@ fn a_sidecar_with_impossible_counts_is_quarantined_not_trusted() {
 
         let dir = scratch_dir("lying-sidecar");
         trio.rig(&dir, &trio.snap, &feed, &commit.to_bytes());
-        let mut manager = SessionManager::new(8, u64::MAX, dir).unwrap();
+        let manager = SessionManager::new(8, u64::MAX, dir).unwrap();
         assert_eq!(manager.recovery().adopted, vec![trio.id]);
         match manager.checkout(trio.id) {
             Err(LinkageError::Quarantined(message)) => {

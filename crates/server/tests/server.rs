@@ -253,7 +253,7 @@ fn manager_rejects_busy_and_over_budget_with_typed_errors() {
     let data = generate(&DatagenConfig::mid_stream_dirty(40, 3)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let dir = scratch_dir("manager");
-    let mut manager = SessionManager::new(2, 4096, dir).unwrap();
+    let manager = SessionManager::new(2, 4096, dir).unwrap();
 
     let a = manager.open(config.clone(), config.fingerprint()).unwrap();
     let b = manager.open(config.clone(), config.fingerprint()).unwrap();
@@ -359,4 +359,86 @@ fn sigterm_latches_into_graceful_shutdown() {
     // `wait` observes the latch, drains and returns instead of blocking.
     assert_eq!(server.wait().unwrap(), 0);
     linkage_server::server::sig::reset();
+}
+
+/// Stress without faults: four client threads each drive twelve sessions
+/// round-robin under a budget of two and a half sessions, so most `FEED`s
+/// evict one session and rehydrate another while the other worker does
+/// the same.  Every stream must equal its solo run, and nothing may be
+/// rejected: two workers pin at most two sessions, which always fit.
+#[test]
+fn four_clients_under_eviction_pressure_stay_exact_and_are_never_rejected() {
+    const THREADS: usize = 4;
+    const SESSIONS: usize = 12;
+    const ROUNDS: usize = 6;
+    let workloads: Vec<(PipelineConfig, Vec<SidedRecord>, Vec<WireEvent>)> = (0..SESSIONS as u64)
+        .map(|seed| {
+            let data = generate(&DatagenConfig::mid_stream_dirty(40, seed + 1)).unwrap();
+            let config = session_config(data.parents.len() as u64);
+            let sequence = feed_sequence(&data);
+            let expected = solo_events(&config, &sequence);
+            (config, sequence, expected)
+        })
+        .collect();
+    let largest = workloads
+        .iter()
+        .map(|(_, sequence, _)| {
+            sequence
+                .iter()
+                .map(linkage_server::session::record_bytes)
+                .sum::<u64>()
+        })
+        .max()
+        .unwrap();
+    let server = start_server("stress", |c| c.budget_bytes = largest * 5 / 2);
+    let addr = server.addr();
+
+    let drive = |_thread: usize| -> Vec<Vec<WireEvent>> {
+        let mut client = Client::connect(addr).unwrap();
+        let ids: Vec<u64> = workloads
+            .iter()
+            .map(|(config, _, _)| client.open(config).unwrap())
+            .collect();
+        drop(client);
+        let mut got = vec![Vec::new(); SESSIONS];
+        for round in 0..ROUNDS {
+            // A fresh connection per round lets the two workers take
+            // turns serving all four threads.
+            let mut client = Client::connect(addr).unwrap();
+            for (k, (_, sequence, _)) in workloads.iter().enumerate() {
+                let lo = sequence.len() * round / ROUNDS;
+                let hi = sequence.len() * (round + 1) / ROUNDS;
+                client.feed(ids[k], &sequence[lo..hi]).unwrap();
+                got[k].extend(client.poll(ids[k], 64).unwrap());
+            }
+        }
+        let mut client = Client::connect(addr).unwrap();
+        for (k, events) in got.iter_mut().enumerate() {
+            events.extend(client.drain(ids[k], 256).unwrap());
+            client.close(ids[k]).unwrap();
+        }
+        got
+    };
+    let streams: Vec<Vec<Vec<WireEvent>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| scope.spawn(move || drive(t)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (t, got) in streams.iter().enumerate() {
+        for (k, (_, _, expected)) in workloads.iter().enumerate() {
+            assert_eq!(&got[k], expected, "thread {t} session {k} diverged");
+        }
+    }
+
+    let stats = server.stats();
+    assert_eq!(stats.rejected_busy, 0, "{stats:?}");
+    assert_eq!(stats.rejected_over_budget, 0, "{stats:?}");
+    assert!(
+        stats.evictions >= (THREADS * SESSIONS) as u64 && stats.rehydrations >= 1,
+        "the budget must keep evicting: {stats:?}"
+    );
+    assert_eq!(stats.closed, (THREADS * SESSIONS) as u64);
+    assert_eq!((stats.live_sessions, stats.state_bytes), (0, 0));
+    assert_eq!(server.shutdown().unwrap(), 0);
 }

@@ -43,6 +43,12 @@ pub enum Trigger {
     },
     /// Fire on every call.
     Always,
+    /// Never fire: park the first thread to reach the site until
+    /// [`release`] is called for it (later callers pass straight
+    /// through).  Tests use it to hold one thread at an exact point —
+    /// mid-eviction, mid-rehydration — while others act, making an
+    /// interleaving deterministic.  [`hits`] counts the parked arrival.
+    Pause,
 }
 
 /// Message prefix carried by every injected-fault error.
@@ -57,7 +63,7 @@ pub fn injected(site: &str) -> LinkageError {
 mod registry {
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Mutex, MutexGuard, OnceLock};
+    use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
     use super::Trigger;
     use crate::error::LinkageError;
@@ -74,6 +80,8 @@ mod registry {
     /// Fast-path gate: [`super::fires`] is called on hot durability paths,
     /// so skip the mutex entirely while nothing is armed.
     static ARMED: AtomicUsize = AtomicUsize::new(0);
+    /// Signalled when a paused site is released (or the registry reset).
+    static RELEASED: Condvar = Condvar::new();
 
     fn sites() -> MutexGuard<'static, HashMap<String, Site>> {
         SITES
@@ -114,12 +122,14 @@ mod registry {
         let mut map = sites();
         map.remove(site);
         ARMED.store(map.len(), Ordering::SeqCst);
+        RELEASED.notify_all();
     }
 
     pub fn reset() {
         let mut map = sites();
         map.clear();
         ARMED.store(0, Ordering::SeqCst);
+        RELEASED.notify_all();
     }
 
     pub fn fires(site: &str) -> Option<u64> {
@@ -137,6 +147,21 @@ mod registry {
                 entry.rng % 1000 < u64::from(permille)
             }
             Trigger::Always => true,
+            Trigger::Pause => {
+                if entry.hits > 0 {
+                    return None;
+                }
+                entry.hits += 1;
+                // Parked until the site is disarmed — by `release`,
+                // `disarm` or `reset` — or re-armed with another trigger.
+                let _map = RELEASED
+                    .wait_while(map, |map| {
+                        map.get(site)
+                            .is_some_and(|s| s.trigger == Trigger::Pause && s.hits > 0)
+                    })
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                return None;
+            }
         };
         if hit {
             entry.hits += 1;
@@ -178,6 +203,12 @@ mod active {
 
     /// Remove the trigger on `site`, if any.
     pub fn disarm(site: &str) {
+        registry::disarm(site);
+    }
+
+    /// Let the thread parked at `site` by [`Trigger::Pause`] go, and
+    /// disarm the site.
+    pub fn release(site: &str) {
         registry::disarm(site);
     }
 
@@ -225,6 +256,10 @@ mod inert {
     /// No-op without `--features fault`.
     #[inline(always)]
     pub fn disarm(_site: &str) {}
+
+    /// No-op without `--features fault`.
+    #[inline(always)]
+    pub fn release(_site: &str) {}
 
     /// No-op without `--features fault`.
     #[inline(always)]
@@ -322,6 +357,24 @@ mod tests {
         disarm("t.once");
         assert_eq!(fires("t.once"), None);
         assert_eq!(hits("t.once"), 0);
+        reset();
+    }
+
+    #[test]
+    fn pause_parks_the_first_caller_until_release() {
+        let _g = exclusive();
+        reset();
+        arm("t.pause", Trigger::Pause);
+        let parked = std::thread::spawn(|| fires("t.pause"));
+        while hits("t.pause") == 0 {
+            std::thread::yield_now();
+        }
+        // Later callers pass straight through while the first is parked.
+        assert_eq!(fires("t.pause"), None);
+        assert!(!parked.is_finished());
+        release("t.pause");
+        assert_eq!(parked.join().unwrap(), None);
+        assert_eq!(hits("t.pause"), 0, "release disarms the site");
         reset();
     }
 

@@ -508,15 +508,17 @@ impl SnapshotBuilder {
         out
     }
 
-    /// Serialise and write the container to `path` (atomically: a
-    /// temporary sibling file is written first, then renamed over the
-    /// target, so a crash mid-write never leaves a half snapshot under
-    /// the final name).
+    /// Serialise and write the container to `path` (atomically and
+    /// durably: a temporary sibling file is written and fsynced first,
+    /// then renamed over the target, then the directory is fsynced — so
+    /// neither a crash nor a power loss leaves a half snapshot, or an
+    /// empty one, under the final name).
     ///
     /// Failpoints (`--features fault`): `snapshot.write` cuts the
     /// temporary file at the armed byte offset, simulating a crash
     /// mid-write before the rename commits.
     pub fn write_to(&self, path: impl AsRef<Path>) -> Result<()> {
+        use std::io::Write as _;
         let path = path.as_ref();
         let tmp = path.with_extension("tmp-snapshot");
         let bytes = self.to_bytes();
@@ -525,8 +527,15 @@ impl SnapshotBuilder {
             std::fs::write(&tmp, &bytes[..cut])?;
             return Err(crate::fault::injected("snapshot.write"));
         }
-        std::fs::write(&tmp, bytes)?;
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&bytes)?;
+        file.sync_all()?;
         std::fs::rename(&tmp, path)?;
+        let dir = path
+            .parent()
+            .filter(|p| !p.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        std::fs::File::open(dir)?.sync_all()?;
         Ok(())
     }
 }

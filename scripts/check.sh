@@ -26,6 +26,11 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+# The fault-injection suites (chaos scenarios, the two-actor slot model)
+# compile only with the `fault` feature; CI's `chaos` job runs the same.
+echo "==> chaos: cargo test -q -p linkage-server --features fault"
+cargo test -q -p linkage-server --features fault
+
 # The benchmark is its own workspace calling this tree's public items
 # from outside: building and smoking it here makes a reshaped signature
 # it depends on fail the check, not the next benchmark run.

@@ -1456,7 +1456,7 @@ mod server_service {
         for cut in [switch_at - 1, switch_at, switch_at + 1] {
             for polled in [0usize, 1, 3] {
                 let dir = scratch_dir("switch-evict");
-                let mut manager = SessionManager::new(2, u64::MAX, dir).expect("manager");
+                let manager = SessionManager::new(2, u64::MAX, dir).expect("manager");
                 let id = manager
                     .open(config.clone(), config.fingerprint())
                     .expect("open");
@@ -1606,7 +1606,7 @@ mod server_service {
 
         for cut in [BATCH * 3, BATCH * 3 + 1, BATCH * 4 - 1, sequence.len() - 5] {
             let dir = scratch_dir("sharded-evict");
-            let mut manager = SessionManager::new(2, u64::MAX, dir.clone()).expect("manager");
+            let manager = SessionManager::new(2, u64::MAX, dir.clone()).expect("manager");
             let id = manager
                 .open(config.clone(), config.fingerprint())
                 .expect("open");
@@ -1818,5 +1818,43 @@ mod server_service {
         ] {
             assert_eq!(tabulated(name), value, "error code `{name}`");
         }
+
+        // The slot-state table names exactly the variants of the
+        // manager's `Slot` enum, upper-cased, in declaration order.
+        let source = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../crates/server/src/session.rs"
+        ))
+        .expect("crates/server/src/session.rs must exist");
+        let body = source
+            .split_once("\nenum Slot {\n")
+            .and_then(|(_, rest)| rest.split_once("\n}\n"))
+            .expect("session.rs must declare `enum Slot`")
+            .0;
+        let variants: Vec<String> = body
+            .lines()
+            .filter_map(|l| l.strip_prefix("    "))
+            .filter(|l| l.starts_with(|c: char| c.is_ascii_uppercase()))
+            .map(|l| {
+                l.split(|c: char| !c.is_ascii_alphanumeric())
+                    .next()
+                    .unwrap_or_default()
+                    .to_ascii_uppercase()
+            })
+            .collect();
+        let documented: Vec<String> = spec
+            .split_once("## Admission and eviction state machine")
+            .expect("spec must have the state machine section")
+            .1
+            .lines()
+            .skip_while(|l| !l.starts_with("| state"))
+            .skip(2)
+            .map_while(|l| l.strip_prefix("| `"))
+            .filter_map(|l| l.split_once('`').map(|(name, _)| name.to_string()))
+            .collect();
+        assert_eq!(
+            documented, variants,
+            "docs/server.md's slot-state table drifted from `enum Slot`"
+        );
     }
 }
