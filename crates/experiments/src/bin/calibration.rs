@@ -3,8 +3,17 @@
 //! unrelated key pairs, then report the separation the threshold exploits.
 
 use linkage_datagen::{generate, DatagenConfig};
-use linkage_stats::OnlineMoments;
 use linkage_text::{QGramJaccard, StringSimilarity};
+
+/// Print one (non-empty) population's mean / min / max similarity.
+fn print_row(population: &str, similarities: impl Iterator<Item = f64>) {
+    let (count, sum, min, max) = similarities.fold(
+        (0u32, 0.0, f64::INFINITY, f64::NEG_INFINITY),
+        |(count, sum, min, max), s: f64| (count + 1, sum + s, min.min(s), max.max(s)),
+    );
+    let mean = sum / f64::from(count);
+    println!("{population:<22} {mean:>8.3} {min:>8.3} {max:>8.3}");
+}
 
 fn main() {
     let sim = QGramJaccard::default();
@@ -17,34 +26,18 @@ fn main() {
             .with_edits(edits)
             .with_clean_prefix(0.0);
         let data = generate(&cfg).expect("datagen failed");
-        let mut moments = OnlineMoments::new();
-        for (parent_id, child_id) in &data.truth {
+        let dirty = data.truth.iter().map(|(parent_id, child_id)| {
             let p = data.parents.record_by_id(*parent_id).unwrap();
             let c = data.children.record_by_id(*child_id).unwrap();
-            moments.push(sim.similarity(p.key_str(1).unwrap(), c.key_str(1).unwrap()));
-        }
-        println!(
-            "{:<22} {:>8.3} {:>8.3} {:>8.3}",
-            format!("dirty pairs ({edits} edit)"),
-            moments.mean().unwrap_or(0.0),
-            moments.min().unwrap_or(0.0),
-            moments.max().unwrap_or(0.0),
-        );
+            sim.similarity(p.key_str(1).unwrap(), c.key_str(1).unwrap())
+        });
+        print_row(&format!("dirty pairs ({edits} edit)"), dirty);
     }
 
     // Unrelated pairs: parent i against parent i+1.
     let data = generate(&DatagenConfig::clean(300, 7)).expect("datagen failed");
     let keys = data.parents.column_strings("location").unwrap();
-    let mut unrelated = OnlineMoments::new();
-    for pair in keys.windows(2) {
-        unrelated.push(sim.similarity(pair[0], pair[1]));
-    }
-    println!(
-        "{:<22} {:>8.3} {:>8.3} {:>8.3}",
-        "unrelated pairs",
-        unrelated.mean().unwrap_or(0.0),
-        unrelated.min().unwrap_or(0.0),
-        unrelated.max().unwrap_or(0.0),
-    );
+    let unrelated = keys.windows(2).map(|pair| sim.similarity(pair[0], pair[1]));
+    print_row("unrelated pairs", unrelated);
     println!("\nθ_sim = 0.8 separates 1-edit dirt from unrelated keys.");
 }

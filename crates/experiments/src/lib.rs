@@ -21,33 +21,13 @@
 //! | `fig7_state_breakdown` | resident state of exact vs approximate joins |
 //! | `fig8_cost_breakdown` | where the adaptive join spends its time |
 //! | `table1` | per-operation micro costs |
-//! | `bench_scaling` | shard-count scaling sweep → `BENCH_*.json` |
-//! | `bench_probe` | interned probe-kernel insert/probe ns per tuple |
 //!
-//! [`scaling`] runs the sharded executor across a shard-count curve,
-//! [`probe`] isolates the interned probe kernel's insert/probe ns-per-
-//! tuple, [`traffic`] drives mixed multi-session traffic through an
-//! in-process `linkage-server` (the `sessions_per_s` /
-//! `request_p50_ms` / `request_p99_ms` fields, enabled by
-//! `scripts/bench.sh --server`), and [`json`] renders the
-//! machine-readable trajectory document that `scripts/bench.sh` writes
-//! and CI gates against `bench/baseline.json`.
+//! Performance claims are measured by the standalone benchmark in
+//! `perfbench/`, not by these binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod json;
-pub mod probe;
-pub mod scaling;
-pub mod traffic;
 
 pub use harness::{header, run, ExperimentConfig, ExperimentResult, JoinMode};
-pub use json::{extract_number, JsonValue};
-pub use probe::{
-    run_probe_bench, ProbeBenchConfig, ProbeBenchResult, BATCH_SWEEP, PROBE_BATCH_SIZE,
-};
-pub use scaling::{
-    run_scaling, scaling_report, ScalingConfig, ScalingPoint, ScalingRun, SnapshotBench,
-};
-pub use traffic::{run_server_bench, ServerBench, ServerBenchConfig};

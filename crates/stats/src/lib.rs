@@ -17,25 +17,17 @@
 //!   regularised-incomplete-beta formulation) plus a normal approximation,
 //!   cross-checked against each other by property tests;
 //! * [`BinomialOutlierDetector`] — the `σ` predicate itself;
-//! * [`SlidingWindow`] / [`CountingWindow`] — the fixed-width window of
-//!   recent observations used by the `μ_i` predicates;
-//! * [`OnlineMoments`] / [`Ewma`] — running statistics used by the cost
-//!   calibration harness;
-//! * [`Histogram`] — fixed-bin histograms for experiment reports.
+//! * the log-gamma family ([`ln_gamma`], [`ln_factorial`],
+//!   [`ln_binomial_coefficient`], [`regularized_incomplete_beta`]) both
+//!   binomial formulations are built on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod binomial;
 pub mod gamma;
-pub mod histogram;
-pub mod online;
 pub mod outlier;
-pub mod window;
 
 pub use binomial::{Binomial, CdfMethod};
 pub use gamma::{ln_binomial_coefficient, ln_factorial, ln_gamma, regularized_incomplete_beta};
-pub use histogram::Histogram;
-pub use online::{Ewma, OnlineMoments};
 pub use outlier::{BinomialOutlierDetector, OutlierVerdict};
-pub use window::{CountingWindow, SlidingWindow};

@@ -22,25 +22,21 @@
 //!   string-keyed representation as the tested-against reference);
 //! * [`normalize()`] — the canonicalisation applied to join keys before
 //!   tokenisation (case folding, whitespace collapsing);
-//! * [`StringSimilarity`] and a family of implementations: the paper's
-//!   [`QGramJaccard`] plus [`QGramDice`], [`QGramCosine`], [`QGramOverlap`],
-//!   [`NormalizedLevenshtein`] and [`JaroWinkler`] used in ablation
-//!   experiments ("other similarity functions based on q-grams can be
-//!   exploited", §2.2 footnote).
+//! * [`StringSimilarity`] and its q-gram implementations: the paper's
+//!   [`QGramJaccard`] plus [`QGramDice`], [`QGramCosine`] and
+//!   [`QGramOverlap`] ("other similarity functions based on q-grams can be
+//!   exploited", §2.2 footnote), each backed by a [`QGramCoefficient`]
+//!   with the sound pruning bounds the probe kernel relies on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod edit;
 pub mod intern;
-pub mod jaro;
 pub mod normalize;
 pub mod qgram;
 pub mod similarity;
 
-pub use edit::{levenshtein_distance, NormalizedLevenshtein};
 pub use intern::{FxBuildHasher, FxHasher, GramId, GramInterner, SharedInterner};
-pub use jaro::{jaro_similarity, jaro_winkler_similarity, JaroWinkler};
 pub use normalize::{normalize, NormalizeConfig};
 pub use qgram::{overlap_at_least, Gram, QGramConfig, QGramSet, StringGramSet};
 pub use similarity::{

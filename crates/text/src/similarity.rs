@@ -401,8 +401,8 @@ mod tests {
         let sims: Vec<SimilarityFn> = vec![
             Arc::new(QGramJaccard::default()),
             Arc::new(QGramDice::default()),
-            Arc::new(crate::edit::NormalizedLevenshtein),
-            Arc::new(crate::jaro::JaroWinkler::default()),
+            Arc::new(QGramCosine::default()),
+            Arc::new(QGramOverlap::default()),
         ];
         for sim in &sims {
             let s = sim.similarity("GENOVA", "GENOVA");

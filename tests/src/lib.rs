@@ -408,6 +408,35 @@ mod api_parity {
         }
     }
 
+    /// A switched sharded run's report folds the shards' candidate
+    /// funnels and posting slack together and counts the one shared gram
+    /// table once, so its size does not grow with the shard count.
+    #[test]
+    fn sharded_report_sums_funnel_and_slack_and_counts_the_interner_once() {
+        let data = generate(&DatagenConfig::mid_stream_dirty(80, 7).with_clean_prefix(0.3))
+            .expect("datagen failed");
+        let reports: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|shards| {
+                declare(&data)
+                    .sharded(shards)
+                    .batch_size(32)
+                    .collect()
+                    .expect("sharded failed")
+                    .report
+            })
+            .collect();
+        for report in &reports {
+            assert!(report.switch.is_some(), "workload must switch");
+            let funnel = report.probe_funnel();
+            assert!(funnel.candidates_scanned > 0, "funnel populated");
+            assert!(funnel.candidates_verified > 0);
+            assert!(report.postings_slack_bytes() > 0, "empty slots accounted");
+            assert!(report.interner_bytes() > 0, "switched run interns grams");
+        }
+        assert_eq!(reports[0].interner_bytes(), reports[1].interner_bytes());
+    }
+
     #[test]
     fn event_stream_orders_switch_before_recovered_matches_and_finishes() {
         let data = generate(&DatagenConfig::mid_stream_dirty(120, 43)).expect("datagen failed");
@@ -1363,6 +1392,62 @@ mod snapshot_resume {
             format!("{:?}", std::str::from_utf8(&MAGIC).unwrap()),
             "docs/format.md magic is out of date"
         );
+    }
+
+    /// `docs/architecture.md`'s crate table and README's `crates/*`
+    /// Layout rows must name exactly the workspace's crates (the
+    /// packages under `crates/` plus the root `linkage`), so adding or
+    /// deleting a crate cannot leave either table stale.
+    #[test]
+    fn crate_tables_match_the_workspace() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/..");
+        let read = |path: &str| {
+            std::fs::read_to_string(format!("{root}/{path}"))
+                .unwrap_or_else(|e| panic!("{path} must exist: {e}"))
+        };
+        let mut packages = std::collections::BTreeSet::from(["linkage".to_string()]);
+        let mut dirs = std::collections::BTreeSet::new();
+        for entry in std::fs::read_dir(format!("{root}/crates")).expect("crates/ must exist") {
+            let dir = entry.expect("crates/ entry").path();
+            let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+                continue;
+            };
+            let name = manifest
+                .lines()
+                .find_map(|l| l.strip_prefix("name = "))
+                .expect("manifest must name its package")
+                .trim_matches('"');
+            packages.insert(name.to_string());
+            dirs.insert(format!(
+                "crates/{}",
+                dir.file_name().unwrap().to_string_lossy()
+            ));
+        }
+        // The backticked first cell of every table row in `text`.
+        let first_cells = |text: &str| -> std::collections::BTreeSet<String> {
+            text.lines()
+                .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+                .map(str::to_string)
+                .collect()
+        };
+
+        let architecture = read("docs/architecture.md");
+        let layering = architecture
+            .split("\n## ")
+            .find(|s| s.starts_with("Crate layering"))
+            .expect("docs/architecture.md must have a crate layering section");
+        assert_eq!(
+            first_cells(layering),
+            packages,
+            "docs/architecture.md's crate table is out of date"
+        );
+
+        let readme = read("README.md");
+        let layout: std::collections::BTreeSet<String> = first_cells(&readme)
+            .into_iter()
+            .filter(|cell| cell.starts_with("crates/"))
+            .collect();
+        assert_eq!(layout, dirs, "README.md's Layout table is out of date");
     }
 }
 
