@@ -1,12 +1,10 @@
-//! Minimal JSON emission and extraction for the bench pipeline.
+//! Minimal JSON emission and extraction for machine-readable reports.
 //!
-//! The workspace builds offline, so there is no `serde_json`; the bench
-//! trajectory (`BENCH_*.json`) needs only a small, well-tested subset:
-//! build a [`JsonValue`] tree, render it with [`JsonValue::render`], and
-//! pull single numeric fields back out of a report with
-//! [`extract_number`] (which is what the CI regression gate compares
-//! against `bench/baseline.json`).  Swap for a real JSON crate if the
-//! build environment ever gains registry access.
+//! The workspace builds offline, so there is no `serde_json`; a flat
+//! report needs only a small, well-tested subset: build a [`JsonValue`]
+//! tree, render it with [`JsonValue::render`], and pull single numeric
+//! fields back out of a report with [`extract_number`].  Swap for a real
+//! JSON crate if the build environment ever gains registry access.
 
 use std::fmt::Write as _;
 
@@ -141,8 +139,8 @@ impl JsonValue {
 ///
 /// A deliberately small scanner, not a parser: it looks for the quoted key
 /// followed by a colon and reads the number after it, skipping matches
-/// inside string values.  Sufficient for the flat metric fields the bench
-/// gate compares; keys must be unique per document for unambiguous reads.
+/// inside string values.  Sufficient for flat metric fields; keys must be
+/// unique per document for unambiguous reads.
 pub fn extract_number(json: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\"");
     let mut from = 0;

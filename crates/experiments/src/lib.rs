@@ -22,6 +22,8 @@
 //! | `fig8_cost_breakdown` | where the adaptive join spends its time |
 //! | `table1` | per-operation micro costs |
 //!
+//! [`json`] renders and reads back flat machine-readable reports.
+//!
 //! Performance claims are measured by the standalone benchmark in
 //! `perfbench/`, not by these binaries.
 
@@ -29,5 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod harness;
+pub mod json;
 
 pub use harness::{header, run, ExperimentConfig, ExperimentResult, JoinMode};
+pub use json::{extract_number, JsonValue};

@@ -19,15 +19,18 @@
 //! * [`BinomialOutlierDetector`] — the `σ` predicate itself;
 //! * the log-gamma family ([`ln_gamma`], [`ln_factorial`],
 //!   [`ln_binomial_coefficient`], [`regularized_incomplete_beta`]) both
-//!   binomial formulations are built on.
+//!   binomial formulations are built on;
+//! * [`Histogram`] — fixed-bin histograms for experiment reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod binomial;
 pub mod gamma;
+pub mod histogram;
 pub mod outlier;
 
 pub use binomial::{Binomial, CdfMethod};
 pub use gamma::{ln_binomial_coefficient, ln_factorial, ln_gamma, regularized_incomplete_beta};
+pub use histogram::Histogram;
 pub use outlier::{BinomialOutlierDetector, OutlierVerdict};
