@@ -33,7 +33,7 @@ fn main() {
     let mut reference: Option<HashSet<(RecordId, RecordId)>> = None;
     for shards in [1, 2, 4] {
         // Build first: the timer measures the join, not source cloning or
-        // worker spawning (matching the experiments harness).
+        // worker spawning.
         let pipeline = Pipeline::builder()
             .left(&data.parents)
             .right(&data.children)

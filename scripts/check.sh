@@ -26,6 +26,9 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> paper: tables and claims (exit 1 if any claim fails)"
+cargo run --release -q -p linkage-experiments --bin paper
+
 # The fault-injection suites (chaos scenarios, the two-actor slot model)
 # compile only with the `fault` feature; CI's `chaos` job runs the same.
 echo "==> chaos: cargo test -q -p linkage-server --features fault"

@@ -146,6 +146,9 @@ fn check_meta(file: &SnapshotFile, engine: &str, shards: usize, fingerprint: u32
 /// The unified run summary — one type for every engine, merging the
 /// serial `AdaptiveReport` and the sharded `ParallelReport`.
 ///
+/// Both engines report the counts, [`probe_funnel`](Self::probe_funnel)
+/// included; only the sharded engine reports resident-state sizes.
+///
 /// `#[non_exhaustive]`: future engines may add fields.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -167,6 +170,10 @@ pub struct RunReport {
     /// Per-shard statistics (sharded engine only, populated once the run
     /// finishes; empty for the serial engine).
     pub shard_stats: Vec<ShardStats>,
+    /// The serial engine's funnel once switched (the sharded engine's is in
+    /// `shard_stats`); boxed, as inline it would add 32 bytes to every
+    /// [`MatchEvent`](crate::api::MatchEvent), which is this report's size.
+    funnel: Option<Box<ProbeFunnel>>,
 }
 
 impl RunReport {
@@ -217,11 +224,12 @@ impl RunReport {
             .sum()
     }
 
-    /// The join-wide candidate funnel: every shard's probe-kernel
-    /// counters folded together (zeros until the sharded engine
-    /// finishes; the serial engine does not report it).
+    /// The join-wide candidate funnel: the serial engine's probe-kernel
+    /// counters, or every shard's folded together (zeros until the
+    /// sharded engine finishes).  Zero while the join has not switched;
+    /// after a switch it includes the handover's recovery probes.
     pub fn probe_funnel(&self) -> ProbeFunnel {
-        let mut funnel = ProbeFunnel::default();
+        let mut funnel = self.funnel.as_deref().copied().unwrap_or_default();
         for stats in &self.shard_stats {
             funnel.absorb(stats.funnel);
         }
@@ -256,6 +264,7 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
 
     fn report(&self) -> RunReport {
         let report = AdaptiveJoin::report(self);
+        let funnel = self.inner().ssh_core_ref().map(|core| core.funnel());
         RunReport {
             engine: self.engine_name(),
             shards: 1,
@@ -265,6 +274,7 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
             switch: report.switch,
             switch_latency: report.switch_latency,
             shard_stats: Vec::new(),
+            funnel: funnel.map(Box::new),
         }
     }
 
@@ -442,6 +452,7 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for ParallelJoin<I> {
             switch: report.switch,
             switch_latency: report.switch_latency,
             shard_stats: report.shards,
+            funnel: None,
         }
     }
 

@@ -365,7 +365,7 @@ mod api_parity {
     use super::common::*;
     use linkage::api::{MatchEvent, Pipeline, PipelineBuilder, QGramCoefficient, RunOutcome};
     use linkage_datagen::{generate, DatagenConfig, GeneratedData};
-    use linkage_operators::oracle;
+    use linkage_operators::{oracle, ProbeFunnel};
     use proptest::prelude::*;
 
     fn declare(data: &GeneratedData) -> PipelineBuilder {
@@ -435,6 +435,35 @@ mod api_parity {
             assert!(report.interner_bytes() > 0, "switched run interns grams");
         }
         assert_eq!(reports[0].interner_bytes(), reports[1].interner_bytes());
+    }
+
+    /// The serial report carries its approximate kernel's funnel: zero
+    /// while the join stays exact, non-zero once it has switched, and on
+    /// a run that is approximate from the first tuple (no handover) equal
+    /// to the summed funnel of the same run on two shards.
+    #[test]
+    fn serial_report_carries_the_funnel_of_its_approximate_kernel() {
+        let data = generate(&DatagenConfig::mid_stream_dirty(80, 7).with_clean_prefix(0.3))
+            .expect("datagen failed");
+        let report = |builder: PipelineBuilder| builder.collect().expect("run failed").report;
+
+        let exact = report(declare(&data).never_switch().serial());
+        assert_eq!(exact.probe_funnel(), ProbeFunnel::default());
+
+        let adaptive = report(declare(&data).serial());
+        assert!(adaptive.switch.is_some(), "workload must switch");
+        let funnel = adaptive.probe_funnel();
+        assert!(funnel.candidates_scanned > 0, "funnel populated");
+        assert!(funnel.candidates_verified > 0);
+
+        let serial = report(declare(&data).approximate_from_start().serial());
+        let sharded = report(
+            declare(&data)
+                .approximate_from_start()
+                .sharded(2)
+                .batch_size(32),
+        );
+        assert_eq!(serial.probe_funnel(), sharded.probe_funnel());
     }
 
     #[test]
