@@ -5,8 +5,8 @@
 //! across cores without changing what it emits.
 //!
 //! * [`ParallelJoin`] — a pipelined operator that hash-partitions the
-//!   input across N worker shards (one [`SymmetricHashJoin`]-equivalent
-//!   kernel per thread, bounded channels), switches **globally** to the
+//!   input across N worker shards (one [`ExactJoinCore`] kernel per
+//!   thread, bounded channels), switches **globally** to the
 //!   approximate kernel when the aggregated monitor → assessor loop
 //!   triggers, and merges emitted match pairs deterministically;
 //! * [`ParallelJoinConfig`] — shard count, epoch size, the shared join
@@ -21,7 +21,7 @@
 //! pairs — which the shard-count-invariance suite under `tests/` checks
 //! against the nested-loop oracles.
 //!
-//! [`SymmetricHashJoin`]: linkage_operators::SymmetricHashJoin
+//! [`ExactJoinCore`]: linkage_operators::ExactJoinCore
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,9 +42,7 @@ mod tests {
 
     use linkage_core::{AdaptiveJoin, ControllerConfig};
     use linkage_datagen::{generate, DatagenConfig, GeneratedData};
-    use linkage_operators::{
-        InterleavedScan, JoinPhase, Operator, SshJoin, SwitchJoin, SwitchJoinConfig,
-    };
+    use linkage_operators::{InterleavedScan, JoinPhase, Operator, SwitchJoin, SwitchJoinConfig};
     use linkage_types::{Field, Value};
     use linkage_types::{
         LinkageError, MatchPair, PerSide, Record, RecordId, Schema, SidedRecord, VecStream,
@@ -128,7 +126,10 @@ mod tests {
     #[test]
     fn forced_switch_matches_pure_ssh_join_set() {
         let data = generate(&DatagenConfig::mid_stream_dirty(100, 23)).unwrap();
-        let mut ssh = SshJoin::new(scan(&data), KEYS, linkage_text::QGramConfig::default(), 0.8);
+        // A switch before the first tuple leaves the pure SSH join.
+        let mut ssh = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
+        ssh.open().unwrap();
+        assert_eq!(ssh.switch_to_approximate().unwrap(), 0);
         let expected = id_set(&ssh.run_to_end().unwrap());
         for shards in [1, 3] {
             let config = ParallelJoinConfig::new(shards, KEYS, data.parents.len() as u64)

@@ -7,10 +7,9 @@
 //! cross pair is discovered exactly once, so the operator never emits
 //! duplicates.
 //!
-//! The join logic lives in [`ExactJoinCore`], separated from the operator
-//! plumbing so that [`crate::switch::SwitchJoin`] can drive the same core
-//! and hand its accumulated [`KeyTable`]s over to the approximate join
-//! mid-stream.
+//! The join logic lives in [`ExactJoinCore`], free of operator plumbing:
+//! [`crate::switch::SwitchJoin`] drives it and hands its accumulated
+//! [`KeyTable`]s over to the approximate join mid-stream.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -18,7 +17,6 @@ use std::sync::Arc;
 use linkage_text::{normalize, NormalizeConfig};
 use linkage_types::{MatchPair, PerSide, Record, Result, Side, SidedRecord};
 
-use crate::iterator::{Operator, OperatorState};
 use crate::state::KeyTable;
 
 /// The probe-then-insert kernel of the exact symmetric hash join.
@@ -156,95 +154,10 @@ pub(crate) fn orient(new_side: Side, new: Record, stored: Record) -> (Record, Re
     }
 }
 
-/// The exact symmetric hash join as a pipelined [`Operator`].
-pub struct SymmetricHashJoin<I> {
-    input: I,
-    core: ExactJoinCore,
-    out: VecDeque<MatchPair>,
-    state: OperatorState,
-    consumed: PerSide<u64>,
-}
-
-impl<I: Operator<Item = SidedRecord>> SymmetricHashJoin<I> {
-    /// Build over a sided input, joining on `keys` with default key
-    /// normalisation.
-    pub fn new(input: I, keys: PerSide<usize>) -> Self {
-        Self::with_normalization(input, keys, NormalizeConfig::default())
-    }
-
-    /// Build with an explicit key normalisation.
-    pub fn with_normalization(input: I, keys: PerSide<usize>, normalize: NormalizeConfig) -> Self {
-        Self {
-            input,
-            core: ExactJoinCore::new(keys, normalize),
-            out: VecDeque::new(),
-            state: OperatorState::default(),
-            consumed: PerSide::default(),
-        }
-    }
-
-    /// Number of input tuples consumed from each side.
-    pub fn consumed(&self) -> PerSide<u64> {
-        self.consumed
-    }
-
-    /// Number of match pairs emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.core.emitted()
-    }
-
-    /// Number of tuples resident per side (the paper's state-size metric).
-    pub fn stored(&self) -> PerSide<usize> {
-        self.core.stored()
-    }
-}
-
-impl<I: Operator<Item = SidedRecord>> Operator for SymmetricHashJoin<I> {
-    type Item = MatchPair;
-
-    fn name(&self) -> &'static str {
-        "symmetric-hash-join"
-    }
-
-    fn state(&self) -> OperatorState {
-        self.state
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.state.check_open(self.name())?;
-        self.input.open()?;
-        self.state = OperatorState::Open;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<MatchPair>> {
-        self.state.check_next(self.name())?;
-        loop {
-            if let Some(pair) = self.out.pop_front() {
-                return Ok(Some(pair));
-            }
-            match self.input.next()? {
-                Some(sided) => {
-                    self.consumed[sided.side] += 1;
-                    self.core.process(sided, &mut self.out)?;
-                }
-                None => return Ok(None),
-            }
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        if self.state != OperatorState::Closed {
-            self.input.close()?;
-            self.state = OperatorState::Closed;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iterator::Operator;
     use crate::scan::InterleavedScan;
     use linkage_types::{Field, MatchKind, RecordId, Schema, Value, VecStream};
 
@@ -257,10 +170,21 @@ mod tests {
         VecStream::new(Schema::of(vec![Field::string("k")]), records)
     }
 
-    fn join_all(left: &[&str], right: &[&str]) -> Vec<MatchPair> {
-        let scan = InterleavedScan::alternating(stream_of(left), stream_of(right));
-        let mut join = SymmetricHashJoin::new(scan, PerSide::new(0, 0));
-        join.run_to_end().unwrap()
+    /// The two key lists as one alternating feed.
+    fn feed(left: &[&str], right: &[&str]) -> Vec<SidedRecord> {
+        InterleavedScan::alternating(stream_of(left), stream_of(right))
+            .run_to_end()
+            .unwrap()
+    }
+
+    /// Run `left` and `right` alternately through a fresh core.
+    fn run(left: &[&str], right: &[&str]) -> (ExactJoinCore, Vec<MatchPair>) {
+        let mut core = ExactJoinCore::new(PerSide::new(0, 0), NormalizeConfig::default());
+        let mut out = VecDeque::new();
+        for sided in feed(left, right) {
+            core.process(sided, &mut out).unwrap();
+        }
+        (core, out.into())
     }
 
     fn id_pairs(pairs: &[MatchPair]) -> Vec<(u64, u64)> {
@@ -274,14 +198,14 @@ mod tests {
 
     #[test]
     fn equal_keys_join_and_disjoint_keys_do_not() {
-        let pairs = join_all(&["a", "b", "c"], &["b", "c", "d"]);
+        let pairs = run(&["a", "b", "c"], &["b", "c", "d"]).1;
         assert_eq!(id_pairs(&pairs), vec![(1, 0), (2, 1)]);
         assert!(pairs.iter().all(|p| p.kind == MatchKind::Exact));
     }
 
     #[test]
     fn duplicate_keys_produce_the_full_cross_product_once() {
-        let pairs = join_all(&["x", "x"], &["x", "x", "x"]);
+        let pairs = run(&["x", "x"], &["x", "x", "x"]).1;
         assert_eq!(pairs.len(), 6);
         let mut seen = std::collections::HashSet::new();
         for p in &pairs {
@@ -291,31 +215,26 @@ mod tests {
 
     #[test]
     fn results_are_pipelined_before_input_exhaustion() {
-        let scan = InterleavedScan::alternating(stream_of(&["a", "b"]), stream_of(&["a", "b"]));
-        let mut join = SymmetricHashJoin::new(scan, PerSide::new(0, 0));
-        join.open().unwrap();
-        let first = join.next().unwrap().unwrap();
-        assert_eq!(first.id_pair(), (RecordId(0), RecordId(0)));
-        // Only two tuples were needed to produce the first match.
-        assert_eq!(
-            join.consumed()[Side::Left] + join.consumed()[Side::Right],
-            2
-        );
+        let mut core = ExactJoinCore::new(PerSide::new(0, 0), NormalizeConfig::default());
+        let mut out = VecDeque::new();
+        let mut tuples = feed(&["a", "b"], &["a", "b"]).into_iter();
+        assert_eq!(core.process(tuples.next().unwrap(), &mut out).unwrap(), 0);
+        // The second tuple already produces the first match.
+        assert_eq!(core.process(tuples.next().unwrap(), &mut out).unwrap(), 1);
+        assert_eq!(out[0].id_pair(), (RecordId(0), RecordId(0)));
     }
 
     #[test]
     fn keys_are_normalized_before_hashing() {
-        let pairs = join_all(&["Santa  Cristina"], &["SANTA CRISTINA"]);
+        let pairs = run(&["Santa  Cristina"], &["SANTA CRISTINA"]).1;
         assert_eq!(pairs.len(), 1);
     }
 
     #[test]
     fn matched_flags_are_set_on_both_partners() {
-        let scan = InterleavedScan::alternating(stream_of(&["a", "q"]), stream_of(&["a", "z"]));
-        let mut join = SymmetricHashJoin::new(scan, PerSide::new(0, 0));
-        let pairs = join.run_to_end().unwrap();
+        let (core, pairs) = run(&["a", "q"], &["a", "z"]);
         assert_eq!(pairs.len(), 1);
-        let tables = join.core.tables();
+        let tables = core.tables();
         let flagged = |side: Side| -> Vec<bool> {
             tables[side]
                 .tuples()
@@ -329,23 +248,17 @@ mod tests {
 
     #[test]
     fn stored_counts_follow_consumption() {
-        let scan = InterleavedScan::alternating(stream_of(&["a", "b", "c"]), stream_of(&["z"]));
-        let mut join = SymmetricHashJoin::new(scan, PerSide::new(0, 0));
-        join.run_to_end().unwrap();
-        assert_eq!(join.stored()[Side::Left], 3);
-        assert_eq!(join.stored()[Side::Right], 1);
-        assert_eq!(join.emitted(), 0);
+        let (core, _) = run(&["a", "b", "c"], &["z"]);
+        assert_eq!(core.stored()[Side::Left], 3);
+        assert_eq!(core.stored()[Side::Right], 1);
+        assert_eq!(core.emitted(), 0);
     }
 
     #[test]
     fn non_string_key_column_errors() {
-        let schema = Schema::of(vec![Field::integer("id")]);
-        let records = vec![Record::new(0u64, vec![Value::Int(5)])];
-        let left = VecStream::new(schema.clone(), records.clone());
-        let right = VecStream::new(schema, records);
-        let scan = InterleavedScan::alternating(left, right);
-        let mut join = SymmetricHashJoin::new(scan, PerSide::new(0, 0));
-        join.open().unwrap();
-        assert!(join.next().is_err());
+        let mut core = ExactJoinCore::new(PerSide::new(0, 0), NormalizeConfig::default());
+        let record = Record::new(0u64, vec![Value::Int(5)]);
+        let sided = SidedRecord::new(Side::Left, record);
+        assert!(core.process(sided, &mut VecDeque::new()).is_err());
     }
 }

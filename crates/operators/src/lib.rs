@@ -6,23 +6,20 @@
 //! * [`Operator`] / [`OperatorState`] — the `OPEN`/`NEXT`/`CLOSE` iterator
 //!   protocol every operator follows, with state-machine enforcement and
 //!   bounded batch pulls;
-//! * [`Scan`] and [`InterleavedScan`] — leaf operators turning
-//!   [`linkage_types::RecordStream`]s into validated tuple flows; the
-//!   interleaved variant merges both join inputs into one sided stream
+//! * [`InterleavedScan`] — the leaf operator merging both join inputs'
+//!   [`linkage_types::RecordStream`]s into one validated sided stream
 //!   under an [`linkage_types::InterleavePolicy`];
-//! * [`SymmetricHashJoin`] — the pipelined exact join (§2.1): probe the
-//!   opposite hash table, emit, insert;
-//! * [`SshJoin`] — the approximate similarity join (§2.2): an incremental
-//!   inverted q-gram index per side with Jaccard-threshold matching;
+//! * [`ExactJoinCore`] — the exact symmetric hash join kernel (§2.1):
+//!   probe the opposite hash table, emit, insert;
+//! * [`SshJoinCore`] — the approximate similarity join kernel (§2.2): an
+//!   incremental inverted q-gram index per side with threshold matching;
 //! * [`SwitchJoin`] — the adaptive operator (§3.3): starts exact, and on
 //!   demand hands its hash-table state over to the approximate kernel
 //!   mid-stream, recovering missed matches without emitting duplicates
 //!   (per-tuple matched-exactly flags);
 //! * [`oracle`] — quadratic nested-loop reference joins for tests and
-//!   benchmarks;
-//! * [`mod@reference`] — the retained string-keyed probe kernel (the
-//!   pre-interning [`SshJoin`] layout), kept as the independently
-//!   implemented twin the interned fast path is property-tested against.
+//!   benchmarks, among them the arrival-order stream oracle every kernel
+//!   path is compared with pair by pair.
 //!
 //! The control loop that decides *when* to switch lives in `linkage-core`;
 //! this crate only provides the machinery.
@@ -34,7 +31,6 @@ pub mod batch;
 pub mod exact;
 pub mod iterator;
 pub mod oracle;
-pub mod reference;
 pub mod scan;
 pub mod snapshot;
 pub mod ssh;
@@ -42,10 +38,9 @@ pub mod state;
 pub mod switch;
 
 pub use batch::PreparedBatch;
-pub use exact::{ExactJoinCore, SymmetricHashJoin};
+pub use exact::ExactJoinCore;
 pub use iterator::{Operator, OperatorState};
-pub use reference::{ReferenceSshCore, ReferenceStored};
-pub use scan::{InterleavedScan, Scan};
-pub use ssh::{GramIndex, ProbeFunnel, SshJoin, SshJoinCore, SshStored};
+pub use scan::InterleavedScan;
+pub use ssh::{GramIndex, ProbeFunnel, SshJoinCore, SshStored};
 pub use state::{KeyTable, StoredTuple};
 pub use switch::{JoinPhase, PerKind, RestoredCore, SwitchJoin, SwitchJoinConfig, SwitchRestore};

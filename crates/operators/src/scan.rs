@@ -1,86 +1,16 @@
-//! Leaf operators: scans over record streams.
+//! The leaf operator: a scan over both join inputs' record streams.
 
 use linkage_types::{
-    InterleavePolicy, InterleavedStream, PerSide, Record, RecordStream, Result, Schema, Side,
-    SidedRecord,
+    InterleavePolicy, InterleavedStream, PerSide, RecordStream, Result, Schema, Side, SidedRecord,
 };
 
 use crate::iterator::{Operator, OperatorState};
 
-/// A scan over a single [`RecordStream`], validating every record against
-/// the stream schema at ingestion (operators downstream then index fields
-/// positionally without re-checking).
-pub struct Scan<S> {
-    stream: S,
-    state: OperatorState,
-    consumed: u64,
-}
-
-impl<S: RecordStream> Scan<S> {
-    /// Build a scan over `stream`.
-    pub fn new(stream: S) -> Self {
-        Self {
-            stream,
-            state: OperatorState::default(),
-            consumed: 0,
-        }
-    }
-
-    /// The schema of the scanned records.
-    pub fn schema(&self) -> &Schema {
-        self.stream.schema()
-    }
-
-    /// Number of records produced so far.
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-}
-
-impl<S: RecordStream> Operator for Scan<S> {
-    type Item = Record;
-
-    fn name(&self) -> &'static str {
-        "scan"
-    }
-
-    fn state(&self) -> OperatorState {
-        self.state
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.state.check_open(self.name())?;
-        self.stream.open();
-        self.state = OperatorState::Open;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Record>> {
-        self.state.check_next(self.name())?;
-        match self.stream.next_record() {
-            Some(record) => {
-                self.stream.schema().validate(&record.values)?;
-                self.consumed += 1;
-                Ok(Some(record))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        if self.state != OperatorState::Closed {
-            self.stream.close();
-            self.state = OperatorState::Closed;
-        }
-        Ok(())
-    }
-}
-
-/// The symmetric joins' input: two scans merged into one stream of
-/// [`SidedRecord`]s under an [`InterleavePolicy`].
+/// The symmetric joins' input: two record streams merged into one stream
+/// of [`SidedRecord`]s under an [`InterleavePolicy`].
 ///
-/// Validation happens here, per side, so the joins can trust field
-/// positions.
+/// Every record is validated against its side's schema at ingestion, so
+/// the joins can index fields positionally without re-checking.
 pub struct InterleavedScan<L, R> {
     inner: InterleavedStream<L, R>,
     state: OperatorState,
@@ -159,7 +89,7 @@ impl<L: RecordStream, R: RecordStream> Operator for InterleavedScan<L, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linkage_types::{Field, Value, VecStream};
+    use linkage_types::{Field, Record, Value, VecStream};
 
     fn stream_of(keys: &[&str]) -> VecStream {
         let records = keys
@@ -172,30 +102,32 @@ mod tests {
 
     #[test]
     fn scan_produces_all_records_and_counts() {
-        let mut scan = Scan::new(stream_of(&["a", "b", "c"]));
+        let mut scan = InterleavedScan::alternating(stream_of(&["a", "b", "c"]), stream_of(&[]));
         let out = scan.run_to_end().unwrap();
         assert_eq!(out.len(), 3);
-        assert_eq!(scan.consumed(), 3);
-        assert_eq!(scan.schema().len(), 1);
+        assert_eq!(scan.consumed(), PerSide::new(3, 0));
+        assert_eq!(scan.schemas().0.len(), 1);
     }
 
     #[test]
     fn scan_validates_records_at_ingestion() {
-        // A record with the wrong arity sneaks into the stream.
+        // A record with the wrong arity sneaks into the right stream.
         let schema = Schema::of(vec![Field::string("k")]);
         let records = vec![
             Record::new(0u64, vec![Value::string("ok")]),
             Record::new(1u64, vec![Value::string("bad"), Value::Int(1)]),
         ];
-        let mut scan = Scan::new(VecStream::new(schema, records));
+        let mut scan =
+            InterleavedScan::alternating(stream_of(&["a"]), VecStream::new(schema, records));
         scan.open().unwrap();
+        assert!(scan.next().unwrap().is_some());
         assert!(scan.next().unwrap().is_some());
         assert!(scan.next().is_err(), "invalid record must be rejected");
     }
 
     #[test]
     fn scan_requires_open() {
-        let mut scan = Scan::new(stream_of(&["a"]));
+        let mut scan = InterleavedScan::alternating(stream_of(&["a"]), stream_of(&["b"]));
         assert!(scan.next().is_err());
         scan.open().unwrap();
         assert!(scan.next().unwrap().is_some());

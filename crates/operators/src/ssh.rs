@@ -46,18 +46,18 @@
 //!
 //! Candidates are emitted in arrival order (their tuple position), which
 //! keeps the output stream deterministic and bit-identical to the
-//! retained string-keyed reference kernel in [`crate::reference`].  The
+//! nested-loop stream oracle, [`crate::oracle::stream_similarity`].  The
 //! [`ProbeFunnel`] counters expose how many posting entries were scanned
 //! or skipped and how many candidates survived the length filter and the
 //! merge.
 //!
-//! The join kernel lives in [`SshJoinCore`]; [`SshJoinCore::from_exact`]
-//! implements the paper's §3.3 state handover: it rebuilds the inverted
-//! index from the exact join's hash tables (interning every resident key
-//! exactly once) and re-probes the accumulated
-//! tuples against each other to *recover* approximate matches the exact
-//! operator missed, using the per-tuple matched-exactly flags to skip
-//! pairs the exact operator already emitted.
+//! The join kernel lives in [`SshJoinCore`];
+//! [`SshJoinCore::with_exact_state`] implements the paper's §3.3 state
+//! handover: it rebuilds the inverted index from the exact join's hash
+//! tables (interning every resident key exactly once) and re-probes the
+//! accumulated tuples against each other to *recover* approximate matches
+//! the exact operator missed, using the per-tuple matched-exactly flags to
+//! skip pairs the exact operator already emitted.
 //!
 //! [`GramId`]: linkage_text::GramId
 
@@ -71,7 +71,6 @@ use linkage_types::{MatchPair, PerSide, Record, Result, ShardId, Side, SidedReco
 
 use crate::batch::PreparedBatch;
 use crate::exact::orient;
-use crate::iterator::{Operator, OperatorState};
 use crate::state::KeyTable;
 
 /// The 128-bit signature of a gram set: bit `mix(id) mod 128` is set for
@@ -666,18 +665,6 @@ impl SshJoinCore {
         self.interner.state_bytes()
     }
 
-    /// The §3.3 state handover with the paper's default Jaccard scoring;
-    /// see [`Self::with_exact_state`].
-    pub fn from_exact(
-        keys: PerSide<usize>,
-        config: QGramConfig,
-        theta: f64,
-        tables: PerSide<KeyTable>,
-        out: &mut VecDeque<MatchPair>,
-    ) -> (Self, u64) {
-        Self::new(keys, config, theta).with_exact_state(tables, out)
-    }
-
     /// The §3.3 state handover: rebuild the inverted index from the exact
     /// join's tables and recover missed approximate matches among the
     /// already-seen tuples, pushing them into `out`.
@@ -1034,7 +1021,7 @@ impl SshJoinCore {
     /// This is the cross-shard half of the §3.3 handover: under hash
     /// partitioning a dirty tuple and its true partner usually accumulated
     /// in *different* shards during the exact phase, so after each shard's
-    /// local [`Self::from_exact`] recovery the coordinator routes every
+    /// local [`Self::with_exact_state`] recovery the coordinator routes every
     /// shard's residents past the shards that came before it.  Foreign
     /// tuples are probed but never stored, and the same matched-exactly
     /// suppression as local recovery applies.  The foreign gram ids must
@@ -1167,102 +1154,10 @@ impl SshJoinCore {
     }
 }
 
-/// The approximate SSH join as a standalone pipelined [`Operator`].
-pub struct SshJoin<I> {
-    input: I,
-    core: SshJoinCore,
-    out: VecDeque<MatchPair>,
-    state: OperatorState,
-    consumed: PerSide<u64>,
-}
-
-impl<I: Operator<Item = SidedRecord>> SshJoin<I> {
-    /// Build over a sided input with the given key columns, q-gram
-    /// configuration and similarity threshold.
-    pub fn new(input: I, keys: PerSide<usize>, config: QGramConfig, theta: f64) -> Self {
-        Self {
-            input,
-            core: SshJoinCore::new(keys, config, theta),
-            out: VecDeque::new(),
-            state: OperatorState::default(),
-            consumed: PerSide::default(),
-        }
-    }
-
-    /// Score candidates with a different q-gram set coefficient.
-    #[must_use]
-    pub fn with_coefficient(mut self, coefficient: QGramCoefficient) -> Self {
-        self.core = self.core.with_coefficient(coefficient);
-        self
-    }
-
-    /// Number of input tuples consumed from each side.
-    pub fn consumed(&self) -> PerSide<u64> {
-        self.consumed
-    }
-
-    /// Pairs emitted, split `(exact-key, similarity-only)`.
-    pub fn emitted(&self) -> (u64, u64) {
-        (self.core.emitted_exact(), self.core.emitted_approx())
-    }
-
-    /// Number of tuples indexed per side.
-    pub fn stored(&self) -> PerSide<usize> {
-        self.core.stored()
-    }
-
-    /// Read access to the per-side inverted indexes (state-size reporting).
-    pub fn indexes(&self) -> &PerSide<GramIndex> {
-        self.core.indexes()
-    }
-}
-
-impl<I: Operator<Item = SidedRecord>> Operator for SshJoin<I> {
-    type Item = MatchPair;
-
-    fn name(&self) -> &'static str {
-        "ssh-join"
-    }
-
-    fn state(&self) -> OperatorState {
-        self.state
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.state.check_open(self.name())?;
-        self.input.open()?;
-        self.state = OperatorState::Open;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<MatchPair>> {
-        self.state.check_next(self.name())?;
-        loop {
-            if let Some(pair) = self.out.pop_front() {
-                return Ok(Some(pair));
-            }
-            match self.input.next()? {
-                Some(sided) => {
-                    self.consumed[sided.side] += 1;
-                    self.core.process(sided, &mut self.out)?;
-                }
-                None => return Ok(None),
-            }
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        if self.state != OperatorState::Closed {
-            self.input.close()?;
-            self.state = OperatorState::Closed;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iterator::Operator;
     use crate::scan::InterleavedScan;
     use linkage_types::{Field, Schema, Value, VecStream};
 
@@ -1275,10 +1170,15 @@ mod tests {
         VecStream::new(Schema::of(vec![Field::string("k")]), records)
     }
 
-    fn join_all(left: &[&str], right: &[&str], theta: f64) -> Vec<MatchPair> {
-        let scan = InterleavedScan::alternating(stream_of(left), stream_of(right));
-        let mut join = SshJoin::new(scan, PerSide::new(0, 0), QGramConfig::default(), theta);
-        join.run_to_end().unwrap()
+    /// Run `left` and `right` alternately through a fresh core.
+    fn run(left: &[&str], right: &[&str], theta: f64) -> (SshJoinCore, Vec<MatchPair>) {
+        let mut core = SshJoinCore::new(PerSide::new(0, 0), QGramConfig::default(), theta);
+        let mut out = VecDeque::new();
+        let mut feed = InterleavedScan::alternating(stream_of(left), stream_of(right));
+        for sided in feed.run_to_end().unwrap() {
+            core.process(sided, &mut out).unwrap();
+        }
+        (core, out.into())
     }
 
     const LONG_A: &str = "TAA BZ SANTA CRISTINA VALGARDENA";
@@ -1287,7 +1187,7 @@ mod tests {
 
     #[test]
     fn near_duplicates_match_and_unrelated_do_not() {
-        let pairs = join_all(&[LONG_A], &[LONG_A_TYPO, UNRELATED], 0.8);
+        let pairs = run(&[LONG_A], &[LONG_A_TYPO, UNRELATED], 0.8).1;
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].id_pair().1.as_u64(), 0);
         assert!(pairs[0].kind.is_approximate());
@@ -1296,7 +1196,7 @@ mod tests {
 
     #[test]
     fn identical_keys_emit_exact_kind() {
-        let pairs = join_all(&[LONG_A], &[LONG_A], 0.8);
+        let pairs = run(&[LONG_A], &[LONG_A], 0.8).1;
         assert_eq!(pairs.len(), 1);
         assert!(pairs[0].kind.is_exact());
     }
@@ -1304,7 +1204,7 @@ mod tests {
     #[test]
     fn symmetric_discovery_each_pair_once() {
         // Both orders of arrival must find the pair, but only once.
-        let pairs = join_all(&[LONG_A, UNRELATED], &[UNRELATED, LONG_A_TYPO], 0.8);
+        let pairs = run(&[LONG_A, UNRELATED], &[UNRELATED, LONG_A_TYPO], 0.8).1;
         let mut seen = std::collections::HashSet::new();
         for p in &pairs {
             assert!(seen.insert(p.id_pair()), "duplicate {:?}", p.id_pair());
@@ -1314,14 +1214,14 @@ mod tests {
 
     #[test]
     fn threshold_one_only_accepts_identical_gram_sets() {
-        let pairs = join_all(&[LONG_A, LONG_A_TYPO], &[LONG_A], 1.0);
+        let pairs = run(&[LONG_A, LONG_A_TYPO], &[LONG_A], 1.0).1;
         assert_eq!(pairs.len(), 1);
         assert!(pairs[0].kind.is_exact());
     }
 
     #[test]
     fn empty_keys_never_match_through_the_index() {
-        let pairs = join_all(&["", "x"], &["", "x"], 0.5);
+        let pairs = run(&["", "x"], &["", "x"], 0.5).1;
         // Only the "x"/"x" pair: empty keys produce no grams, hence no
         // candidates in the inverted index.
         assert_eq!(pairs.len(), 1);
@@ -1330,14 +1230,12 @@ mod tests {
 
     #[test]
     fn index_counters_grow_with_insertions() {
-        let scan = InterleavedScan::alternating(stream_of(&[LONG_A]), stream_of(&[UNRELATED]));
-        let mut join = SshJoin::new(scan, PerSide::new(0, 0), QGramConfig::default(), 0.8);
-        join.run_to_end().unwrap();
-        assert_eq!(join.stored(), PerSide::new(1, 1));
-        let idx = &join.core.indexes()[Side::Left];
+        let (core, _) = run(&[LONG_A], &[UNRELATED], 0.8);
+        assert_eq!(core.stored(), PerSide::new(1, 1));
+        let idx = &core.indexes()[Side::Left];
         assert!(idx.distinct_grams() > 10);
         assert_eq!(idx.posting_entries(), idx.tuples()[0].grams.len());
-        assert_eq!(join.emitted(), (0, 0));
+        assert_eq!((core.emitted_exact(), core.emitted_approx()), (0, 0));
     }
 
     #[test]
@@ -1471,13 +1369,8 @@ mod tests {
         assert_eq!(sink.len(), 1, "exact phase emits only the clean pair");
         sink.clear();
 
-        let (core, recovered) = SshJoinCore::from_exact(
-            PerSide::new(0, 0),
-            QGramConfig::default(),
-            0.8,
-            exact.into_tables(),
-            &mut sink,
-        );
+        let (core, recovered) = SshJoinCore::new(PerSide::new(0, 0), QGramConfig::default(), 0.8)
+            .with_exact_state(exact.into_tables(), &mut sink);
         assert_eq!(recovered, 1, "the typo pair is recovered");
         assert_eq!(sink.len(), 1);
         let pair = &sink[0];
@@ -1735,13 +1628,8 @@ mod tests {
                 .unwrap();
         }
         out.clear();
-        let (switched, _) = SshJoinCore::from_exact(
-            PerSide::new(0, 0),
-            QGramConfig::default(),
-            0.8,
-            exact.into_tables(),
-            &mut out,
-        );
+        let (switched, _) = SshJoinCore::new(PerSide::new(0, 0), QGramConfig::default(), 0.8)
+            .with_exact_state(exact.into_tables(), &mut out);
         let slack = switched.postings_slack_bytes();
         let empty_left = switched.sides[Side::Left]
             .postings

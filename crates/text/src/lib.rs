@@ -18,8 +18,9 @@
 //! * [`QGramConfig`] / [`QGramSet`] — q-gram extraction with the padding
 //!   convention the paper's cost model assumes; grams are interned to
 //!   dense [`GramId`]s through a [`GramInterner`], so the join kernel's
-//!   probe path never hashes strings ([`StringGramSet`] retains the
-//!   string-keyed representation as the tested-against reference);
+//!   probe path never hashes strings ([`StringGramSet`] keeps the
+//!   string-keyed representation for the standalone similarity functions
+//!   and the reference the kernel is tested against);
 //! * [`normalize()`] — the canonicalisation applied to join keys before
 //!   tokenisation (case folding, whitespace collapsing);
 //! * [`StringSimilarity`] and its q-gram implementations: the paper's

@@ -18,11 +18,12 @@
 //!   hashing anywhere on the probe path.  At `q ≤ 3` tokenisation builds no
 //!   strings either: each window is a rolling integer key (see
 //!   `intern::PackedGram`).
-//! * [`StringGramSet`] — the retained string-keyed reference: sorted
-//!   `Arc<str>` grams, exactly the representation the kernel used before
-//!   interning.  The standalone similarity functions build on it (they
-//!   compare one pair at a time, where an interner would be pure overhead)
-//!   and the property suites probe the interned kernel against it.
+//! * [`StringGramSet`] — the self-contained string-keyed representation:
+//!   sorted `Arc<str>` grams, exactly the representation the kernel used
+//!   before interning.  The standalone similarity functions build on it
+//!   (they compare one pair at a time, where an interner would be pure
+//!   overhead), and so does the nested-loop stream oracle the interned
+//!   kernel is tested against.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -36,7 +37,7 @@ use crate::normalize::{normalize, NormalizeConfig};
 /// A single q-gram as shared text.
 ///
 /// Grams are shared behind an `Arc<str>` wherever they are kept as strings
-/// (the [`StringGramSet`] reference path and the interner's own table), so
+/// (the string-keyed [`StringGramSet`] and the interner's own table), so
 /// the memory cost stays at the `n · (|jA| + q − 1) · p` pointers the
 /// paper's §2.3 space analysis assumes rather than duplicating string data
 /// per posting.
@@ -465,14 +466,14 @@ impl fmt::Display for QGramSet {
 }
 
 /// The deduplicated q-gram set of one string, as sorted shared text — the
-/// retained string-keyed reference representation.
+/// self-contained string-keyed representation.
 ///
-/// This is exactly the set the probe kernel used before gram interning:
-/// the reference probe in `linkage-operators` and the oracle-vs-kernel
-/// property suites keep it alive so the interned fast path always has an
-/// independently implemented twin to be checked against.  Self-contained
-/// (no interner), hence also what the standalone [`StringSimilarity`]
-/// implementations tokenise with.
+/// This is exactly the set the probe kernel used before gram interning.
+/// It needs no interner, so the standalone [`StringSimilarity`]
+/// implementations tokenise with it, and so does the nested-loop stream
+/// oracle in `linkage-operators` (`oracle::stream_similarity`): the
+/// reference the interned kernel is tested against shares none of its
+/// tokenisation state.
 ///
 /// [`StringSimilarity`]: crate::similarity::StringSimilarity
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]

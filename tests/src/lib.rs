@@ -4,11 +4,14 @@
 //! unit tests inside each crate cover their own layer; the suites here
 //! exercise the full stack — generated workloads, pipelined operators,
 //! the adaptive controller — against the quadratic oracle joins and the
-//! generated ground truth:
+//! generated ground truth.  The one reference for the join's *stream* is
+//! `oracle::stream_similarity`, an arrival-order nested loop; the
+//! set oracle `oracle::nested_loop_similarity` checks what it cannot
+//! order:
 //!
-//! * `exact_equivalence` — the pipelined `SymmetricHashJoin` emits
-//!   exactly the pairs of a nested-loop oracle, on clean, duplicate-key
-//!   and dirty workloads;
+//! * `exact_equivalence` — the pipelined exact join (`SwitchJoin` left
+//!   unswitched) emits the stream oracle's exact-only stream pair by pair,
+//!   on clean, duplicate-key and dirty workloads;
 //! * `adaptive_recovery` — on a mid-stream-dirt workload the controller
 //!   switches the join mid-stream, strictly increases the number of
 //!   correct matches over exact-only, and never emits a duplicate pair;
@@ -19,16 +22,18 @@
 //!   point);
 //! * `api_parity` — a `linkage::api` builder declaration produces the
 //!   same match-pair set and equivalent `RunReport` counters whether it
-//!   executes `.serial()` or `.sharded(n)` (property-based), and every
-//!   pluggable similarity coefficient agrees with its nested-loop oracle;
+//!   executes `.serial()` or `.sharded(n)` (property-based), every
+//!   pluggable similarity coefficient agrees with its nested-loop oracle,
+//!   and the serial engine emits the stream oracle's stream pair by pair
+//!   wherever the switch is forced;
 //! * `probe_kernel_equivalence` — the prefix-filtered probe kernel
 //!   (dense ids, flat postings, rare-first prefix candidate generation,
-//!   length filter, merge-based verification) emits the
-//!   **bit-identical** match stream of the retained string-keyed
-//!   reference probe *and* the match-pair set of the quadratic oracle,
-//!   on randomized workloads, for all four `QGramCoefficient`s,
-//!   including across the §3.3 mid-stream switch/handover and across a
-//!   mid-stream coefficient change;
+//!   length filter, merge-based verification) emits the stream oracle's
+//!   stream **bit-identically** — ids, kinds and similarity bits — through
+//!   serial `process` and through `probe_batch_into` at every batch size,
+//!   on randomized workloads, for all four `QGramCoefficient`s, across the
+//!   §3.3 mid-stream switch/handover and across a mid-stream coefficient
+//!   change, and the match-pair set of the quadratic set oracle;
 //! * `protocol` — the operator lifecycle is enforced across the stack;
 //! * `snapshot_resume` — a pipeline snapshotted at **any** event position
 //!   and resumed in a fresh process-equivalent pipeline emits the
@@ -52,8 +57,9 @@
 #[cfg(test)]
 mod common {
     use linkage_datagen::GeneratedData;
-    use linkage_operators::InterleavedScan;
-    use linkage_types::{MatchPair, PerSide, RecordId, VecStream};
+    use linkage_operators::{oracle, InterleavedScan, Operator};
+    use linkage_text::{QGramCoefficient, QGramConfig};
+    use linkage_types::{MatchPair, PerSide, RecordId, SidedRecord, VecStream};
     use std::collections::HashSet;
 
     pub const KEYS: PerSide<usize> = PerSide {
@@ -61,11 +67,46 @@ mod common {
         right: GeneratedData::KEY_COLUMN,
     };
 
+    /// The paper's similarity threshold, which every suite joins at.
+    pub const THETA: f64 = 0.8;
+
     pub fn scan(data: &GeneratedData) -> InterleavedScan<VecStream, VecStream> {
         InterleavedScan::alternating(
             VecStream::from_relation(&data.parents),
             VecStream::from_relation(&data.children),
         )
+    }
+
+    /// The interleaved tuple feed, in the order the engines consume it.
+    pub fn feed(data: &GeneratedData) -> Vec<SidedRecord> {
+        scan(data).run_to_end().expect("scan failed")
+    }
+
+    /// The stream oracle over `feed` at [`THETA`] under the default
+    /// q-gram configuration (see `oracle::stream_similarity`).
+    pub fn stream_oracle(
+        feed: &[SidedRecord],
+        switch_at: Option<usize>,
+        coefficient_at: impl Fn(usize) -> QGramCoefficient,
+    ) -> Vec<MatchPair> {
+        let config = QGramConfig::default();
+        oracle::stream_similarity(feed, KEYS, &config, THETA, switch_at, coefficient_at)
+            .expect("stream oracle failed")
+    }
+
+    /// The view pair-by-pair comparisons use: the pair's ids and, for an
+    /// approximate pair, the bits of its similarity.
+    pub fn view(pairs: &[MatchPair]) -> Vec<((RecordId, RecordId), Option<u64>)> {
+        pairs
+            .iter()
+            .map(|p| {
+                let bits = p
+                    .kind
+                    .is_approximate()
+                    .then(|| p.kind.similarity().to_bits());
+                (p.id_pair(), bits)
+            })
+            .collect()
     }
 
     pub fn id_set(pairs: &[MatchPair]) -> HashSet<(RecordId, RecordId)> {
@@ -89,26 +130,20 @@ mod common {
 mod exact_equivalence {
     use super::common::*;
     use linkage_datagen::{generate, DatagenConfig};
-    use linkage_operators::{oracle, Operator, SymmetricHashJoin};
-    use linkage_text::NormalizeConfig;
+    use linkage_operators::{JoinPhase, Operator, SwitchJoin, SwitchJoinConfig};
+    use linkage_text::QGramCoefficient;
 
     fn assert_matches_oracle(config: &DatagenConfig) {
         let data = generate(config).expect("datagen failed");
-        let mut join = SymmetricHashJoin::new(scan(&data), KEYS);
+        let mut join = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
         let pairs = join.run_to_end().expect("join failed");
-        let expected = oracle::nested_loop_exact(
-            &data.parents,
-            &data.children,
-            KEYS,
-            &NormalizeConfig::default(),
-        )
-        .expect("oracle failed");
+        assert_eq!(join.phase(), JoinPhase::Exact);
+        let expected = stream_oracle(&feed(&data), None, |_| QGramCoefficient::Jaccard);
         assert_eq!(
-            id_set(&pairs),
-            id_set(&expected),
-            "pipelined join disagrees with the nested-loop oracle"
+            view(&pairs),
+            view(&expected),
+            "pipelined join disagrees with the exact-only stream oracle"
         );
-        assert_eq!(pairs.len(), expected.len(), "duplicate or missing pairs");
         assert_no_duplicates(&pairs);
     }
 
@@ -134,14 +169,10 @@ mod adaptive_recovery {
     use super::common::*;
     use linkage_core::{AdaptiveJoin, ControllerConfig};
     use linkage_datagen::{generate, DatagenConfig};
-    use linkage_operators::{
-        oracle, JoinPhase, Operator, SwitchJoin, SwitchJoinConfig, SymmetricHashJoin,
-    };
+    use linkage_operators::{oracle, JoinPhase, Operator, SwitchJoin, SwitchJoinConfig};
     use linkage_text::QGramJaccard;
     use linkage_types::RecordId;
     use std::collections::HashSet;
-
-    const THETA_SIM: f64 = 0.8;
 
     #[test]
     fn controller_switches_mid_stream_and_recovers_matches() {
@@ -149,16 +180,13 @@ mod adaptive_recovery {
         let data = generate(&config).expect("datagen failed");
         let truth: HashSet<(RecordId, RecordId)> = data.truth.iter().copied().collect();
 
-        // Baseline: exact-only.
-        let mut exact_join = SymmetricHashJoin::new(scan(&data), KEYS);
+        // Baseline: exact-only (a switch join nobody switches).
+        let mut exact_join = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
         let exact_pairs = exact_join.run_to_end().expect("exact join failed");
         let exact_correct = id_set(&exact_pairs).intersection(&truth).count();
 
         // Adaptive: SwitchJoin driven by the monitor/assessor/actuator loop.
-        let switch = SwitchJoin::new(
-            scan(&data),
-            SwitchJoinConfig::new(KEYS).with_theta(THETA_SIM),
-        );
+        let switch = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS).with_theta(THETA));
         let mut adaptive =
             AdaptiveJoin::new(switch, ControllerConfig::new(data.parents.len() as u64));
         let adaptive_pairs = adaptive.run_to_end().expect("adaptive join failed");
@@ -191,7 +219,7 @@ mod adaptive_recovery {
                 KEYS,
                 &Default::default(),
                 &QGramJaccard::default(),
-                THETA_SIM,
+                THETA,
             )
             .expect("oracle failed"),
         );
@@ -245,12 +273,10 @@ mod parallel_equivalence {
     use linkage_datagen::{generate, DatagenConfig, GeneratedData};
     use linkage_exec::{ParallelJoin, ParallelJoinConfig};
     use linkage_operators::{oracle, Operator};
-    use linkage_text::QGramJaccard;
+    use linkage_text::{QGramCoefficient, QGramJaccard};
     use linkage_types::{MatchPair, RecordId};
     use proptest::prelude::*;
     use std::collections::HashSet;
-
-    const THETA_SIM: f64 = 0.8;
 
     /// Run the sharded executor, optionally forcing the global switch.
     fn parallel_pairs(
@@ -273,10 +299,9 @@ mod parallel_equivalence {
     }
 
     fn exact_oracle(data: &GeneratedData) -> HashSet<(RecordId, RecordId)> {
-        id_set(
-            &oracle::nested_loop_exact(&data.parents, &data.children, KEYS, &Default::default())
-                .expect("oracle failed"),
-        )
+        id_set(&stream_oracle(&feed(data), None, |_| {
+            QGramCoefficient::Jaccard
+        }))
     }
 
     fn similarity_oracle(data: &GeneratedData) -> HashSet<(RecordId, RecordId)> {
@@ -287,7 +312,7 @@ mod parallel_equivalence {
                 KEYS,
                 &Default::default(),
                 &QGramJaccard::default(),
-                THETA_SIM,
+                THETA,
             )
             .expect("oracle failed"),
         )
@@ -597,6 +622,42 @@ mod api_parity {
         }
     }
 
+    /// The serial engine's match stream, checked against an independent
+    /// reference rather than against itself or the sharded set: pair by
+    /// pair, kinds and similarity bits included, the stream oracle's,
+    /// wherever the switch is forced, for every coefficient, and without
+    /// a switch.
+    #[test]
+    fn serial_engine_emits_the_stream_oracle_pair_by_pair() {
+        let data = generate(&DatagenConfig::mid_stream_dirty(60, 46)).expect("datagen failed");
+        let tuples = feed(&data);
+        let n = tuples.len();
+        let matches = |builder: PipelineBuilder| {
+            let outcome = builder.serial().collect().expect("serial failed");
+            outcome.matches
+        };
+
+        let exact = matches(declare(&data).never_switch());
+        assert_eq!(
+            view(&exact),
+            view(&stream_oracle(&tuples, None, |_| QGramCoefficient::Jaccard)),
+            "never_switch"
+        );
+        for coefficient in QGramCoefficient::ALL {
+            for k in [0, 1, n / 3, n / 2, n] {
+                let builder = declare(&data)
+                    .similarity(coefficient)
+                    .force_switch_at(k as u64);
+                assert_eq!(
+                    view(&matches(builder)),
+                    view(&stream_oracle(&tuples, Some(k), |_| coefficient)),
+                    "{} switched at {k} of {n}",
+                    coefficient.name()
+                );
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn serial_and_sharded_builder_runs_are_equivalent(
@@ -636,152 +697,101 @@ mod api_parity {
 mod probe_kernel_equivalence {
     use super::common::*;
     use linkage_datagen::{generate, DatagenConfig, GeneratedData};
-    use linkage_operators::{oracle, ExactJoinCore, PreparedBatch, ReferenceSshCore, SshJoinCore};
+    use linkage_operators::{oracle, ExactJoinCore, PreparedBatch, SshJoinCore};
     use linkage_text::{NormalizeConfig, QGramCoefficient, QGramConfig};
-    use linkage_types::{MatchKind, MatchPair, ShardId, Side, SidedRecord};
+    use linkage_types::{MatchPair, PerSide, RecordId, ShardId, Side, SidedRecord};
     use proptest::prelude::*;
-    use std::collections::VecDeque;
+    use std::collections::{HashSet, VecDeque};
 
-    const THETA: f64 = 0.8;
-
-    /// The interleaved tuple feed both kernels consume, in stream order.
-    fn feed(data: &GeneratedData) -> Vec<SidedRecord> {
-        let mut tuples = Vec::new();
-        let (parents, children) = (data.parents.records(), data.children.records());
-        let mut i = 0;
-        while i < parents.len() || i < children.len() {
-            if let Some(p) = parents.get(i) {
-                tuples.push(SidedRecord::new(Side::Left, p.clone()));
-            }
-            if let Some(c) = children.get(i) {
-                tuples.push(SidedRecord::new(Side::Right, c.clone()));
-            }
-            i += 1;
-        }
-        tuples
-    }
-
-    /// The stream view the bit-identical comparison uses: pair identity,
-    /// kind **and** the exact similarity bits.
-    fn view(
-        pairs: &VecDeque<MatchPair>,
-    ) -> Vec<(
-        (linkage_types::RecordId, linkage_types::RecordId),
-        MatchKind,
-    )> {
-        pairs.iter().map(|p| (p.id_pair(), p.kind)).collect()
-    }
-
-    /// Run the interned kernel and the string-keyed reference over the
-    /// same feed (optionally switching from an exact phase after
-    /// `switch_at` tuples) and require bit-identical output streams;
-    /// returns the interned kernel's pairs for the oracle comparison.
-    fn run_both(
+    /// The kernels' stream up to the switch: the exact core over
+    /// `tuples[..at]`, then the §3.3 handover into a fresh SSH core
+    /// scoring with `coefficient` (at 0, an empty handover: the pure SSH
+    /// join).  Returns that core, the pairs so far and how many of them
+    /// the exact core emitted; the handover's recovered count must be
+    /// the pairs it pushed.
+    fn handover(
         tuples: &[SidedRecord],
+        at: usize,
         coefficient: QGramCoefficient,
-        switch_at: Option<usize>,
-    ) -> Vec<MatchPair> {
-        let (mut fast_out, mut ref_out) = (VecDeque::new(), VecDeque::new());
-
-        let (mut fast, mut reference) = match switch_at {
-            None => (
-                SshJoinCore::new(KEYS, QGramConfig::default(), THETA).with_coefficient(coefficient),
-                ReferenceSshCore::new(KEYS, QGramConfig::default(), THETA)
-                    .with_coefficient(coefficient),
-            ),
-            Some(at) => {
-                // Exact phase first: both kernels take over the *same*
-                // accumulated hash tables, mirroring the §3.3 handover.
-                // The exact phase's own emissions open both streams —
-                // the handover suppresses exactly those pairs, so the
-                // combined stream is the full join result.
-                let mut exact = ExactJoinCore::new(KEYS, NormalizeConfig::default());
-                let mut exact_out = VecDeque::new();
-                for sided in &tuples[..at] {
-                    exact.process(sided.clone(), &mut exact_out).unwrap();
-                }
-                fast_out.extend(exact_out.iter().cloned());
-                ref_out.extend(exact_out.iter().cloned());
-                let tables = exact.into_tables();
-                let (fast, fast_recovered) = SshJoinCore::new(KEYS, QGramConfig::default(), THETA)
-                    .with_coefficient(coefficient)
-                    .with_exact_state(tables.clone(), &mut fast_out);
-                let (reference, ref_recovered) =
-                    ReferenceSshCore::new(KEYS, QGramConfig::default(), THETA)
-                        .with_coefficient(coefficient)
-                        .with_exact_state(tables, &mut ref_out);
-                assert_eq!(
-                    fast_recovered, ref_recovered,
-                    "handover recovery counts must agree"
-                );
-                (fast, reference)
-            }
-        };
-
-        let rest = switch_at.unwrap_or(0);
-        for sided in &tuples[rest..] {
-            fast.process(sided.clone(), &mut fast_out).unwrap();
-            reference.process(sided.clone(), &mut ref_out).unwrap();
+    ) -> (SshJoinCore, VecDeque<MatchPair>, usize) {
+        let mut out = VecDeque::new();
+        let mut exact = ExactJoinCore::new(KEYS, NormalizeConfig::default());
+        for sided in &tuples[..at] {
+            exact.process(sided.clone(), &mut out).unwrap();
         }
-
+        let exact_pairs = out.len();
+        let (core, recovered) = SshJoinCore::new(KEYS, QGramConfig::default(), THETA)
+            .with_coefficient(coefficient)
+            .with_exact_state(exact.into_tables(), &mut out);
         assert_eq!(
-            view(&fast_out),
-            view(&ref_out),
-            "interned kernel and string-keyed reference diverged \
-             ({}, switch_at {switch_at:?})",
-            coefficient.name()
+            recovered as usize,
+            out.len() - exact_pairs,
+            "recovered count at a switch after {at} tuples"
         );
-        assert_eq!(fast.stored(), reference.stored());
-        assert_eq!(fast.emitted_exact(), reference.emitted_exact());
-        assert_eq!(fast.emitted_approx(), reference.emitted_approx());
-        fast_out.into_iter().collect()
+        (core, out, exact_pairs)
     }
 
-    /// Like [`view`], over the collected pair vectors the runners return.
-    fn view_vec(
-        pairs: &[MatchPair],
-    ) -> Vec<(
-        (linkage_types::RecordId, linkage_types::RecordId),
-        MatchKind,
-    )> {
-        pairs.iter().map(|p| (p.id_pair(), p.kind)).collect()
+    /// The finished stream, once the SSH core's counters agree with it:
+    /// the core emitted every pair after the exact core's `exact_pairs`,
+    /// split by kind, and indexed every tuple of the feed.  The callers
+    /// hold the stream to the oracle, so this holds the counters to it.
+    fn checked(
+        core: &SshJoinCore,
+        out: VecDeque<MatchPair>,
+        exact_pairs: usize,
+        tuples: &[SidedRecord],
+    ) -> Vec<MatchPair> {
+        let emitted = out.len() - exact_pairs;
+        let exact = out
+            .iter()
+            .skip(exact_pairs)
+            .filter(|p| p.kind.is_exact())
+            .count();
+        assert_eq!(
+            (core.emitted_exact(), core.emitted_approx()),
+            (exact as u64, (emitted - exact) as u64),
+            "emitted_exact/emitted_approx"
+        );
+        let left = tuples.iter().filter(|t| t.side == Side::Left).count();
+        assert_eq!(core.stored(), PerSide::new(left, tuples.len() - left));
+        out.into()
     }
 
-    /// Run the interned kernel through the **batched** entry point
-    /// (`probe_batch_into`, every tuple homed on one pseudo-shard) over
-    /// the same feed, chunked into `batch_size` tuple batches.  With
-    /// `switch_at`, an exact phase runs first and the handover happens
-    /// at an arbitrary stream position — i.e. mid-batch from the batched
-    /// execution's point of view, since `switch_at` need not be a
-    /// multiple of `batch_size`.
+    /// The serial path: switch after `at` tuples, then `process` one
+    /// tuple at a time, tuple `i` scored under `coefficient_at(i)` (set
+    /// mid-stream through `set_coefficient` when it changes).
+    fn run_serial(
+        tuples: &[SidedRecord],
+        at: usize,
+        coefficient_at: impl Fn(usize) -> QGramCoefficient,
+    ) -> Vec<MatchPair> {
+        let (mut core, mut out, exact_pairs) = handover(tuples, at, coefficient_at(at));
+        for (i, sided) in tuples.iter().enumerate().skip(at) {
+            if core.coefficient() != coefficient_at(i) {
+                core.set_coefficient(coefficient_at(i));
+            }
+            core.process(sided.clone(), &mut out).unwrap();
+        }
+        checked(&core, out, exact_pairs, tuples)
+    }
+
+    /// The batched path: switch after `at` tuples, then run the rest
+    /// through `probe_batch_into` in `batch_size` chunks, every tuple
+    /// homed on one pseudo-shard.  `at` need not be a multiple of
+    /// `batch_size`, so the handover lands mid-batch from the batched
+    /// execution's point of view.
     fn run_batched(
         tuples: &[SidedRecord],
+        at: usize,
         coefficient: QGramCoefficient,
-        switch_at: Option<usize>,
         batch_size: usize,
     ) -> Vec<MatchPair> {
         let home = ShardId(0);
-        let mut out = VecDeque::new();
-        let mut core = match switch_at {
-            None => {
-                SshJoinCore::new(KEYS, QGramConfig::default(), THETA).with_coefficient(coefficient)
-            }
-            Some(at) => {
-                let mut exact = ExactJoinCore::new(KEYS, NormalizeConfig::default());
-                for sided in &tuples[..at] {
-                    exact.process(sided.clone(), &mut out).unwrap();
-                }
-                let (core, _) = SshJoinCore::new(KEYS, QGramConfig::default(), THETA)
-                    .with_coefficient(coefficient)
-                    .with_exact_state(exact.into_tables(), &mut out);
-                core
-            }
-        };
+        let (mut core, mut out, exact_pairs) = handover(tuples, at, coefficient);
         // An empty batch up front must be a no-op on the stream.
         core.probe_batch_into(&PreparedBatch::default(), Some(home), &mut out)
             .unwrap();
-        let rest = switch_at.unwrap_or(0);
-        for chunk in tuples[rest..].chunks(batch_size.max(1)) {
+        for chunk in tuples[at..].chunks(batch_size.max(1)) {
             let mut batch = PreparedBatch::with_capacity(chunk.len());
             for sided in chunk {
                 let (key, grams) = core.prepare(sided).unwrap();
@@ -789,13 +799,13 @@ mod probe_kernel_equivalence {
             }
             core.probe_batch_into(&batch, Some(home), &mut out).unwrap();
         }
-        out.into_iter().collect()
+        checked(&core, out, exact_pairs, tuples)
     }
 
     fn oracle_set(
         data: &GeneratedData,
         coefficient: QGramCoefficient,
-    ) -> std::collections::HashSet<(linkage_types::RecordId, linkage_types::RecordId)> {
+    ) -> HashSet<(RecordId, RecordId)> {
         let sim = coefficient.with_config(QGramConfig::default());
         id_set(
             &oracle::nested_loop_similarity(
@@ -815,12 +825,18 @@ mod probe_kernel_equivalence {
         let data = generate(&DatagenConfig::mid_stream_dirty(70, 51)).expect("datagen failed");
         let tuples = feed(&data);
         for coefficient in QGramCoefficient::ALL {
-            let pairs = run_both(&tuples, coefficient, None);
+            let pairs = run_serial(&tuples, 0, |_| coefficient);
+            assert_eq!(
+                view(&pairs),
+                view(&stream_oracle(&tuples, Some(0), |_| coefficient)),
+                "{} kernel diverged from the stream oracle",
+                coefficient.name()
+            );
             assert_no_duplicates(&pairs);
             assert_eq!(
                 id_set(&pairs),
                 oracle_set(&data, coefficient),
-                "{} kernel disagrees with its oracle",
+                "{} kernel disagrees with its set oracle",
                 coefficient.name()
             );
         }
@@ -830,8 +846,16 @@ mod probe_kernel_equivalence {
     fn switch_path_agrees_with_reference_and_oracle() {
         let data = generate(&DatagenConfig::mid_stream_dirty(60, 52)).expect("datagen failed");
         let tuples = feed(&data);
-        for switch_at in [0, 1, tuples.len() / 3, tuples.len() / 2, tuples.len()] {
-            let pairs = run_both(&tuples, QGramCoefficient::Jaccard, Some(switch_at));
+        let n = tuples.len();
+        for switch_at in [0, 1, n / 3, n / 2, n] {
+            let pairs = run_serial(&tuples, switch_at, |_| QGramCoefficient::Jaccard);
+            assert_eq!(
+                view(&pairs),
+                view(&stream_oracle(&tuples, Some(switch_at), |_| {
+                    QGramCoefficient::Jaccard
+                })),
+                "switch at {switch_at} diverged from the stream oracle"
+            );
             assert_no_duplicates(&pairs);
             assert_eq!(
                 id_set(&pairs),
@@ -841,40 +865,24 @@ mod probe_kernel_equivalence {
         }
     }
 
-    /// Run both kernels over the feed with a coefficient change applied
-    /// (via `set_coefficient`) after `change_at` tuples, requiring
-    /// bit-identical streams throughout.  There is no static oracle for
-    /// a mid-stream coefficient schedule — each pair is scored under the
-    /// coefficient active when its later tuple arrives — so bit-identity
-    /// with the independently implemented reference is the check.
-    fn run_both_with_coefficient_change(
+    /// Run the serial kernel with a coefficient change after `change_at`
+    /// tuples and require the stream oracle's stream under the same
+    /// two-step schedule: each pair is scored under the coefficient
+    /// active when its later tuple arrives.
+    fn assert_coefficient_change_matches_oracle(
         tuples: &[SidedRecord],
         first: QGramCoefficient,
         second: QGramCoefficient,
         change_at: usize,
     ) {
-        let mut fast =
-            SshJoinCore::new(KEYS, QGramConfig::default(), THETA).with_coefficient(first);
-        let mut reference =
-            ReferenceSshCore::new(KEYS, QGramConfig::default(), THETA).with_coefficient(first);
-        let (mut fast_out, mut ref_out) = (VecDeque::new(), VecDeque::new());
-        for (i, sided) in tuples.iter().enumerate() {
-            if i == change_at {
-                fast.set_coefficient(second);
-                reference.set_coefficient(second);
-            }
-            fast.process(sided.clone(), &mut fast_out).unwrap();
-            reference.process(sided.clone(), &mut ref_out).unwrap();
-        }
+        let schedule = |i: usize| if i < change_at { first } else { second };
         assert_eq!(
-            view(&fast_out),
-            view(&ref_out),
-            "kernels diverged under a {} → {} change at {change_at}",
+            view(&run_serial(tuples, 0, schedule)),
+            view(&stream_oracle(tuples, Some(0), schedule)),
+            "kernel diverged under a {} → {} change at {change_at}",
             first.name(),
             second.name()
         );
-        assert_eq!(fast.emitted_exact(), reference.emitted_exact());
-        assert_eq!(fast.emitted_approx(), reference.emitted_approx());
     }
 
     #[test]
@@ -887,26 +895,24 @@ mod probe_kernel_equivalence {
             (QGramCoefficient::Dice, QGramCoefficient::Cosine),
         ] {
             for change_at in [0, 1, tuples.len() / 2, tuples.len()] {
-                run_both_with_coefficient_change(&tuples, first, second, change_at);
+                assert_coefficient_change_matches_oracle(&tuples, first, second, change_at);
             }
         }
     }
 
     #[test]
     fn batched_probe_is_bit_identical_to_serial_and_reference() {
-        // `run_both` already proves serial == reference bit-identically,
-        // so serial == batched closes the three-way agreement.  Batch
-        // sizes cover singleton batches, sizes that don't divide the
-        // stream, and one batch holding the whole feed.
+        // Batch sizes cover singleton batches, sizes that don't divide
+        // the stream, and one batch holding the whole feed.
         let data = generate(&DatagenConfig::mid_stream_dirty(60, 54)).expect("datagen failed");
         let tuples = feed(&data);
         for coefficient in QGramCoefficient::ALL {
-            let serial = run_both(&tuples, coefficient, None);
+            let oracle = view(&stream_oracle(&tuples, Some(0), |_| coefficient));
+            assert_eq!(view(&run_serial(&tuples, 0, |_| coefficient)), oracle);
             for batch_size in [1, 3, 8, 64, tuples.len()] {
-                let batched = run_batched(&tuples, coefficient, None, batch_size);
                 assert_eq!(
-                    view_vec(&serial),
-                    view_vec(&batched),
+                    view(&run_batched(&tuples, 0, coefficient, batch_size)),
+                    oracle,
                     "batched probe diverged ({}, batch_size {batch_size})",
                     coefficient.name()
                 );
@@ -923,18 +929,20 @@ mod probe_kernel_equivalence {
         // one `run_batched` always issues).
         let data = generate(&DatagenConfig::mid_stream_dirty(48, 55)).expect("datagen failed");
         let tuples = feed(&data);
-        for switch_at in [0, 1, tuples.len() / 3, tuples.len() / 2, tuples.len()] {
-            let serial = run_both(&tuples, QGramCoefficient::Jaccard, Some(switch_at));
+        let n = tuples.len();
+        for switch_at in [0, 1, n / 3, n / 2, n] {
+            let oracle = view(&stream_oracle(&tuples, Some(switch_at), |_| {
+                QGramCoefficient::Jaccard
+            }));
             for batch_size in [1, 5, 64] {
-                let batched = run_batched(
-                    &tuples,
-                    QGramCoefficient::Jaccard,
-                    Some(switch_at),
-                    batch_size,
-                );
                 assert_eq!(
-                    view_vec(&serial),
-                    view_vec(&batched),
+                    view(&run_batched(
+                        &tuples,
+                        switch_at,
+                        QGramCoefficient::Jaccard,
+                        batch_size
+                    )),
+                    oracle,
                     "batched handover diverged (switch_at {switch_at}, \
                      batch_size {batch_size})"
                 );
@@ -943,9 +951,9 @@ mod probe_kernel_equivalence {
     }
 
     proptest! {
-        /// Randomized workloads: the interned kernel is bit-identical to
-        /// the string-keyed reference and set-identical to the quadratic
-        /// oracle, for every coefficient.
+        /// Randomized workloads: the serial kernel is bit-identical to the
+        /// stream oracle and set-identical to the quadratic set oracle,
+        /// for every coefficient.
         #[test]
         fn interned_kernel_equals_reference_and_oracle(
             parents in 16usize..48,
@@ -956,13 +964,13 @@ mod probe_kernel_equivalence {
             let data = generate(&DatagenConfig::mid_stream_dirty(parents, seed))
                 .expect("datagen failed");
             let tuples = feed(&data);
-            let pairs = run_both(&tuples, coefficient, None);
-            assert_no_duplicates(&pairs);
+            let pairs = run_serial(&tuples, 0, |_| coefficient);
+            prop_assert_eq!(view(&pairs), view(&stream_oracle(&tuples, Some(0), |_| coefficient)));
             prop_assert_eq!(id_set(&pairs), oracle_set(&data, coefficient));
         }
 
-        /// A mid-stream coefficient change at an arbitrary position
-        /// keeps the prefix kernel bit-identical to the reference (the
+        /// A mid-stream coefficient change at an arbitrary position keeps
+        /// the prefix kernel bit-identical to the stream oracle (the
         /// prefix length is recomputed per probe from the active
         /// coefficient).
         #[test]
@@ -977,7 +985,7 @@ mod probe_kernel_equivalence {
                 .expect("datagen failed");
             let tuples = feed(&data);
             let change_at = change_percent * tuples.len() / 100;
-            run_both_with_coefficient_change(
+            assert_coefficient_change_matches_oracle(
                 &tuples,
                 QGramCoefficient::ALL[first_idx],
                 QGramCoefficient::ALL[second_idx],
@@ -985,9 +993,9 @@ mod probe_kernel_equivalence {
             );
         }
 
-        /// The batched probe entry point stays bit-identical to the
-        /// serial kernel (and hence the reference) under random batch
-        /// sizes, coefficients and switch positions.
+        /// The batched probe entry point is bit-identical to the stream
+        /// oracle under random batch sizes, coefficients and switch
+        /// positions.
         #[test]
         fn batched_probe_equals_serial(
             parents in 12usize..32,
@@ -1001,13 +1009,13 @@ mod probe_kernel_equivalence {
                 .expect("datagen failed");
             let tuples = feed(&data);
             let switch_at = switch_percent * tuples.len() / 100;
-            let serial = run_both(&tuples, coefficient, Some(switch_at));
-            let batched = run_batched(&tuples, coefficient, Some(switch_at), batch_size);
-            prop_assert_eq!(view_vec(&serial), view_vec(&batched));
+            let batched = run_batched(&tuples, switch_at, coefficient, batch_size);
+            prop_assert_eq!(view(&batched), view(&stream_oracle(&tuples, Some(switch_at), |_| coefficient)));
         }
 
         /// The §3.3 mid-stream switch/handover at an arbitrary stream
-        /// position preserves all three-way agreement.
+        /// position keeps the serial kernel on the stream oracle and the
+        /// set oracle.
         #[test]
         fn switch_handover_equals_reference_and_oracle(
             parents in 16usize..40,
@@ -1020,7 +1028,8 @@ mod probe_kernel_equivalence {
                 .expect("datagen failed");
             let tuples = feed(&data);
             let switch_at = switch_percent * tuples.len() / 100;
-            let pairs = run_both(&tuples, coefficient, Some(switch_at));
+            let pairs = run_serial(&tuples, switch_at, |_| coefficient);
+            prop_assert_eq!(view(&pairs), view(&stream_oracle(&tuples, Some(switch_at), |_| coefficient)));
             assert_no_duplicates(&pairs);
             prop_assert_eq!(id_set(&pairs), oracle_set(&data, coefficient));
         }
