@@ -1,160 +1,26 @@
-//! The adaptive join: monitor → assessor → actuator wired around a
+//! The adaptive join: the serial engine, a [`Controller`] wired around a
 //! [`SwitchJoin`].
 //!
-//! [`AdaptiveJoin`] is itself a pipelined [`Operator`]: callers pull match
-//! pairs from it exactly as from any other join.  Internally, after every
-//! consumed input tuple the control loop runs:
-//!
-//! 1. **Monitor** — package the operator counters into a `(trials, p,
-//!    observed)` triple when an assessment is due (paper §3.2);
-//! 2. **Assessor** — apply the binomial outlier test with hysteresis;
-//! 3. **Actuator** — on a trigger, invoke
-//!    [`SwitchJoin::switch_to_approximate`], performing the §3.3 state
-//!    handover mid-stream; the recovered matches simply appear in the
-//!    output stream.
-//!
-//! The loop only runs while the join is in its exact phase — after the
-//! switch there is nothing left to decide.
+//! [`AdaptiveJoin`] is itself a pipelined [`Operator`]: callers pull
+//! match pairs from it exactly as from any other join.  After every
+//! consumed input tuple it asks the controller whether to switch
+//! (monitor → assessor, paper §3.2) and, if so, invokes
+//! [`SwitchJoin::switch_to_approximate`] — the §3.3 state handover,
+//! mid-stream.  [`AdaptiveJoin::next_event`] also yields the switch
+//! announcement in-band, right after the last pair that was queued before
+//! the handover; the [`Operator`] pull skips it.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use linkage_operators::{JoinPhase, Operator, OperatorState, PerKind, SwitchJoin};
-use linkage_types::{LinkageError, MatchPair, PerSide, Result, SidedRecord};
+use linkage_operators::{JoinPhase, Operator, OperatorState, SwitchJoin};
+use linkage_types::{LinkageError, MatchPair, Result, SidedRecord};
 
-use crate::assessor::{Assessor, AssessorConfig};
-use crate::monitor::{Monitor, MonitorConfig};
-
-/// When the actuator performs the exact → approximate switch.
-///
-/// Shared by the serial [`AdaptiveJoin`] and the sharded executor, so the
-/// same policy drives both engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SwitchPolicy {
-    /// The paper's behaviour: the monitor → assessor loop decides.
-    #[default]
-    Adaptive,
-    /// Never switch — the join stays exact (the non-adaptive baseline).
-    Never,
-    /// Switch unconditionally once this many input tuples were consumed,
-    /// bypassing the assessor (tests, experiments; `ForceAt(0)` runs the
-    /// approximate join from the first tuple).
-    ForceAt(u64),
-}
-
-/// Everything the controller needs to know.
-///
-/// `#[non_exhaustive]`: construct via [`ControllerConfig::new`] (or
-/// [`Default`]) and refine with the `with_*` builders.
-#[derive(Debug, Clone, Default)]
-#[non_exhaustive]
-pub struct ControllerConfig {
-    /// Monitor settings (declared reference size, cadence).
-    pub monitor: MonitorConfig,
-    /// Assessor settings (threshold, hysteresis).
-    pub assessor: AssessorConfig,
-    /// When the actuator switches.
-    pub policy: SwitchPolicy,
-}
-
-impl ControllerConfig {
-    /// Build with the given declared parent-relation size, default
-    /// assessor settings and the adaptive switch policy.
-    pub fn new(reference_size: u64) -> Self {
-        Self {
-            monitor: MonitorConfig::new(reference_size),
-            assessor: AssessorConfig::default(),
-            policy: SwitchPolicy::default(),
-        }
-    }
-
-    /// Override the monitor settings.
-    #[must_use]
-    pub fn with_monitor(mut self, monitor: MonitorConfig) -> Self {
-        self.monitor = monitor;
-        self
-    }
-
-    /// Override the assessor settings.
-    #[must_use]
-    pub fn with_assessor(mut self, assessor: AssessorConfig) -> Self {
-        self.assessor = assessor;
-        self
-    }
-
-    /// Override the switch policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SwitchPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-}
-
-/// A record of the switch decision, for reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwitchEvent {
-    /// Total input tuples consumed when the switch happened.
-    pub after_tuples: u64,
-    /// The σ value that completed the alarm streak.
-    pub sigma: f64,
-    /// Matches recovered from resident state during the handover.
-    pub recovered: u64,
-}
-
-/// Summary of an adaptive join run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveReport {
-    /// Phase the join ended in.
-    pub phase: JoinPhase,
-    /// Input tuples consumed per side.
-    pub consumed: PerSide<u64>,
-    /// Distinct pairs emitted, by kind.
-    pub emitted: PerKind,
-    /// The switch, if it happened.
-    pub switch: Option<SwitchEvent>,
-    /// Wall-clock duration of the §3.3 handover (state migration plus
-    /// recovery probing), if a switch happened.
-    pub switch_latency: Option<Duration>,
-}
-
-/// Snapshot of an [`AdaptiveJoin`]'s controller and presentation state —
-/// everything outside the wrapped [`SwitchJoin`] that replay cannot
-/// re-derive.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveControlState {
-    /// Monitor observations taken so far.
-    pub monitor_assessments: u64,
-    /// Child count at the last fired monitor checkpoint.
-    pub monitor_last_checked: u64,
-    /// Consecutive-alarm streak.
-    pub assessor_streak: u32,
-    /// The switch decision, if it happened.
-    pub switch: Option<SwitchEvent>,
-    /// Wall-clock duration of the handover, if it ran.
-    pub switch_latency: Option<Duration>,
-    /// Pre-switch pairs buffered at the handover and not yet pulled.
-    pub undrained_pre_switch: u64,
-    /// Whether the previous pull returned a pre-switch pair whose
-    /// accounting is still deferred.
-    pub pre_switch_in_flight: bool,
-}
+use crate::controller::{Controller, ControllerConfig, Pulled, SwitchEvent};
 
 /// The self-tuning join operator.
 pub struct AdaptiveJoin<I> {
     inner: SwitchJoin<I>,
-    monitor: Monitor,
-    assessor: Assessor,
-    policy: SwitchPolicy,
-    switch: Option<SwitchEvent>,
-    switch_latency: Option<Duration>,
-    /// Pairs that were buffered *before* the handover and not yet pulled.
-    /// While nonzero, [`Self::switch_event`] stays `None`, so streaming
-    /// consumers see every pre-switch pair before the switch notification.
-    undrained_pre_switch: usize,
-    /// Whether the previous pull returned a pre-switch pair.  The
-    /// decrement is deferred to the *next* call, so the switch does not
-    /// become visible in the middle of the call that returns the last
-    /// pre-switch pair.
-    pre_switch_in_flight: bool,
+    controller: Controller,
 }
 
 impl<I: Operator<Item = SidedRecord>> AdaptiveJoin<I> {
@@ -162,13 +28,7 @@ impl<I: Operator<Item = SidedRecord>> AdaptiveJoin<I> {
     pub fn new(inner: SwitchJoin<I>, config: ControllerConfig) -> Self {
         Self {
             inner,
-            monitor: Monitor::new(config.monitor),
-            assessor: Assessor::new(config.assessor),
-            policy: config.policy,
-            switch: None,
-            switch_latency: None,
-            undrained_pre_switch: 0,
-            pre_switch_in_flight: false,
+            controller: Controller::new(config),
         }
     }
 
@@ -177,47 +37,14 @@ impl<I: Operator<Item = SidedRecord>> AdaptiveJoin<I> {
         self.inner.phase()
     }
 
-    /// The switch decision, once it is *visible*: pairs that were already
-    /// buffered when the handover ran are pulled first, so a consumer
-    /// polling this between pulls sees every pre-switch pair before the
-    /// event.  [`Self::report`] carries the raw decision regardless.
-    pub fn switch_event(&self) -> Option<SwitchEvent> {
-        if self.undrained_pre_switch > 0 {
-            None
-        } else {
-            self.switch
-        }
+    /// The controller: its configuration, counters and the recorded switch.
+    pub fn controller(&self) -> &Controller {
+        &self.controller
     }
 
-    /// Wall-clock duration of the handover, if it ran.
-    pub fn switch_latency(&self) -> Option<Duration> {
-        self.switch_latency
-    }
-
-    /// Summarise the run so far.
-    pub fn report(&self) -> AdaptiveReport {
-        AdaptiveReport {
-            phase: self.inner.phase(),
-            consumed: self.inner.consumed(),
-            emitted: self.inner.emitted(),
-            switch: self.switch,
-            switch_latency: self.switch_latency,
-        }
-    }
-
-    /// The monitor driving the control loop.
-    pub fn monitor(&self) -> &Monitor {
-        &self.monitor
-    }
-
-    /// The assessor driving the control loop.
-    pub fn assessor(&self) -> &Assessor {
-        &self.assessor
-    }
-
-    /// The switch policy in force.
-    pub fn policy(&self) -> SwitchPolicy {
-        self.policy
+    /// Mutable access to the controller (snapshot restore).
+    pub fn controller_mut(&mut self) -> &mut Controller {
+        &mut self.controller
     }
 
     /// Read access to the wrapped [`SwitchJoin`] (snapshot encoding).
@@ -232,77 +59,26 @@ impl<I: Operator<Item = SidedRecord>> AdaptiveJoin<I> {
         &mut self.inner
     }
 
-    /// The controller and presentation state replay cannot re-derive,
-    /// for the snapshot layer.
-    pub fn control_state(&self) -> AdaptiveControlState {
-        AdaptiveControlState {
-            monitor_assessments: self.monitor.assessments(),
-            monitor_last_checked: self.monitor.last_checked(),
-            assessor_streak: self.assessor.streak(),
-            switch: self.switch,
-            switch_latency: self.switch_latency,
-            undrained_pre_switch: self.undrained_pre_switch as u64,
-            pre_switch_in_flight: self.pre_switch_in_flight,
-        }
-    }
-
-    /// Restore the controller and presentation state from a snapshot.
-    ///
-    /// Together with [`SwitchJoin::restore`] on [`Self::inner_mut`] this
-    /// makes a resumed join's remaining output — including the timing of
-    /// the switch decision and the visibility of the switch event —
-    /// identical to the interrupted run's.
-    pub fn restore_control_state(&mut self, state: AdaptiveControlState) {
-        self.monitor
-            .restore(state.monitor_assessments, state.monitor_last_checked);
-        self.assessor.restore_streak(state.assessor_streak);
-        self.switch = state.switch;
-        self.switch_latency = state.switch_latency;
-        self.undrained_pre_switch = state.undrained_pre_switch as usize;
-        self.pre_switch_in_flight = state.pre_switch_in_flight;
-    }
-
-    /// Perform the timed handover and record the switch event.
-    fn perform_switch(&mut self, sigma: f64) -> Result<()> {
-        let pre_switch_buffered = self.inner.buffered();
+    /// Ask the controller after a consumed tuple (or at open) and perform
+    /// the timed handover if it says so.
+    fn control_step(&mut self) -> Result<()> {
+        let Some(sigma) = self
+            .controller
+            .decide(self.inner.consumed(), self.inner.emitted().total())
+        else {
+            return Ok(());
+        };
+        let queued = self.inner.buffered();
         let start = Instant::now();
         let recovered = self.inner.switch_to_approximate()?;
-        self.undrained_pre_switch = pre_switch_buffered;
-        self.switch_latency = Some(start.elapsed());
-        self.switch = Some(SwitchEvent {
+        let event = SwitchEvent {
             after_tuples: self.inner.total_consumed(),
             sigma,
             recovered,
-        });
+        };
+        self.controller
+            .record_switch(event, start.elapsed(), queued);
         Ok(())
-    }
-
-    /// Run the control loop after one consumed tuple.
-    fn control_step(&mut self) -> Result<()> {
-        if self.inner.phase() != JoinPhase::Exact {
-            return Ok(());
-        }
-        match self.policy {
-            SwitchPolicy::Never => Ok(()),
-            SwitchPolicy::ForceAt(after) => {
-                if self.inner.total_consumed() >= after {
-                    self.perform_switch(0.0)?;
-                }
-                Ok(())
-            }
-            SwitchPolicy::Adaptive => {
-                let consumed = self.inner.consumed();
-                if !self.monitor.due(consumed.right) {
-                    return Ok(());
-                }
-                let observation = self.monitor.observe(consumed, self.inner.emitted().total());
-                let assessment = self.assessor.assess(&observation);
-                if let crate::assessor::Assessment::Trigger { sigma } = assessment {
-                    self.perform_switch(sigma)?;
-                }
-                Ok(())
-            }
-        }
     }
 
     /// Consume input tuples — running the per-tuple control loop after
@@ -333,9 +109,29 @@ impl<I: Operator<Item = SidedRecord>> AdaptiveJoin<I> {
         Ok(())
     }
 
-    /// Match pairs produced and buffered but not yet popped.
-    pub fn buffered(&self) -> usize {
-        self.inner.buffered()
+    /// The next pair or switch announcement that is ready without reading
+    /// input, or `None` if producing one needs more input.
+    pub fn pop_ready(&mut self) -> Result<Option<Pulled>> {
+        // Enforce the protocol here too: `pop` bypasses the inner
+        // operator's own state check, and buffered pairs must not leak
+        // out of a closed operator.
+        self.inner.state().check_next(self.name())?;
+        Ok(self.controller.pull(|| self.inner.pop()))
+    }
+
+    /// The next pair or switch announcement, reading input as needed, or
+    /// `None` at the end of the stream.
+    pub fn next_event(&mut self) -> Result<Option<Pulled>> {
+        self.inner.state().check_next(self.name())?;
+        loop {
+            if let Some(pulled) = self.controller.pull(|| self.inner.pop()) {
+                return Ok(Some(pulled));
+            }
+            if !self.inner.advance()? {
+                return Ok(None);
+            }
+            self.control_step()?;
+        }
     }
 }
 
@@ -352,39 +148,18 @@ impl<I: Operator<Item = SidedRecord>> Operator for AdaptiveJoin<I> {
 
     fn open(&mut self) -> Result<()> {
         self.inner.open()?;
-        // `ForceAt(0)` means "approximate from the first tuple": perform
-        // the (empty) handover before anything is consumed, so the run is
-        // byte-for-byte a pure SSH join.
-        if self.policy == SwitchPolicy::ForceAt(0) && self.inner.phase() == JoinPhase::Exact {
-            self.perform_switch(0.0)?;
-        }
-        Ok(())
+        // `ForceAt(0)` switches here, before anything is consumed, so the
+        // run is byte-for-byte a pure SSH join.
+        self.control_step()
     }
 
     fn next(&mut self) -> Result<Option<MatchPair>> {
-        // Enforce the protocol here too: `pop` bypasses the inner
-        // operator's own state check, and buffered pairs must not leak
-        // out of a closed operator.
-        self.inner.state().check_next(self.name())?;
-        // The pair returned by the previous call has been consumed by now;
-        // settle its deferred pre-switch accounting.
-        if self.pre_switch_in_flight {
-            self.pre_switch_in_flight = false;
-            self.undrained_pre_switch = self.undrained_pre_switch.saturating_sub(1);
-        }
         loop {
-            if let Some(pair) = self.inner.pop() {
-                // The queue is FIFO: the first pops after a switch are
-                // exactly the pairs that were buffered before it.
-                if self.undrained_pre_switch > 0 {
-                    self.pre_switch_in_flight = true;
-                }
-                return Ok(Some(pair));
+            match self.next_event()? {
+                Some(Pulled::Match(pair)) => return Ok(Some(pair)),
+                Some(Pulled::Switched(_)) => {}
+                None => return Ok(None),
             }
-            if !self.inner.advance()? {
-                return Ok(None);
-            }
-            self.control_step()?;
         }
     }
 
@@ -397,7 +172,7 @@ impl<I: Operator<Item = SidedRecord>> Operator for AdaptiveJoin<I> {
 mod tests {
     use super::*;
     use linkage_operators::{InterleavedScan, SwitchJoinConfig};
-    use linkage_types::{Field, Record, Schema, Value, VecStream};
+    use linkage_types::{Field, PerSide, Record, Schema, Value, VecStream};
 
     use linkage_datagen::SplitMix64;
 
@@ -459,7 +234,7 @@ mod tests {
         let pairs = join.run_to_end().unwrap();
         assert_eq!(pairs.len(), 200);
         assert_eq!(join.phase(), JoinPhase::Exact);
-        assert!(join.switch_event().is_none());
+        assert!(join.controller().switch().is_none());
     }
 
     #[test]
@@ -467,17 +242,20 @@ mod tests {
         let mut join = adaptive(300, 150);
         let pairs = join.run_to_end().unwrap();
 
-        let event = join.switch_event().expect("the controller must switch");
+        let event = join
+            .controller()
+            .switch()
+            .expect("the controller must switch");
         assert!(event.after_tuples > 300, "switch happens after dirt starts");
         assert!(event.sigma <= 0.01);
 
         // Every parent-child pair is found: clean ones exactly, dirty ones
         // approximately (recovered or post-switch).
         assert_eq!(pairs.len(), 300);
-        let report = join.report();
-        assert_eq!(report.emitted.total(), 300);
+        let emitted = join.inner().emitted();
+        assert_eq!(emitted.total(), 300);
         assert!(
-            report.emitted.approximate >= 100,
+            emitted.approximate >= 100,
             "dirty pairs matched approximately"
         );
 
@@ -493,9 +271,8 @@ mod tests {
         let mut join = adaptive(64, 64);
         join.open().unwrap();
         let _ = join.next().unwrap();
-        let report = join.report();
-        assert!(report.consumed.left + report.consumed.right >= 2);
-        assert_eq!(report.phase, JoinPhase::Exact);
-        assert!(report.switch.is_none());
+        assert!(join.inner().total_consumed() >= 2);
+        assert_eq!(join.phase(), JoinPhase::Exact);
+        assert!(join.controller().switch().is_none());
     }
 }

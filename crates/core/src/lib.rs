@@ -4,17 +4,22 @@
 //! monitor → assessor → actuator control loop of paper §3.2 wired around
 //! the switchable join operator of `linkage-operators`.
 //!
-//! * [`Monitor`] watches the running join and, on a fixed cadence,
-//!   packages its counters into a statistical [`Observation`] — result
-//!   size is modelled as `O ~ bin(trials, p)` under the clean-data
-//!   foreign-key scenario;
+//! * [`Monitor`] packages the running join's counters into a statistical
+//!   [`Observation`] — result size is modelled as `O ~ bin(trials, p)`
+//!   under the clean-data foreign-key scenario;
 //! * [`Assessor`] applies `linkage_stats`' binomial outlier test
 //!   (`σ ≤ θ_out`) with minimum-evidence and consecutive-alarm guards;
-//! * the actuator inside [`AdaptiveJoin`] reacts to a trigger by invoking
-//!   the exact → approximate state handover
-//!   ([`linkage_operators::SwitchJoin::switch_to_approximate`], §3.3)
-//!   mid-stream, after which recovered and newly found approximate
-//!   matches flow out of the same operator.
+//! * [`Controller`] is the one loop both engines run: it applies the
+//!   [`SwitchPolicy`], asks the monitor and assessor at each crossed
+//!   checkpoint, records the switch the engine performs, and places the
+//!   [`Pulled::Switched`] announcement in the engine's output right after
+//!   the last pair queued before the handover;
+//! * [`AdaptiveJoin`] is the serial engine: it asks the controller after
+//!   every consumed tuple and performs the exact → approximate state
+//!   handover ([`linkage_operators::SwitchJoin::switch_to_approximate`],
+//!   §3.3) mid-stream, after which recovered and newly found approximate
+//!   matches flow out of the same operator.  The sharded engine in
+//!   `linkage-exec` asks the same controller after every exact epoch.
 //!
 //! [`AdaptiveJoin`] is itself a pipelined operator, so the whole adaptive
 //! pipeline composes like any other query plan.  See
@@ -24,13 +29,11 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod aggregate;
 pub mod assessor;
+pub mod controller;
 pub mod monitor;
 
-pub use adaptive::{
-    AdaptiveControlState, AdaptiveJoin, AdaptiveReport, ControllerConfig, SwitchEvent, SwitchPolicy,
-};
-pub use aggregate::{GlobalControlState, GlobalController};
+pub use adaptive::AdaptiveJoin;
 pub use assessor::{Assessment, Assessor, AssessorConfig};
+pub use controller::{Controller, ControllerConfig, Pulled, SwitchEvent, SwitchPolicy};
 pub use monitor::{Monitor, MonitorConfig, Observation};

@@ -1,6 +1,6 @@
 //! Configuration of the sharded parallel join.
 
-use linkage_core::{ControllerConfig, SwitchPolicy};
+use linkage_core::ControllerConfig;
 use linkage_operators::SwitchJoinConfig;
 use linkage_types::{defaults, PerSide};
 
@@ -26,9 +26,9 @@ pub struct ParallelJoinConfig {
     /// Join configuration shared by every shard (keys, q-grams, the
     /// similarity coefficient, θ_sim).
     pub join: SwitchJoinConfig,
-    /// Global monitor/assessor settings and the switch policy.  A
-    /// [`SwitchPolicy::ForceAt`] policy switches at the first epoch
-    /// boundary at or after the given consumed-tuple count.
+    /// Global monitor/assessor settings and the switch policy.  A forced
+    /// policy switches at the first epoch boundary at or after its
+    /// consumed-tuple count.
     pub controller: ControllerConfig,
 }
 
@@ -84,22 +84,12 @@ impl ParallelJoinConfig {
         self.controller = controller;
         self
     }
-
-    /// Force the switch at a fixed point in the stream (tests,
-    /// experiments) — shorthand for setting [`SwitchPolicy::ForceAt`] on
-    /// the controller.
-    #[must_use]
-    pub fn with_forced_switch_after(mut self, consumed_tuples: u64) -> Self {
-        self.controller = self
-            .controller
-            .with_policy(SwitchPolicy::ForceAt(consumed_tuples));
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linkage_core::SwitchPolicy;
 
     #[test]
     fn defaults_are_sane() {
@@ -116,7 +106,7 @@ mod tests {
         let c = ParallelJoinConfig::new(2, PerSide::new(1, 1), 10)
             .with_batch_size(7)
             .with_channel_capacity(5)
-            .with_forced_switch_after(100);
+            .with_controller(ControllerConfig::new(10).with_policy(SwitchPolicy::ForceAt(100)));
         assert_eq!(c.batch_size, 7);
         assert_eq!(c.channel_capacity, 5);
         assert_eq!(c.controller.policy, SwitchPolicy::ForceAt(100));

@@ -11,8 +11,8 @@
 //!   triggers, and merges emitted match pairs deterministically;
 //! * [`ParallelJoinConfig`] — shard count, epoch size, the shared join
 //!   parameters and the global controller settings;
-//! * [`ParallelReport`] / [`ShardStats`] — run summary with per-shard
-//!   residency, probe and state-size statistics.
+//! * [`ShardStats`] — per-shard residency, probe and state-size
+//!   statistics.
 //!
 //! The match-pair **set** produced is identical to the serial operators'
 //! for every shard count — equal keys co-locate by stable hash in the
@@ -33,14 +33,14 @@ mod shard;
 
 pub use config::ParallelJoinConfig;
 pub use messages::{PreparedBatch, ShardSnapshot, ShardStats};
-pub use parallel::{ParallelJoin, ParallelReport};
+pub use parallel::ParallelJoin;
 
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;
     use std::sync::Arc;
 
-    use linkage_core::{AdaptiveJoin, ControllerConfig};
+    use linkage_core::{AdaptiveJoin, ControllerConfig, SwitchPolicy};
     use linkage_datagen::{generate, DatagenConfig, GeneratedData};
     use linkage_operators::{InterleavedScan, JoinPhase, Operator, SwitchJoin, SwitchJoinConfig};
     use linkage_types::{Field, Value};
@@ -71,6 +71,11 @@ mod tests {
         ParallelJoin::new(scan(data), config)
     }
 
+    fn forced(config: ParallelJoinConfig, after: u64) -> ParallelJoinConfig {
+        let controller = config.controller.clone();
+        config.with_controller(controller.with_policy(SwitchPolicy::ForceAt(after)))
+    }
+
     fn id_set(pairs: &[MatchPair]) -> HashSet<(RecordId, RecordId)> {
         pairs.iter().map(MatchPair::id_pair).collect()
     }
@@ -91,7 +96,7 @@ mod tests {
             let mut join = parallel(&data, shards);
             let pairs = join.run_to_end().unwrap();
             assert_eq!(join.phase(), JoinPhase::Exact, "{shards} shards switched");
-            assert!(join.switch_event().is_none());
+            assert!(join.controller().switch().is_none());
             assert_no_duplicates(&pairs);
             assert_eq!(id_set(&pairs), expected, "{shards} shards");
         }
@@ -106,15 +111,21 @@ mod tests {
             ControllerConfig::new(data.parents.len() as u64),
         );
         let serial_pairs = serial.run_to_end().unwrap();
-        assert!(serial.switch_event().is_some(), "workload must switch");
+        assert!(
+            serial.controller().switch().is_some(),
+            "workload must switch"
+        );
 
         for shards in [1, 2, 4] {
             let mut join = parallel(&data, shards);
             let pairs = join.run_to_end().unwrap();
-            let event = join.switch_event().expect("parallel join must switch too");
+            let event = join
+                .controller()
+                .switch()
+                .expect("parallel join must switch too");
             assert!(event.sigma <= 0.01);
             assert!(event.after_tuples > 0);
-            assert!(join.switch_latency().is_some());
+            assert!(join.controller().switch_latency().is_some());
             assert_eq!(join.phase(), JoinPhase::Approximate);
             assert_no_duplicates(&pairs);
             // Identical match-pair set as the serial adaptive join: the
@@ -133,11 +144,11 @@ mod tests {
         let expected = id_set(&ssh.run_to_end().unwrap());
         for shards in [1, 3] {
             let config = ParallelJoinConfig::new(shards, KEYS, data.parents.len() as u64)
-                .with_batch_size(17) // deliberately not a divisor of anything
-                .with_forced_switch_after(60);
+                .with_batch_size(17); // deliberately not a divisor of anything
+            let config = forced(config, 60);
             let mut join = ParallelJoin::new(scan(&data), config);
             let pairs = join.run_to_end().unwrap();
-            let event = join.switch_event().expect("forced switch");
+            let event = join.controller().switch().expect("forced switch");
             assert_eq!(event.sigma, 0.0, "forced switches report sigma 0");
             assert_no_duplicates(&pairs);
             assert_eq!(id_set(&pairs), expected, "{shards} shards");
@@ -161,27 +172,26 @@ mod tests {
     #[test]
     fn consumed_counts_each_tuple_once_despite_broadcast() {
         let data = generate(&DatagenConfig::mid_stream_dirty(60, 25)).unwrap();
-        let config = ParallelJoinConfig::new(4, KEYS, data.parents.len() as u64)
-            .with_batch_size(32)
-            .with_forced_switch_after(64); // guarantee a post-switch phase
+        let config =
+            ParallelJoinConfig::new(4, KEYS, data.parents.len() as u64).with_batch_size(32);
+        let config = forced(config, 64); // guarantee a post-switch phase
         let mut join = ParallelJoin::new(scan(&data), config);
         join.run_to_end().unwrap();
         assert_eq!(join.consumed().left as usize, data.parents.len());
         assert_eq!(join.consumed().right as usize, data.children.len());
 
-        let report = join.report();
-        assert_eq!(report.shards.len(), 4);
-        let stored: u64 = report.shards.iter().map(|s| s.stored_tuples).sum();
+        let shards = join.shard_stats();
+        assert_eq!(shards.len(), 4);
+        let stored: u64 = shards.iter().map(|s| s.stored_tuples).sum();
         assert_eq!(stored, join.total_consumed(), "every tuple has one home");
-        let resident: usize = report
-            .shards
+        let resident: usize = shards
             .iter()
             .map(|s| s.resident.left + s.resident.right)
             .sum();
         assert_eq!(resident as u64, join.total_consumed());
-        assert!(report.shards.iter().all(|s| s.state_bytes.left > 0));
+        assert!(shards.iter().all(|s| s.state_bytes.left > 0));
         // Post-switch, every shard probes every tuple: probes exceed stores.
-        assert!(report.shards.iter().any(|s| s.probes > s.stored_tuples));
+        assert!(shards.iter().any(|s| s.probes > s.stored_tuples));
     }
 
     #[test]
@@ -192,7 +202,7 @@ mod tests {
         assert_eq!(join.emitted().total() as usize, pairs.len());
         let exact = pairs.iter().filter(|p| p.kind.is_exact()).count();
         assert_eq!(join.emitted().exact as usize, exact);
-        let per_shard: u64 = join.report().shards.iter().map(|s| s.emitted.total()).sum();
+        let per_shard: u64 = join.shard_stats().iter().map(|s| s.emitted.total()).sum();
         assert_eq!(per_shard as usize, pairs.len());
     }
 
@@ -240,9 +250,9 @@ mod tests {
         let mut join = parallel(&data, 2);
         join.open().unwrap();
         let _ = join.next().unwrap();
-        assert!(join.report().shards.is_empty());
+        assert!(join.shard_stats().is_empty());
         join.close().unwrap();
-        assert_eq!(join.report().shards.len(), 2);
+        assert_eq!(join.shard_stats().len(), 2);
     }
 
     #[test]

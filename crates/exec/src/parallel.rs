@@ -13,18 +13,20 @@
 //! 3. barrier on one reply per shard, merging emitted pairs in shard
 //!    order — deterministic for a given shard count, with each distinct
 //!    pair emitted exactly once;
-//! 4. feed the aggregated counters to the global
-//!    [`GlobalController`]; on a trigger, orchestrate the distributed
-//!    §3.3 handover: every shard migrates its hash tables into inverted
-//!    indexes and recovers its local matches, then each shard probes the
-//!    resident snapshots of the shards before it, recovering the
-//!    cross-shard matches hash partitioning had separated.
+//! 4. after an exact epoch, ask the [`Controller`] — the one the serial
+//!    [`AdaptiveJoin`] asks after every tuple — with the aggregated
+//!    counters; on a trigger, orchestrate the distributed §3.3 handover:
+//!    every shard migrates its hash tables into inverted indexes and
+//!    recovers its local matches, then each shard probes the resident
+//!    snapshots of the shards before it, recovering the cross-shard
+//!    matches hash partitioning had separated.
 //!
 //! The exact phase parallelises because the partitions are disjoint; the
 //! approximate phase parallelises because probe cost is proportional to
 //! posting-list length and every shard holds ~1/N of the postings.  The
-//! switch decision is made once, globally, from deduplicated counts — the
-//! same binomial outlier test the serial [`AdaptiveJoin`] applies.
+//! switch decision is made once, globally, from deduplicated counts, and
+//! announced in-band by [`ParallelJoin::next_event`] exactly as the serial
+//! engine announces it.
 //!
 //! [`AdaptiveJoin`]: linkage_core::AdaptiveJoin
 
@@ -32,9 +34,9 @@ use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use linkage_core::{Assessment, GlobalControlState, GlobalController, SwitchEvent, SwitchPolicy};
+use linkage_core::{Controller, Pulled, SwitchEvent};
 use linkage_operators::switch::skip_consumed_prefix;
 use linkage_operators::{
     snapshot as opsnap, JoinPhase, Operator, OperatorState, PerKind, SshJoinCore, SshStored,
@@ -71,25 +73,6 @@ impl WorkerHandle {
     }
 }
 
-/// Summary of a parallel join run.
-#[derive(Debug, Clone)]
-pub struct ParallelReport {
-    /// Phase the join ended in.
-    pub phase: JoinPhase,
-    /// Input tuples consumed per side (each tuple counted once, at the
-    /// router, regardless of approximate-phase broadcast).
-    pub consumed: PerSide<u64>,
-    /// Distinct pairs emitted, by kind.
-    pub emitted: PerKind,
-    /// The switch, if it happened.  A forced switch reports `sigma = 0.0`.
-    pub switch: Option<SwitchEvent>,
-    /// Wall-clock duration of the distributed handover (local migrations
-    /// plus cross-shard recovery), if a switch happened.
-    pub switch_latency: Option<Duration>,
-    /// Per-shard statistics, populated by [`Operator::close`].
-    pub shards: Vec<ShardStats>,
-}
-
 /// The sharded parallel adaptive join operator.
 ///
 /// A pipelined [`Operator`] like its serial counterpart: callers pull
@@ -106,7 +89,7 @@ pub struct ParallelJoin<I> {
     /// intern) so the router shares the workers' exact configuration and
     /// interner.
     prep: SshJoinCore,
-    controller: GlobalController,
+    controller: Controller,
     workers: Vec<WorkerHandle>,
     state: OperatorState,
     phase: JoinPhase,
@@ -120,15 +103,6 @@ pub struct ParallelJoin<I> {
     approx_in_flight: usize,
     consumed: PerSide<u64>,
     emitted: PerKind,
-    switch: Option<SwitchEvent>,
-    switch_latency: Option<Duration>,
-    /// Pairs buffered *before* the handover and not yet pulled.  While
-    /// nonzero, [`Self::switch_event`] stays `None`, so streaming
-    /// consumers see every pre-switch pair before the notification.
-    undrained_pre_switch: usize,
-    /// Whether the previous pull returned a pre-switch pair; the
-    /// decrement is deferred to the *next* call (see the serial engine).
-    pre_switch_in_flight: bool,
     shard_stats: Vec<ShardStats>,
     exhausted: bool,
 }
@@ -139,7 +113,7 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         let partitioner = Partitioner::new(config.shards);
         let interner = SharedInterner::new();
         let prep = config.join.ssh_core_with(interner.clone());
-        let controller = GlobalController::new(config.controller.clone());
+        let controller = Controller::new(config.controller.clone());
         Self {
             input,
             config,
@@ -155,10 +129,6 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
             approx_in_flight: 0,
             consumed: PerSide::default(),
             emitted: PerKind::default(),
-            switch: None,
-            switch_latency: None,
-            undrained_pre_switch: 0,
-            pre_switch_in_flight: false,
             shard_stats: Vec::new(),
             exhausted: false,
         }
@@ -189,34 +159,17 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         self.emitted
     }
 
-    /// The switch decision, once it is *visible*: pairs of the epoch that
-    /// triggered the switch are pulled first, so a consumer polling this
-    /// between pulls sees every pre-switch pair before the event.
-    /// [`Self::report`] carries the raw decision regardless.
-    pub fn switch_event(&self) -> Option<SwitchEvent> {
-        if self.undrained_pre_switch > 0 {
-            None
-        } else {
-            self.switch
-        }
+    /// The controller: its configuration, counters and the recorded
+    /// switch (a forced switch reports `sigma = 0.0`; the latency covers
+    /// the local migrations plus cross-shard recovery).
+    pub fn controller(&self) -> &Controller {
+        &self.controller
     }
 
-    /// Wall-clock duration of the distributed handover, if it ran.
-    pub fn switch_latency(&self) -> Option<Duration> {
-        self.switch_latency
-    }
-
-    /// Summarise the run.  Per-shard statistics are collected by
-    /// [`Operator::close`]; before that `shards` is empty.
-    pub fn report(&self) -> ParallelReport {
-        ParallelReport {
-            phase: self.phase,
-            consumed: self.consumed,
-            emitted: self.emitted,
-            switch: self.switch,
-            switch_latency: self.switch_latency,
-            shards: self.shard_stats.clone(),
-        }
+    /// Per-shard statistics, collected by [`Operator::close`]; empty
+    /// before that.
+    pub fn shard_stats(&self) -> &[ShardStats] {
+        &self.shard_stats
     }
 
     fn spawn_workers(&mut self) -> Result<()> {
@@ -384,38 +337,21 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         self.out.extend(pairs);
     }
 
-    /// The global monitor → assessor → actuator step, run per epoch while
-    /// the join is exact.
+    /// Ask the controller after an exact epoch (or at open) and run the
+    /// distributed handover if it says so.
     fn control_step(&mut self) -> Result<()> {
-        if self.phase != JoinPhase::Exact {
-            return Ok(());
-        }
-        match self.config.controller.policy {
-            SwitchPolicy::Never => Ok(()),
-            SwitchPolicy::ForceAt(after) => {
-                if self.total_consumed() >= after {
-                    return self.orchestrate_switch(0.0);
-                }
-                Ok(())
-            }
-            SwitchPolicy::Adaptive => {
-                if let Some(Assessment::Trigger { sigma }) = self
-                    .controller
-                    .observe_epoch(self.consumed, self.emitted.total())
-                {
-                    return self.orchestrate_switch(sigma);
-                }
-                Ok(())
-            }
+        match self.controller.decide(self.consumed, self.emitted.total()) {
+            Some(sigma) => self.orchestrate_switch(sigma),
+            None => Ok(()),
         }
     }
 
     /// The distributed exact → approximate handover.
     fn orchestrate_switch(&mut self, sigma: f64) -> Result<()> {
         // Everything buffered at this point was emitted by the exact
-        // phase (including this epoch's pairs) and must be pulled before
-        // the switch notification becomes visible.
-        self.undrained_pre_switch = self.out.len();
+        // phase (including this epoch's pairs) and is pulled before the
+        // switch is announced.
+        let queued = self.out.len();
         let start = Instant::now();
         for worker in &self.workers {
             worker.send(ShardCmd::Switch)?;
@@ -463,23 +399,19 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
             }
         }
         self.phase = JoinPhase::Approximate;
-        self.switch = Some(SwitchEvent {
+        let event = SwitchEvent {
             after_tuples: self.total_consumed(),
             sigma,
             recovered: recovered_total,
-        });
-        self.switch_latency = Some(start.elapsed());
+        };
+        self.controller
+            .record_switch(event, start.elapsed(), queued);
         Ok(())
     }
 
     /// The executor configuration (snapshot fingerprinting).
     pub fn config(&self) -> &ParallelJoinConfig {
         &self.config
-    }
-
-    /// Match pairs produced and buffered but not yet popped.
-    pub fn buffered(&self) -> usize {
-        self.out.len()
     }
 
     /// Run full epochs — never popping a buffered pair — while doing so
@@ -513,6 +445,32 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         Ok(())
     }
 
+    /// The next pair or switch announcement that is ready without reading
+    /// input, or `None` if producing one needs another epoch.
+    pub fn pop_ready(&mut self) -> Result<Option<Pulled>> {
+        self.state.check_next(self.name())?;
+        Ok(self.controller.pull(|| self.out.pop_front()))
+    }
+
+    /// The next pair or switch announcement, running epochs as needed, or
+    /// `None` at the end of the stream.
+    pub fn next_event(&mut self) -> Result<Option<Pulled>> {
+        self.state.check_next(self.name())?;
+        loop {
+            if let Some(pulled) = self.controller.pull(|| self.out.pop_front()) {
+                return Ok(Some(pulled));
+            }
+            if self.exhausted {
+                return Ok(None);
+            }
+            if let Err(e) = self.epoch() {
+                // A severed shard cannot be resumed; stop pulling input.
+                self.exhausted = true;
+                return Err(e);
+            }
+        }
+    }
+
     /// Drain the approximate-phase send-ahead pipeline so every worker is
     /// exactly caught up with the router's `consumed` counters: collect
     /// each dispatched epoch's barrier, then dispatch and collect the
@@ -542,8 +500,9 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
 
     /// Append this engine's durable state to a snapshot under
     /// construction: the shared interner, the coordinator's `CONTROLLER`
-    /// payload, the pending output queue, and one `SHARD` section per
-    /// worker (encoded by the workers themselves, in parallel).
+    /// payload, the pending output queue, one `SHARD` section per worker
+    /// (encoded by the workers themselves, in parallel) and the
+    /// controller's `STREAM` section.
     ///
     /// Quiesces the send-ahead pipeline first, so the snapshot is an
     /// epoch-boundary state: valid in either phase, on either side of the
@@ -569,21 +528,12 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         e.put_u64(self.consumed.right);
         e.put_u64(self.emitted.exact);
         e.put_u64(self.emitted.approximate);
-        e.put_bool(self.switch.is_some());
-        if let Some(switch) = self.switch {
-            e.put_u64(switch.after_tuples);
-            e.put_f64(switch.sigma);
-            e.put_u64(switch.recovered);
-        }
-        e.put_opt_u64(self.switch_latency.map(|d| d.as_nanos() as u64));
-        e.put_u64(self.undrained_pre_switch as u64);
-        e.put_bool(self.pre_switch_in_flight);
+        self.controller.put_switch(&mut e);
         e.put_bool(self.exhausted);
-        let control = self.controller.control_state();
-        e.put_u64(control.assessments);
-        e.put_u64(control.last_checked);
-        e.put_u32(control.streak);
-        e.put_u64(control.last_checkpoint);
+        self.controller.put_loop(&mut e);
+        // `ctl_last_checkpoint`: derived, kept for the layout.
+        let monitor = self.controller.monitor();
+        e.put_u64(monitor.last_checked() / monitor.config().check_every);
         builder.push_section(kind::CONTROLLER as u32, e.finish());
 
         builder.push_section(kind::PENDING as u32, opsnap::encode_pairs(self.out.iter()));
@@ -605,16 +555,18 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
                 }
             }
         }
+        builder.push_section(kind::STREAM as u32, self.controller.encode_stream());
         Ok(())
     }
 
     /// Install snapshotted state into a freshly opened, pristine join:
     /// restore the shared interner in place (every worker holds a handle
     /// to the same table), ship each worker its encoded partition to
-    /// decode and replay in parallel, adopt the coordinator counters, and
-    /// fast-forward the input past the consumed prefix (verifying the
-    /// per-side counts — a source that ends early or interleaves
-    /// differently is a typed error, never silent corruption).
+    /// decode and replay in parallel, adopt the coordinator counters and
+    /// the controller's `STREAM` section, and fast-forward the input past
+    /// the consumed prefix (verifying the per-side counts — a source that
+    /// ends early or interleaves differently is a typed error, never
+    /// silent corruption).
     pub fn restore_sections(&mut self, file: &SnapshotFile) -> Result<()> {
         if self.state != OperatorState::Open {
             return Err(LinkageError::snapshot("restore requires an open join"));
@@ -643,28 +595,16 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
             exact: d.get_u64()?,
             approximate: d.get_u64()?,
         };
-        let switch = if d.get_bool()? {
-            Some(SwitchEvent {
-                after_tuples: d.get_u64()?,
-                sigma: d.get_f64()?,
-                recovered: d.get_u64()?,
-            })
-        } else {
-            None
-        };
-        let switch_latency = d.get_opt_u64()?.map(Duration::from_nanos);
-        let undrained_pre_switch = d.get_u64()? as usize;
-        let pre_switch_in_flight = d.get_bool()?;
+        self.controller.get_switch(&mut d)?;
         let exhausted = d.get_bool()?;
-        let control = GlobalControlState {
-            assessments: d.get_u64()?,
-            last_checked: d.get_u64()?,
-            streak: d.get_u32()?,
-            last_checkpoint: d.get_u64()?,
-        };
+        self.controller.get_loop(&mut d)?;
+        // `ctl_last_checkpoint` is `ctl_last_checked / check_every`.
+        d.get_u64()?;
         d.finish()?;
 
-        let pending = opsnap::decode_pairs(file.section(kind::PENDING as u32)?)?;
+        let mut pending = opsnap::decode_pairs(file.section(kind::PENDING as u32)?)?;
+        self.controller
+            .decode_stream(file.section(kind::STREAM as u32)?, &mut pending)?;
 
         let shard_sections = file.sections_with_base(kind::SHARD);
         if shard_sections.len() != self.workers.len() {
@@ -706,12 +646,7 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         self.phase = phase;
         self.out.extend(pending);
         self.emitted = emitted;
-        self.switch = switch;
-        self.switch_latency = switch_latency;
-        self.undrained_pre_switch = undrained_pre_switch;
-        self.pre_switch_in_flight = pre_switch_in_flight;
         self.exhausted = exhausted;
-        self.controller.restore_control_state(control);
 
         skip_consumed_prefix(&mut self.input, consumed)?;
         self.consumed = consumed;
@@ -777,41 +712,17 @@ impl<I: Operator<Item = SidedRecord>> Operator for ParallelJoin<I> {
         self.input.open()?;
         self.spawn_workers()?;
         self.state = OperatorState::Open;
-        // `ForceAt(0)` means "approximate from the first tuple": run the
-        // (empty) distributed handover before any epoch, mirroring the
+        // `ForceAt(0)` switches here, before any epoch, mirroring the
         // serial engine.
-        if self.config.controller.policy == SwitchPolicy::ForceAt(0)
-            && self.phase == JoinPhase::Exact
-        {
-            self.orchestrate_switch(0.0)?;
-        }
-        Ok(())
+        self.control_step()
     }
 
     fn next(&mut self) -> Result<Option<MatchPair>> {
-        self.state.check_next(self.name())?;
-        // The pair returned by the previous call has been consumed by now;
-        // settle its deferred pre-switch accounting.
-        if self.pre_switch_in_flight {
-            self.pre_switch_in_flight = false;
-            self.undrained_pre_switch = self.undrained_pre_switch.saturating_sub(1);
-        }
         loop {
-            if let Some(pair) = self.out.pop_front() {
-                // FIFO: the first pops after a switch are exactly the
-                // pairs that were buffered before it.
-                if self.undrained_pre_switch > 0 {
-                    self.pre_switch_in_flight = true;
-                }
-                return Ok(Some(pair));
-            }
-            if self.exhausted {
-                return Ok(None);
-            }
-            if let Err(e) = self.epoch() {
-                // A severed shard cannot be resumed; stop pulling input.
-                self.exhausted = true;
-                return Err(e);
+            match self.next_event()? {
+                Some(Pulled::Match(pair)) => return Ok(Some(pair)),
+                Some(Pulled::Switched(_)) => {}
+                None => return Ok(None),
             }
         }
     }

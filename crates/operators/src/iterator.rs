@@ -91,19 +91,6 @@ pub trait Operator {
         0
     }
 
-    /// Pull up to `max` items in one call.  Returns fewer than `max` items
-    /// only when the operator is exhausted.
-    fn next_batch(&mut self, max: usize) -> Result<Vec<Self::Item>> {
-        let mut out = Vec::with_capacity(max.min(1024));
-        while out.len() < max {
-            match self.next()? {
-                Some(item) => out.push(item),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
-
     /// Convenience driver: open if necessary, drain every item, close.
     fn run_to_end(&mut self) -> Result<Vec<Self::Item>> {
         if self.state() == OperatorState::Created {
@@ -184,15 +171,6 @@ mod tests {
         assert!(op.next().is_err(), "next after close must fail");
         assert!(op.open().is_err(), "reopen after close must fail");
         assert!(op.close().is_ok(), "close is idempotent");
-    }
-
-    #[test]
-    fn next_batch_is_bounded_and_drains() {
-        let mut op = upto(5);
-        op.open().unwrap();
-        assert_eq!(op.next_batch(2).unwrap(), vec![0, 1]);
-        assert_eq!(op.next_batch(10).unwrap(), vec![2, 3, 4]);
-        assert!(op.next_batch(1).unwrap().is_empty());
     }
 
     #[test]

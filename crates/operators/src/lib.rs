@@ -4,8 +4,7 @@
 //! pipeline (paper §2):
 //!
 //! * [`Operator`] / [`OperatorState`] — the `OPEN`/`NEXT`/`CLOSE` iterator
-//!   protocol every operator follows, with state-machine enforcement and
-//!   bounded batch pulls;
+//!   protocol every operator follows, with state-machine enforcement;
 //! * [`InterleavedScan`] — the leaf operator merging both join inputs'
 //!   [`linkage_types::RecordStream`]s into one validated sided stream
 //!   under an [`linkage_types::InterleavePolicy`];

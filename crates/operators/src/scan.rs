@@ -145,15 +145,4 @@ mod tests {
         assert_eq!(scan.consumed()[Side::Left], 2);
         assert_eq!(scan.consumed()[Side::Right], 1);
     }
-
-    #[test]
-    fn interleaved_scan_batch_pull() {
-        let mut scan =
-            InterleavedScan::alternating(stream_of(&["l1", "l2"]), stream_of(&["r1", "r2"]));
-        scan.open().unwrap();
-        let batch = scan.next_batch(3).unwrap();
-        assert_eq!(batch.len(), 3);
-        let rest = scan.next_batch(10).unwrap();
-        assert_eq!(rest.len(), 1);
-    }
 }

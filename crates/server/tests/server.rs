@@ -249,6 +249,47 @@ fn open_rejects_bad_configs_and_unknown_sessions_with_typed_errors() {
 }
 
 #[test]
+fn oversized_open_configs_are_bad_requests_not_aborts() {
+    use linkage::api::{ExecutionMode, SwitchPolicy};
+    let data = generate(&DatagenConfig::mid_stream_dirty(60, 5)).unwrap();
+    let config = session_config(data.parents.len() as u64);
+    let server = start_server("oversized", |_| {});
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    // Each of these allocated its size up front and aborted the process.
+    let mut q = config.clone();
+    q.qgram.q = 1 << 36;
+    q.switch_policy = SwitchPolicy::ForceAt(0);
+    let mut channel = config.clone();
+    channel.execution = ExecutionMode::Sharded { shards: 2 };
+    channel.channel_capacity = 1 << 40;
+    let mut batch = channel.clone();
+    batch.channel_capacity = config.channel_capacity;
+    batch.batch_size = 1 << 40;
+    for (field, oversized) in [
+        ("qgram.q", q),
+        ("channel_capacity", channel),
+        ("batch_size", batch),
+    ] {
+        match client.open(&oversized) {
+            Err(LinkageError::Protocol(m)) => assert!(m.contains(field), "{field}: {m}"),
+            other => panic!("{field}: expected a protocol error, got {other:?}"),
+        }
+    }
+    assert_eq!(client.stats().unwrap().worker_panics, 0);
+
+    // The server still serves a normal session bit-identically.
+    let sequence = feed_sequence(&data);
+    let session = client.open(&config).unwrap();
+    client.feed(session, &sequence).unwrap();
+    let got = client.drain(session, 256).unwrap();
+    assert_eq!(got, solo_events(&config, &sequence));
+    client.close(session).unwrap();
+    assert_eq!(client.stats().unwrap().worker_panics, 0);
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn manager_rejects_busy_and_over_budget_with_typed_errors() {
     let data = generate(&DatagenConfig::mid_stream_dirty(40, 3)).unwrap();
     let config = session_config(data.parents.len() as u64);

@@ -49,5 +49,5 @@ pub use record::{Record, RecordId, SidedRecord};
 pub use relation::Relation;
 pub use schema::{DataType, Field, Schema};
 pub use side::{PerSide, Side};
-pub use stream::{InterleavePolicy, InterleavedStream, RecordBatch, RecordStream, VecStream};
+pub use stream::{InterleavePolicy, InterleavedStream, RecordStream, VecStream};
 pub use value::Value;

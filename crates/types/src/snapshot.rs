@@ -61,7 +61,7 @@ pub const TABLE_ENTRY_BYTES: usize = 24;
 pub mod kind {
     /// Engine identity, configuration fingerprint and global counters.
     pub const META: u16 = 1;
-    /// Facade-level stream state (stashed pair, switch-event delivery).
+    /// Whether the switch was announced in the event stream.
     pub const STREAM: u16 = 2;
     /// The gram interner: text blob, offsets, document frequencies.
     pub const INTERNER: u16 = 3;

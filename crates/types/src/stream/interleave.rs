@@ -35,7 +35,6 @@ pub struct InterleavedStream<L, R> {
     next_side: Side,
     /// Tuples emitted from the current block (for `Blocks`).
     block_progress: usize,
-    emitted: usize,
 }
 
 impl<L: RecordStream, R: RecordStream> InterleavedStream<L, R> {
@@ -51,18 +50,12 @@ impl<L: RecordStream, R: RecordStream> InterleavedStream<L, R> {
             policy,
             next_side,
             block_progress: 0,
-            emitted: 0,
         }
     }
 
     /// Strictly alternating interleave (the default used by the paper).
     pub fn alternating(left: L, right: R) -> Self {
         Self::new(left, right, InterleavePolicy::Alternate)
-    }
-
-    /// Number of sided records emitted so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
     }
 
     /// Open both underlying streams.
@@ -101,7 +94,6 @@ impl<L: RecordStream, R: RecordStream> InterleavedStream<L, R> {
         };
 
         if let Some(sided) = &result {
-            self.emitted += 1;
             match self.policy {
                 InterleavePolicy::Alternate => {
                     self.next_side = sided.side.opposite();
@@ -126,30 +118,9 @@ impl<L: RecordStream, R: RecordStream> InterleavedStream<L, R> {
         result
     }
 
-    /// Pull up to `max` sided records in one call.
-    pub fn next_sided_batch(&mut self, max: usize) -> Vec<SidedRecord> {
-        let mut out = Vec::with_capacity(max.min(1024));
-        while out.len() < max {
-            match self.next_sided() {
-                Some(s) => out.push(s),
-                None => break,
-            }
-        }
-        out
-    }
-
     /// Schemas of the two inputs.
     pub fn schemas(&self) -> (&Schema, &Schema) {
         (self.left.schema(), self.right.schema())
-    }
-
-    /// Collect the entire stream into a vector (testing convenience).
-    pub fn collect_all(mut self) -> Vec<SidedRecord> {
-        let mut out = Vec::new();
-        while let Some(s) = self.next_sided() {
-            out.push(s);
-        }
-        out
     }
 }
 
@@ -173,6 +144,16 @@ mod tests {
         VecStream::new(schema(), records)
     }
 
+    fn collect_all<L: RecordStream, R: RecordStream>(
+        mut inter: InterleavedStream<L, R>,
+    ) -> Vec<SidedRecord> {
+        let mut out = Vec::new();
+        while let Some(s) = inter.next_sided() {
+            out.push(s);
+        }
+        out
+    }
+
     fn sides(out: &[SidedRecord]) -> Vec<Side> {
         out.iter().map(|s| s.side).collect()
     }
@@ -181,7 +162,7 @@ mod tests {
     fn alternating_interleave_strictly_alternates() {
         let inter =
             InterleavedStream::alternating(stream_of(&["l1", "l2"]), stream_of(&["r1", "r2"]));
-        let out = inter.collect_all();
+        let out = collect_all(inter);
         assert_eq!(
             sides(&out),
             vec![Side::Left, Side::Right, Side::Left, Side::Right]
@@ -193,7 +174,7 @@ mod tests {
     fn alternating_interleave_drains_longer_side() {
         let inter =
             InterleavedStream::alternating(stream_of(&["l1"]), stream_of(&["r1", "r2", "r3"]));
-        let out = inter.collect_all();
+        let out = collect_all(inter);
         assert_eq!(out.len(), 4);
         assert_eq!(
             sides(&out),
@@ -208,7 +189,7 @@ mod tests {
             stream_of(&["r1"]),
             InterleavePolicy::LeftFirst,
         );
-        let out = inter.collect_all();
+        let out = collect_all(inter);
         assert_eq!(sides(&out), vec![Side::Left, Side::Left, Side::Right]);
     }
 
@@ -219,7 +200,7 @@ mod tests {
             stream_of(&["r1", "r2"]),
             InterleavePolicy::RightFirst,
         );
-        let out = inter.collect_all();
+        let out = collect_all(inter);
         assert_eq!(sides(&out), vec![Side::Right, Side::Right, Side::Left]);
     }
 
@@ -230,7 +211,7 @@ mod tests {
             stream_of(&["r1", "r2", "r3", "r4"]),
             InterleavePolicy::Blocks(2),
         );
-        let out = inter.collect_all();
+        let out = collect_all(inter);
         assert_eq!(
             sides(&out),
             vec![
@@ -253,21 +234,10 @@ mod tests {
             stream_of(&["r1", "r2", "r3"]),
             InterleavePolicy::Blocks(2),
         );
-        let out = inter.collect_all();
+        let out = collect_all(inter);
         assert_eq!(out.len(), 4);
         assert_eq!(out[0].side, Side::Left);
         assert!(out[1..].iter().all(|s| s.side == Side::Right));
-    }
-
-    #[test]
-    fn emitted_counts_records() {
-        let mut inter = InterleavedStream::alternating(stream_of(&["l1"]), stream_of(&["r1"]));
-        assert_eq!(inter.emitted(), 0);
-        inter.next_sided();
-        inter.next_sided();
-        assert_eq!(inter.emitted(), 2);
-        assert!(inter.next_sided().is_none());
-        assert_eq!(inter.emitted(), 2);
     }
 
     #[test]
@@ -278,23 +248,5 @@ mod tests {
         assert!(inter.next_sided().is_some());
         inter.close();
         assert!(inter.next_sided().is_none());
-        assert_eq!(inter.emitted(), 1);
-    }
-
-    #[test]
-    fn sided_batch_pull_is_bounded() {
-        let mut inter = InterleavedStream::alternating(
-            stream_of(&["l1", "l2", "l3"]),
-            stream_of(&["r1", "r2", "r3"]),
-        );
-        let batch = inter.next_sided_batch(4);
-        assert_eq!(batch.len(), 4);
-        assert_eq!(
-            sides(&batch),
-            vec![Side::Left, Side::Right, Side::Left, Side::Right]
-        );
-        let rest = inter.next_sided_batch(100);
-        assert_eq!(rest.len(), 2);
-        assert!(inter.next_sided_batch(1).is_empty());
     }
 }

@@ -8,8 +8,7 @@
 //!
 //! * [`RecordStream::open`] prepares the source (no-op for in-memory
 //!   sources, connection setup for future network sources);
-//! * [`RecordStream::next_record`] / [`RecordStream::next_batch`] pull one
-//!   tuple or up to a bounded batch of tuples;
+//! * [`RecordStream::next_record`] pulls one tuple;
 //! * [`RecordStream::close`] releases resources; a closed stream yields no
 //!   further records.
 //!
@@ -20,18 +19,14 @@
 //!
 //! Module layout:
 //!
-//! * [`batch`] — [`RecordBatch`], the unit handed around by the experiment
-//!   harness and returned by batch pulls;
 //! * [`mod@vec`] — [`VecStream`], the in-memory source used everywhere in
 //!   tests and examples;
 //! * [`interleave`] — [`InterleavedStream`] and [`InterleavePolicy`], which
 //!   merge the two inputs of a symmetric join into one sided stream.
 
-pub mod batch;
 pub mod interleave;
 pub mod vec;
 
-pub use batch::RecordBatch;
 pub use interleave::{InterleavePolicy, InterleavedStream};
 pub use vec::VecStream;
 
@@ -47,7 +42,6 @@ use crate::schema::Schema;
 ///   accept pulls without it, but operators always call it.
 /// * After [`close`](Self::close), [`next_record`](Self::next_record) must
 ///   return `None`.
-/// * [`rewind`](Self::rewind) re-opens a replayable source from the start.
 pub trait RecordStream {
     /// The schema every produced record conforms to.
     fn schema(&self) -> &Schema;
@@ -58,44 +52,10 @@ pub trait RecordStream {
     /// Produce the next record, or `None` when exhausted or closed.
     fn next_record(&mut self) -> Option<Record>;
 
-    /// Pull up to `max` records in one call.
-    ///
-    /// The default implementation loops over
-    /// [`next_record`](Self::next_record); sources with cheaper bulk access
-    /// (memory-mapped files, columnar pages) override it.  Returns fewer
-    /// than `max` records only when the stream is exhausted.
-    fn next_batch(&mut self, max: usize) -> Vec<Record> {
-        let mut out = Vec::with_capacity(max.min(1024));
-        while out.len() < max {
-            match self.next_record() {
-                Some(r) => out.push(r),
-                None => break,
-            }
-        }
-        out
-    }
-
     /// Release resources.  After closing, pulls return `None`.  Default:
     /// no-op (in-memory sources hold nothing worth releasing — they still
     /// honour the "no records after close" rule via their own state).
     fn close(&mut self) {}
-
-    /// A hint of how many records remain, if known.
-    ///
-    /// The adaptive monitor uses the *declared* expected size of the inputs
-    /// (paper §3.2), not this hint, so returning `None` is always safe.
-    fn size_hint(&self) -> Option<usize> {
-        None
-    }
-
-    /// Reset the stream to its beginning, if the source supports it.
-    ///
-    /// Returns `false` when the source cannot be replayed (e.g. a network
-    /// stream).  In-memory sources return `true` and are open again
-    /// afterwards.
-    fn rewind(&mut self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -115,34 +75,11 @@ mod tests {
     }
 
     #[test]
-    fn default_next_batch_pulls_up_to_max() {
-        let mut s = stream_of(&["a", "b", "c", "d", "e"]);
-        s.open();
-        let first = s.next_batch(2);
-        assert_eq!(first.len(), 2);
-        assert_eq!(first[1].key_str(0).unwrap(), "b");
-        let rest = s.next_batch(10);
-        assert_eq!(rest.len(), 3);
-        assert!(s.next_batch(4).is_empty());
-    }
-
-    #[test]
-    fn next_batch_of_zero_is_empty_without_consuming() {
-        let mut s = stream_of(&["a"]);
-        assert!(s.next_batch(0).is_empty());
-        assert_eq!(s.next_record().unwrap().key_str(0).unwrap(), "a");
-    }
-
-    #[test]
     fn lifecycle_open_pull_close() {
         let mut s = stream_of(&["a", "b"]);
         s.open();
         assert!(s.next_record().is_some());
         s.close();
         assert!(s.next_record().is_none(), "closed stream must yield None");
-        assert!(s.next_batch(5).is_empty());
-        // Rewinding re-opens a replayable source.
-        assert!(s.rewind());
-        assert_eq!(s.next_record().unwrap().key_str(0).unwrap(), "a");
     }
 }

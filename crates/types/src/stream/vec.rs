@@ -65,20 +65,6 @@ impl RecordStream for VecStream {
     fn close(&mut self) {
         self.closed = true;
     }
-
-    fn size_hint(&self) -> Option<usize> {
-        if self.closed {
-            Some(0)
-        } else {
-            Some(self.records.len() - self.cursor)
-        }
-    }
-
-    fn rewind(&mut self) -> bool {
-        self.cursor = 0;
-        self.closed = false;
-        true
-    }
 }
 
 #[cfg(test)]
@@ -97,15 +83,11 @@ mod tests {
     }
 
     #[test]
-    fn vec_stream_yields_in_order_and_rewinds() {
+    fn vec_stream_yields_in_order() {
         let mut s = stream_of(&["a", "b", "c"]);
-        assert_eq!(s.size_hint(), Some(3));
         assert_eq!(s.next_record().unwrap().key_str(0).unwrap(), "a");
         assert_eq!(s.consumed(), 1);
-        assert_eq!(s.size_hint(), Some(2));
-        assert!(s.rewind());
-        assert_eq!(s.consumed(), 0);
-        assert_eq!(s.next_record().unwrap().key_str(0).unwrap(), "a");
+        assert_eq!(s.next_record().unwrap().key_str(0).unwrap(), "b");
         assert_eq!(s.total(), 3);
     }
 
@@ -115,14 +97,12 @@ mod tests {
         assert!(s.next_record().is_some());
         assert!(s.next_record().is_none());
         assert!(s.next_record().is_none());
-        assert_eq!(s.size_hint(), Some(0));
     }
 
     #[test]
     fn closed_stream_reports_empty_until_reopened() {
         let mut s = stream_of(&["a", "b"]);
         s.close();
-        assert_eq!(s.size_hint(), Some(0));
         assert!(s.next_record().is_none());
         s.open();
         assert_eq!(s.next_record().unwrap().key_str(0).unwrap(), "a");

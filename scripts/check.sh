@@ -42,3 +42,6 @@ bash perfbench/run.sh --quick
 (cd perfbench && cargo test --offline -q)
 
 echo "All checks passed."
+
+echo "==> sizes"
+scripts/loc.sh

@@ -5,7 +5,7 @@ use linkage_datagen::{generate, DatagenConfig};
 use linkage_exec::ParallelJoin;
 use linkage_operators::{InterleavedScan, SwitchJoin};
 use linkage_text::{QGramCoefficient, QGramConfig};
-use linkage_types::snapshot::{kind, Decoder, SnapshotFile};
+use linkage_types::snapshot::SnapshotFile;
 use linkage_types::{DataType, InterleavePolicy, LinkageError, PerSide, Result, Side};
 
 use crate::api::config::{ExecutionMode, PipelineConfig};
@@ -14,8 +14,7 @@ use crate::api::session::SessionInput;
 use crate::api::source::Source;
 use crate::api::stream::{MatchStream, RunOutcome};
 
-/// A built, ready-to-run linkage pipeline over an engine-agnostic
-/// [`JoinEngine`].
+/// A built, ready-to-run linkage pipeline over either engine.
 pub struct Pipeline {
     engine: Box<dyn JoinEngine + Send>,
 }
@@ -74,24 +73,13 @@ impl Pipeline {
     /// of its sections the caller inspects first (the server's
     /// rehydration checks its own binding section before resuming).
     pub fn resume_from(self, file: &SnapshotFile) -> Result<MatchStream> {
-        // Decode the stream's own section first: a malformed file is
-        // rejected before the engine spawns anything.
-        let mut d = Decoder::new(file.section(kind::STREAM as u32)?, "STREAM");
-        let switch_emitted = d.get_bool()?;
-        let stashed = if d.get_bool()? {
-            Some(d.get_pair()?)
-        } else {
-            None
-        };
-        d.finish()?;
-
         let mut engine = self.engine;
         engine.open()?;
         if let Err(e) = engine.restore_state(file) {
             let _ = engine.close();
             return Err(e);
         }
-        Ok(MatchStream::resumed(engine, stashed, switch_emitted))
+        Ok(MatchStream::new(engine))
     }
 }
 

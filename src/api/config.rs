@@ -6,6 +6,14 @@ use linkage_operators::SwitchJoinConfig;
 use linkage_text::{QGramCoefficient, QGramConfig};
 use linkage_types::{defaults, InterleavePolicy, LinkageError, PerSide, Result};
 
+/// Upper bounds `validate` puts on the three sizes a config allocates
+/// from up front, so a client-sent `OPEN` cannot abort the process: the
+/// q-gram window buffer, one epoch's input batch, and each worker's
+/// channel buffer.  Each sits far above every value the workspace uses.
+const MAX_Q: usize = 64;
+const MAX_BATCH_SIZE: usize = 1 << 16;
+const MAX_CHANNEL_CAPACITY: usize = 1 << 10;
+
 /// Which execution backend runs the pipeline.
 ///
 /// `#[non_exhaustive]`: future backends (async, multi-node) will add
@@ -132,6 +140,21 @@ impl PipelineConfig {
         if self.consecutive_alarms == 0 {
             return Err(LinkageError::config("consecutive_alarms must be positive"));
         }
+        for (name, value, max) in [
+            ("qgram.q", self.qgram.q, MAX_Q),
+            ("batch_size", self.batch_size, MAX_BATCH_SIZE),
+            (
+                "channel_capacity",
+                self.channel_capacity,
+                MAX_CHANNEL_CAPACITY,
+            ),
+        ] {
+            if value > max {
+                return Err(LinkageError::config(format!(
+                    "{name} must be at most {max}, got {value}"
+                )));
+            }
+        }
         if self.batch_size == 0 {
             return Err(LinkageError::config("batch_size must be positive"));
         }
@@ -250,6 +273,21 @@ mod tests {
             {
                 let mut c = ok.clone();
                 c.reference_size = Some(0);
+                c
+            },
+            {
+                let mut c = ok.clone();
+                c.qgram.q = MAX_Q + 1;
+                c
+            },
+            {
+                let mut c = ok.clone();
+                c.batch_size = MAX_BATCH_SIZE + 1;
+                c
+            },
+            {
+                let mut c = ok.clone();
+                c.channel_capacity = MAX_CHANNEL_CAPACITY + 1;
                 c
             },
         ] {

@@ -1,8 +1,16 @@
-//! The engine-agnostic execution contract.
+//! The engine contract behind the facade.
+//!
+//! Both engines — the serial [`AdaptiveJoin`] and the sharded
+//! [`ParallelJoin`] — run the one [`linkage_core::Controller`] and
+//! announce the switch in-band from their own pull, so the facade only
+//! forwards what they return.  [`JoinEngine`] is private to this crate:
+//! the facade holds a `Box<dyn JoinEngine>`, and a new backend is one
+//! more impl here plus an [`ExecutionMode`](crate::api::ExecutionMode)
+//! variant.
 
 use std::time::Duration;
 
-use linkage_core::{AdaptiveControlState, AdaptiveJoin, SwitchEvent};
+use linkage_core::{AdaptiveJoin, Pulled, SwitchEvent};
 use linkage_exec::{ParallelJoin, ShardStats};
 use linkage_operators::{
     snapshot as opsnap, JoinPhase, Operator, OperatorState, PerKind, ProbeFunnel, RestoredCore,
@@ -10,33 +18,26 @@ use linkage_operators::{
 };
 use linkage_text::SharedInterner;
 use linkage_types::snapshot::{crc32, kind, Decoder, Encoder, SnapshotBuilder, SnapshotFile};
-use linkage_types::{LinkageError, MatchPair, PerSide, Result, SidedRecord};
+use linkage_types::{LinkageError, PerSide, Result, SidedRecord};
 
 /// A join backend the pipeline can drive.
-///
-/// Both shipped engines — the serial [`AdaptiveJoin`] and the sharded
-/// [`ParallelJoin`] — implement this trait, and the facade only ever
-/// holds a `Box<dyn JoinEngine>`, so a future backend (async, multi-node)
-/// is a drop-in: implement the trait, add an
-/// [`ExecutionMode`](crate::api::ExecutionMode) variant, done.
-pub trait JoinEngine {
+pub(crate) trait JoinEngine {
     /// Stable engine name for reports (`"serial"`, `"sharded"`).
     fn engine_name(&self) -> &'static str;
 
     /// Prepare the engine (open inputs, spawn workers).
     fn open(&mut self) -> Result<()>;
 
-    /// Produce the next match pair, or `Ok(None)` when exhausted.
-    fn next_match(&mut self) -> Result<Option<MatchPair>>;
+    /// The next pair or switch announcement, reading input as needed, or
+    /// `Ok(None)` when exhausted.
+    fn next_event(&mut self) -> Result<Option<Pulled>>;
+
+    /// The next pair or switch announcement that is ready without reading
+    /// input, or `Ok(None)` if producing one needs more.
+    fn pop_ready(&mut self) -> Result<Option<Pulled>>;
 
     /// Release resources (close inputs, join workers); idempotent.
     fn close(&mut self) -> Result<()>;
-
-    /// The phase currently driving output.
-    fn phase(&self) -> JoinPhase;
-
-    /// The switch decision, if one was made.
-    fn switch_event(&self) -> Option<SwitchEvent>;
 
     /// Summarise the run so far as the unified report.
     fn report(&self) -> RunReport;
@@ -46,16 +47,7 @@ pub trait JoinEngine {
     /// to a snapshot under construction.  Requires an open engine; the
     /// sharded engine quiesces its epoch pipeline first, so the call is
     /// valid between any two pulls, in either phase.
-    ///
-    /// The default implementation is a typed error, so future backends
-    /// without durability remain drop-ins.
-    fn snapshot_state(&mut self, builder: &mut SnapshotBuilder) -> Result<()> {
-        let _ = builder;
-        Err(LinkageError::snapshot(format!(
-            "the {} engine does not support snapshots",
-            self.engine_name()
-        )))
-    }
+    fn snapshot_state(&mut self, builder: &mut SnapshotBuilder) -> Result<()>;
 
     /// Install previously snapshotted state into a freshly opened,
     /// pristine engine: validate the `META` identity (engine, shard
@@ -64,39 +56,21 @@ pub trait JoinEngine {
     /// re-declared input past the consumed prefix.  After this the
     /// engine's remaining output is bit-identical to what the
     /// interrupted run would have produced.
-    fn restore_state(&mut self, file: &SnapshotFile) -> Result<()> {
-        let _ = file;
-        Err(LinkageError::snapshot(format!(
-            "the {} engine does not support snapshots",
-            self.engine_name()
-        )))
-    }
+    fn restore_state(&mut self, file: &SnapshotFile) -> Result<()>;
 
     /// Consume input — running the engine's control loop — as far as is
     /// safe given that only `available` total input tuples exist so far,
     /// without emitting anything: produced pairs stay buffered for
-    /// [`Self::next_match`] / [`Self::buffered_matches`].  The driver of
-    /// an incrementally fed ([session](crate::api::PipelineBuilder::session))
-    /// pipeline calls this after each feed; each engine advances by its
-    /// own granularity (per tuple serially, per whole epoch sharded) and
-    /// is careful never to observe a premature end of input, which is
-    /// what keeps the eventual output bit-identical to a solo run.
+    /// [`Self::pop_ready`].  [`MatchStream::advance`] calls this after
+    /// each feed of an incrementally fed
+    /// ([session](crate::api::PipelineBuilder::session)) pipeline.  Each
+    /// engine advances by its own granularity (per tuple serially, per
+    /// whole epoch sharded) and is careful never to observe a premature
+    /// end of input, which is what keeps the eventual output
+    /// bit-identical to a solo run.
     ///
-    /// The default is a typed error, so engines without incremental
-    /// support remain drop-ins.
-    fn advance_input(&mut self, available: u64) -> Result<()> {
-        let _ = available;
-        Err(LinkageError::execution(format!(
-            "the {} engine does not support incremental sessions",
-            self.engine_name()
-        )))
-    }
-
-    /// Match pairs already produced and buffered inside the engine —
-    /// pairs [`Self::next_match`] can return without touching the input.
-    fn buffered_matches(&self) -> usize {
-        0
-    }
+    /// [`MatchStream::advance`]: crate::api::MatchStream::advance
+    fn advance_input(&mut self, available: u64) -> Result<()>;
 }
 
 /// Fingerprint a configuration for the `META` section: CRC-32 of its
@@ -143,8 +117,8 @@ fn check_meta(file: &SnapshotFile, engine: &str, shards: usize, fingerprint: u32
     Ok(())
 }
 
-/// The unified run summary — one type for every engine, merging the
-/// serial `AdaptiveReport` and the sharded `ParallelReport`.
+/// The unified run summary — one type for every engine, read from the
+/// engine and its controller.
 ///
 /// Both engines report the counts, [`probe_funnel`](Self::probe_funnel)
 /// included; only the sharded engine reports resident-state sizes.
@@ -246,44 +220,35 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
         Operator::open(self)
     }
 
-    fn next_match(&mut self) -> Result<Option<MatchPair>> {
-        Operator::next(self)
+    fn next_event(&mut self) -> Result<Option<Pulled>> {
+        AdaptiveJoin::next_event(self)
+    }
+
+    fn pop_ready(&mut self) -> Result<Option<Pulled>> {
+        AdaptiveJoin::pop_ready(self)
     }
 
     fn close(&mut self) -> Result<()> {
         Operator::close(self)
     }
 
-    fn phase(&self) -> JoinPhase {
-        AdaptiveJoin::phase(self)
-    }
-
-    fn switch_event(&self) -> Option<SwitchEvent> {
-        AdaptiveJoin::switch_event(self)
-    }
-
     fn report(&self) -> RunReport {
-        let report = AdaptiveJoin::report(self);
-        let funnel = self.inner().ssh_core_ref().map(|core| core.funnel());
+        let inner = self.inner();
         RunReport {
             engine: self.engine_name(),
             shards: 1,
-            phase: report.phase,
-            consumed: report.consumed,
-            emitted: report.emitted,
-            switch: report.switch,
-            switch_latency: report.switch_latency,
+            phase: inner.phase(),
+            consumed: inner.consumed(),
+            emitted: inner.emitted(),
+            switch: self.controller().switch(),
+            switch_latency: self.controller().switch_latency(),
             shard_stats: Vec::new(),
-            funnel: funnel.map(Box::new),
+            funnel: inner.ssh_core_ref().map(|core| Box::new(core.funnel())),
         }
     }
 
     fn advance_input(&mut self, available: u64) -> Result<()> {
         AdaptiveJoin::advance_to(self, available)
-    }
-
-    fn buffered_matches(&self) -> usize {
-        AdaptiveJoin::buffered(self)
     }
 
     fn snapshot_state(&mut self, builder: &mut SnapshotBuilder) -> Result<()> {
@@ -304,8 +269,8 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
                 );
                 builder.push_section(kind::SSH_CORE as u32, opsnap::encode_ssh_core(ssh));
             }
-            // `Switching` is transient inside one `next_match` call; the
-            // engine is never observed in it between pulls.
+            // `Switching` is transient inside one pull; the engine is
+            // never observed in it between pulls.
             (None, None) => {
                 return Err(LinkageError::snapshot(
                     "snapshot during an in-flight switch",
@@ -320,25 +285,15 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
         opsnap::put_per_kind(&mut e, inner.emitted());
         e.put_u64(inner.recovered_at_switch());
         e.put_opt_u64(inner.switched_after());
-        let control = self.control_state();
-        e.put_u64(control.monitor_assessments);
-        e.put_u64(control.monitor_last_checked);
-        e.put_u32(control.assessor_streak);
-        e.put_bool(control.switch.is_some());
-        if let Some(switch) = control.switch {
-            e.put_u64(switch.after_tuples);
-            e.put_f64(switch.sigma);
-            e.put_u64(switch.recovered);
-        }
-        e.put_opt_u64(control.switch_latency.map(|d| d.as_nanos() as u64));
-        e.put_u64(control.undrained_pre_switch);
-        e.put_bool(control.pre_switch_in_flight);
+        self.controller().put_loop(&mut e);
+        self.controller().put_switch(&mut e);
         builder.push_section(kind::CONTROLLER as u32, e.finish());
 
         builder.push_section(
             kind::PENDING as u32,
-            opsnap::encode_pairs(self.inner().pending_pairs()),
+            opsnap::encode_pairs(inner.pending_pairs()),
         );
+        builder.push_section(kind::STREAM as u32, self.controller().encode_stream());
         Ok(())
     }
 
@@ -350,24 +305,13 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
         let emitted = opsnap::get_per_kind(&mut d)?;
         let recovered_at_switch = d.get_u64()?;
         let switched_after = d.get_opt_u64()?;
-        let monitor_assessments = d.get_u64()?;
-        let monitor_last_checked = d.get_u64()?;
-        let assessor_streak = d.get_u32()?;
-        let switch = if d.get_bool()? {
-            Some(SwitchEvent {
-                after_tuples: d.get_u64()?,
-                sigma: d.get_f64()?,
-                recovered: d.get_u64()?,
-            })
-        } else {
-            None
-        };
-        let switch_latency = d.get_opt_u64()?.map(Duration::from_nanos);
-        let undrained_pre_switch = d.get_u64()?;
-        let pre_switch_in_flight = d.get_bool()?;
+        self.controller_mut().get_loop(&mut d)?;
+        self.controller_mut().get_switch(&mut d)?;
         d.finish()?;
 
-        let pending = opsnap::decode_pairs(file.section(kind::PENDING as u32)?)?;
+        let mut pending = opsnap::decode_pairs(file.section(kind::PENDING as u32)?)?;
+        self.controller_mut()
+            .decode_stream(file.section(kind::STREAM as u32)?, &mut pending)?;
 
         let config = self.inner().config().clone();
         let core = if let Some(bytes) = file.try_section(kind::SSH_CORE as u32) {
@@ -391,28 +335,19 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
             emitted,
             recovered_at_switch,
             switched_after,
-        })?;
-        self.restore_control_state(AdaptiveControlState {
-            monitor_assessments,
-            monitor_last_checked,
-            assessor_streak,
-            switch,
-            switch_latency,
-            undrained_pre_switch,
-            pre_switch_in_flight,
-        });
-        Ok(())
+        })
     }
 }
 
 /// The serial engine's configuration identity: join declaration plus
 /// control-loop settings.
 fn serial_fingerprint<I: Operator<Item = SidedRecord>>(engine: &AdaptiveJoin<I>) -> u32 {
+    let controller = engine.controller();
     config_fingerprint(&(
         engine.inner().config(),
-        engine.monitor().config(),
-        engine.assessor().config(),
-        engine.policy(),
+        controller.monitor().config(),
+        controller.assessor().config(),
+        controller.policy(),
     ))
 }
 
@@ -425,43 +360,34 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for ParallelJoin<I> {
         Operator::open(self)
     }
 
-    fn next_match(&mut self) -> Result<Option<MatchPair>> {
-        Operator::next(self)
+    fn next_event(&mut self) -> Result<Option<Pulled>> {
+        ParallelJoin::next_event(self)
+    }
+
+    fn pop_ready(&mut self) -> Result<Option<Pulled>> {
+        ParallelJoin::pop_ready(self)
     }
 
     fn close(&mut self) -> Result<()> {
         Operator::close(self)
     }
 
-    fn phase(&self) -> JoinPhase {
-        ParallelJoin::phase(self)
-    }
-
-    fn switch_event(&self) -> Option<SwitchEvent> {
-        ParallelJoin::switch_event(self)
-    }
-
     fn report(&self) -> RunReport {
-        let report = ParallelJoin::report(self);
         RunReport {
             engine: self.engine_name(),
             shards: self.shard_count(),
-            phase: report.phase,
-            consumed: report.consumed,
-            emitted: report.emitted,
-            switch: report.switch,
-            switch_latency: report.switch_latency,
-            shard_stats: report.shards,
+            phase: self.phase(),
+            consumed: self.consumed(),
+            emitted: self.emitted(),
+            switch: self.controller().switch(),
+            switch_latency: self.controller().switch_latency(),
+            shard_stats: self.shard_stats().to_vec(),
             funnel: None,
         }
     }
 
     fn advance_input(&mut self, available: u64) -> Result<()> {
         ParallelJoin::advance_to(self, available)
-    }
-
-    fn buffered_matches(&self) -> usize {
-        ParallelJoin::buffered(self)
     }
 
     fn snapshot_state(&mut self, builder: &mut SnapshotBuilder) -> Result<()> {

@@ -16,8 +16,10 @@
 //! * [`PipelineConfig`] — the ONE configuration type.  The per-layer
 //!   configs (`SwitchJoinConfig`, `ControllerConfig`,
 //!   `ParallelJoinConfig`) become thin internals constructed from it;
-//! * [`JoinEngine`] — the trait both engines implement, making every
-//!   future backend (async, multi-node) a drop-in replacement;
+//! * one [`Controller`](crate::core::Controller) decides the switch for
+//!   either engine, and the engine's own pull announces it in-band — the
+//!   engines sit behind a crate-private trait, so a future backend
+//!   (async, multi-node) is one more impl inside this crate;
 //! * [`MatchStream`] — `run()` returns an iterator of [`MatchEvent`]s:
 //!   each [`MatchEvent::Match`], the mid-stream
 //!   [`MatchEvent::Switched`] notification, and a final
@@ -124,7 +126,7 @@ mod stream;
 
 pub use builder::{Pipeline, PipelineBuilder};
 pub use config::{ExecutionMode, PipelineConfig};
-pub use engine::{JoinEngine, RunReport};
+pub use engine::RunReport;
 pub use session::SessionInput;
 pub use source::Source;
 pub use stream::{MatchEvent, MatchStream, RunOutcome};

@@ -1,9 +1,13 @@
 //! The streaming result API.
+//!
+//! [`MatchStream`] forwards what the engine's pull returns: match pairs
+//! and the switch announcement arrive in-band, in stream order, so the
+//! stream holds no event state of its own beyond "finished".
 
 use std::path::Path;
 
-use linkage_core::SwitchEvent;
-use linkage_types::snapshot::{kind, Encoder, SnapshotBuilder};
+use linkage_core::{Pulled, SwitchEvent};
+use linkage_types::snapshot::SnapshotBuilder;
 use linkage_types::{LinkageError, MatchPair, Result};
 
 use crate::api::engine::{JoinEngine, RunReport};
@@ -34,12 +38,8 @@ pub enum MatchEvent {
 /// iterator is fused (returns `None`).  The engine is closed before the
 /// final event is yielded, so shard statistics are complete.
 pub struct MatchStream {
-    engine: Box<dyn JoinEngine + Send>,
     // (Debug is implemented manually: the engine box is opaque.)
-    /// A pair pulled by the very call that performed the switch, held
-    /// back so the `Switched` notification precedes it in the stream.
-    stashed: Option<MatchPair>,
-    switch_emitted: bool,
+    engine: Box<dyn JoinEngine + Send>,
     done: bool,
 }
 
@@ -47,33 +47,27 @@ impl std::fmt::Debug for MatchStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MatchStream")
             .field("engine", &self.engine.engine_name())
-            .field("switch_emitted", &self.switch_emitted)
             .field("done", &self.done)
             .finish_non_exhaustive()
     }
 }
 
+impl From<Pulled> for MatchEvent {
+    fn from(pulled: Pulled) -> Self {
+        match pulled {
+            Pulled::Match(pair) => MatchEvent::Match(pair),
+            Pulled::Switched(event) => MatchEvent::Switched(event),
+        }
+    }
+}
+
 impl MatchStream {
+    /// A stream over an open engine — fresh, or restored from a snapshot,
+    /// in which case it continues the event sequence exactly where the
+    /// snapshot cut it.
     pub(crate) fn new(engine: Box<dyn JoinEngine + Send>) -> Self {
         Self {
             engine,
-            stashed: None,
-            switch_emitted: false,
-            done: false,
-        }
-    }
-
-    /// Rebuild a stream from restored engine + stream state, so a resumed
-    /// run continues the event sequence exactly where the snapshot cut it.
-    pub(crate) fn resumed(
-        engine: Box<dyn JoinEngine + Send>,
-        stashed: Option<MatchPair>,
-        switch_emitted: bool,
-    ) -> Self {
-        Self {
-            engine,
-            stashed,
-            switch_emitted,
             done: false,
         }
     }
@@ -103,13 +97,6 @@ impl MatchStream {
         }
         let mut builder = SnapshotBuilder::new();
         self.engine.snapshot_state(&mut builder)?;
-        let mut e = Encoder::new();
-        e.put_bool(self.switch_emitted);
-        e.put_bool(self.stashed.is_some());
-        if let Some(pair) = &self.stashed {
-            e.put_pair(pair);
-        }
-        builder.push_section(kind::STREAM as u32, e.finish());
         Ok(builder)
     }
 
@@ -129,17 +116,6 @@ impl MatchStream {
         // is unreachable unless a future engine breaks that contract.
         let report = report.expect("stream ended without a Finished event");
         Ok(RunOutcome { matches, report })
-    }
-
-    /// Pending switch notification, if the engine switched and the event
-    /// was not yielded yet.
-    fn pending_switch(&mut self) -> Option<SwitchEvent> {
-        if self.switch_emitted {
-            return None;
-        }
-        let event = self.engine.switch_event()?;
-        self.switch_emitted = true;
-        Some(event)
     }
 
     /// Advance an incrementally fed
@@ -170,38 +146,17 @@ impl MatchStream {
         if self.done {
             return None;
         }
-        if let Some(event) = self.pending_switch() {
-            return Some(Ok(MatchEvent::Switched(event)));
+        match self.engine.pop_ready() {
+            Ok(pulled) => pulled.map(|p| Ok(p.into())),
+            Err(e) => Some(Err(self.fail(e))),
         }
-        if let Some(pair) = self.stashed.take() {
-            return Some(Ok(MatchEvent::Match(pair)));
-        }
-        if self.engine.buffered_matches() == 0 {
-            return None;
-        }
-        // At least one pair is buffered: this pull pops it without
-        // reading the input, so the match arms mirror `Iterator::next`.
-        match self.engine.next_match() {
-            Ok(Some(pair)) => {
-                // Popping the first post-switch pair is what settles the
-                // pre-switch accounting and makes the switch visible:
-                // hold the pair back so `Switched` goes out first,
-                // exactly as in `Iterator::next`.
-                if let Some(event) = self.pending_switch() {
-                    self.stashed = Some(pair);
-                    return Some(Ok(MatchEvent::Switched(event)));
-                }
-                Some(Ok(MatchEvent::Match(pair)))
-            }
-            // Unreachable while pairs are buffered; treat it as "not
-            // ready" rather than inventing an early finish.
-            Ok(None) => None,
-            Err(e) => {
-                self.done = true;
-                let _ = self.engine.close();
-                Some(Err(e))
-            }
-        }
+    }
+
+    /// End the stream on an engine error.
+    fn fail(&mut self, e: LinkageError) -> LinkageError {
+        self.done = true;
+        let _ = self.engine.close();
+        e
     }
 }
 
@@ -212,42 +167,16 @@ impl Iterator for MatchStream {
         if self.done {
             return None;
         }
-        // Surface the switch as soon as the engine records it, before the
-        // recovered matches that follow from it.
-        if let Some(event) = self.pending_switch() {
-            return Some(Ok(MatchEvent::Switched(event)));
-        }
-        if let Some(pair) = self.stashed.take() {
-            return Some(Ok(MatchEvent::Match(pair)));
-        }
-        match self.engine.next_match() {
-            Ok(Some(pair)) => {
-                // The pull itself may have performed the switch, in which
-                // case this pair is already a recovered (post-switch)
-                // match: hold it back so `Switched` goes out first.
-                if let Some(event) = self.pending_switch() {
-                    self.stashed = Some(pair);
-                    return Some(Ok(MatchEvent::Switched(event)));
-                }
-                Some(Ok(MatchEvent::Match(pair)))
-            }
+        match self.engine.next_event() {
+            Ok(Some(pulled)) => Some(Ok(pulled.into())),
             Ok(None) => {
-                // The switch can land on the very last tuple: notify
-                // before finishing.
-                if let Some(event) = self.pending_switch() {
-                    return Some(Ok(MatchEvent::Switched(event)));
-                }
                 self.done = true;
                 match self.engine.close() {
                     Ok(()) => Some(Ok(MatchEvent::Finished(self.engine.report()))),
                     Err(e) => Some(Err(e)),
                 }
             }
-            Err(e) => {
-                self.done = true;
-                let _ = self.engine.close();
-                Some(Err(e))
-            }
+            Err(e) => Some(Err(self.fail(e))),
         }
     }
 }

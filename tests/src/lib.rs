@@ -192,7 +192,10 @@ mod adaptive_recovery {
         let adaptive_pairs = adaptive.run_to_end().expect("adaptive join failed");
 
         // The switch really happened mid-stream.
-        let event = adaptive.switch_event().expect("controller never switched");
+        let event = adaptive
+            .controller()
+            .switch()
+            .expect("controller never switched");
         let total_input = (data.parents.len() + data.children.len()) as u64;
         assert!(event.after_tuples > 0 && event.after_tuples < total_input);
         assert_eq!(adaptive.phase(), JoinPhase::Approximate);
@@ -233,7 +236,7 @@ mod adaptive_recovery {
         let mut adaptive =
             AdaptiveJoin::new(switch, ControllerConfig::new(data.parents.len() as u64));
         let pairs = adaptive.run_to_end().expect("adaptive join failed");
-        assert!(adaptive.switch_event().is_none());
+        assert!(adaptive.controller().switch().is_none());
         assert_eq!(adaptive.phase(), JoinPhase::Exact);
         assert_eq!(pairs.len(), data.truth.len());
     }
@@ -248,7 +251,11 @@ mod adaptive_recovery {
         let mut adaptive =
             AdaptiveJoin::new(switch, ControllerConfig::new(data.parents.len() as u64));
         let controller_pairs = adaptive.run_to_end().expect("adaptive failed");
-        let switch_at = adaptive.switch_event().expect("no switch").after_tuples;
+        let switch_at = adaptive
+            .controller()
+            .switch()
+            .expect("no switch")
+            .after_tuples;
 
         let mut manual = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
         manual.open().expect("open failed");
@@ -270,6 +277,7 @@ mod adaptive_recovery {
 #[cfg(test)]
 mod parallel_equivalence {
     use super::common::*;
+    use linkage_core::SwitchPolicy;
     use linkage_datagen::{generate, DatagenConfig, GeneratedData};
     use linkage_exec::{ParallelJoin, ParallelJoinConfig};
     use linkage_operators::{oracle, Operator};
@@ -288,12 +296,16 @@ mod parallel_equivalence {
         let mut config =
             ParallelJoinConfig::new(shards, KEYS, data.parents.len() as u64).with_batch_size(batch);
         if let Some(after) = force_switch_after {
-            config = config.with_forced_switch_after(after);
+            let controller = config.controller.clone();
+            config = config.with_controller(controller.with_policy(SwitchPolicy::ForceAt(after)));
         }
         let mut join = ParallelJoin::new(scan(data), config);
         let pairs = join.run_to_end().expect("parallel join failed");
         if force_switch_after.is_some() {
-            assert!(join.switch_event().is_some(), "forced switch must fire");
+            assert!(
+                join.controller().switch().is_some(),
+                "forced switch must fire"
+            );
         }
         pairs
     }
@@ -1058,18 +1070,6 @@ mod protocol {
         assert!(join.next().is_err(), "next after close must fail");
         assert_eq!(join.state(), OperatorState::Closed);
     }
-
-    #[test]
-    fn batch_pulls_cross_the_stack() {
-        let data = generate(&DatagenConfig::clean(30, 2)).expect("datagen failed");
-        let mut join = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
-        join.open().expect("open failed");
-        let first = join.next_batch(10).expect("batch failed");
-        assert_eq!(first.len(), 10);
-        let rest = join.next_batch(1000).expect("batch failed");
-        assert_eq!(first.len() + rest.len(), 30);
-        join.close().expect("close failed");
-    }
 }
 
 #[cfg(test)]
@@ -1178,8 +1178,8 @@ mod snapshot_resume {
             .position(|f| f.starts_with('S'))
             .expect("dirty workload must switch");
         // Just before the switch notification, exactly at it (the engine
-        // may already hold post-switch state plus a stashed recovered
-        // pair), and just after it.
+        // may already hold post-switch state and recovered pairs), and
+        // just after it.
         for (cut, tag) in [
             (switch_at.saturating_sub(1), "serial-pre"),
             (switch_at, "serial-at"),
@@ -1206,6 +1206,83 @@ mod snapshot_resume {
             (full.len() - 1, "sharded-end"),
         ] {
             assert_resume_bit_identical(&make, cut, tag);
+        }
+    }
+
+    /// A snapshot's `META` section and every server `OPEN` carry a CRC-32
+    /// of the configuration types' `Debug` rendering.  These values were
+    /// recorded before the two engines shared one controller: moving or
+    /// renaming a config type shows up here, not as refused resumes.
+    #[test]
+    fn config_and_meta_fingerprints_are_pinned() {
+        use linkage::api::PipelineConfig;
+        use linkage_types::snapshot::{kind, Decoder};
+        assert_eq!(PipelineConfig::default().fingerprint(), 0x2575_90be);
+        let data = generate(&DatagenConfig::mid_stream_dirty(60, 16)).expect("datagen failed");
+        for (builder, engine, shards, fingerprint) in [
+            (declare(&data).serial(), "serial", 1, 0x3a16_f7ac),
+            (declare(&data).sharded(2), "sharded", 2, 0xf1f9_0f58),
+        ] {
+            let path = snap_path("meta");
+            builder.run().unwrap().snapshot(&path).unwrap();
+            let file = SnapshotFile::read_from(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let mut d = Decoder::new(file.section(kind::META as u32).unwrap(), "META");
+            assert_eq!(d.get_str().unwrap(), engine);
+            assert_eq!(d.get_u32().unwrap(), shards);
+            assert_eq!(d.get_u32().unwrap(), fingerprint, "{engine}");
+        }
+    }
+
+    /// Every event crosses the served path by value; an inline field
+    /// costs `served_mixed` throughput, so new report fields are boxed.
+    #[test]
+    fn match_event_stays_small() {
+        assert!(std::mem::size_of::<MatchEvent>() <= 144);
+    }
+
+    /// Snapshots under `tests/golden/`, written by the previous writer.
+    /// Just after `Switched` it held a pulled pair back behind the
+    /// announcement; mid-drain of the pre-switch pairs it deferred the
+    /// count of the last one it returned.  Each file must resume to the
+    /// event stream that writer's own build resumed it to: `(events,
+    /// CRC-32 of the fingerprints joined by '\n')`, recorded there.
+    #[test]
+    fn golden_snapshots_of_the_previous_writer_resume_to_their_recorded_streams() {
+        use linkage_types::snapshot::{crc32, kind};
+        let data = generate(&DatagenConfig::mid_stream_dirty(60, 16)).expect("datagen failed");
+        let serial = || declare(&data).serial();
+        let forced = || declare(&data).force_switch_at(31).serial();
+        let sharded = || declare(&data).sharded(3).batch_size(16);
+        let goldens: [(&str, &dyn Fn() -> PipelineBuilder, usize, u32); 4] = [
+            ("serial-after-switched", &serial, 34, 0x225a_da6b),
+            ("serial-mid-drain", &forced, 56, 0xf0e9_47e2),
+            ("sharded-after-switched", &sharded, 34, 0xd9df_9e0c),
+            ("sharded-mid-drain", &sharded, 41, 0xaa81_c411),
+        ];
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden");
+        for (name, make, events, hash) in goldens {
+            let path = dir.join(format!("{name}.snap"));
+            let file = SnapshotFile::read_from(&path).expect("golden unreadable");
+            // The file holds the state its name says: a held-back pair in
+            // STREAM, or a deferred count in CONTROLLER (docs/format.md).
+            let stream = file.section(kind::STREAM as u32).unwrap();
+            let controller = file.section(kind::CONTROLLER as u32).unwrap();
+            let deferred = if name.starts_with("serial") {
+                controller[controller.len() - 1]
+            } else {
+                controller[controller.len() - 30]
+            };
+            let expected = if name.ends_with("after-switched") {
+                (1, 0)
+            } else {
+                (0, 1)
+            };
+            assert_eq!((stream[1], deferred), expected, "{name}");
+
+            let resumed = drain(make().resume(&path).expect("golden resume failed"));
+            assert_eq!(resumed.len(), events, "{name}");
+            assert_eq!(crc32(resumed.join("\n").as_bytes()), hash, "{name}");
         }
     }
 
