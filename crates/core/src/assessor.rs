@@ -1,7 +1,8 @@
 //! The assessor: deciding whether an observation signals dirty data.
 //!
-//! Wraps [`linkage_stats::BinomialOutlierDetector`] (the paper's
-//! `σ(n) ≤ θ_out` predicate, §3.2) with two practical guards:
+//! Wraps [`linkage_stats::BinomialOutlierDetector`], the paper's
+//! `σ(n) ≤ θ_out` predicate (§3.2) and the one statistical primitive the
+//! controller uses, with two practical guards:
 //!
 //! * a **minimum trial count**, so the test is not run on a handful of
 //!   tuples where the binomial tail is meaninglessly wide;
@@ -20,7 +21,7 @@ use crate::monitor::Observation;
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct AssessorConfig {
-    /// Significance threshold `θ_out` of the outlier test.
+    /// Significance threshold `θ_out ∈ [0, 1)` of the outlier test.
     pub theta_out: f64,
     /// Observations with fewer trials than this are ignored.
     pub min_trials: u64,
@@ -131,24 +132,20 @@ impl Assessor {
         if obs.trials < self.config.min_trials {
             return Assessment::Insufficient;
         }
-        let verdict = self.detector.assess(obs.trials, obs.p, obs.observed);
-        if verdict.is_outlier() {
+        let (sigma, outlier) = self.detector.assess(obs.trials, obs.p, obs.observed);
+        if outlier {
             self.streak += 1;
             if self.streak >= self.config.consecutive_alarms {
-                Assessment::Trigger {
-                    sigma: verdict.sigma(),
-                }
+                Assessment::Trigger { sigma }
             } else {
                 Assessment::Alarm {
-                    sigma: verdict.sigma(),
+                    sigma,
                     streak: self.streak,
                 }
             }
         } else {
             self.streak = 0;
-            Assessment::Nominal {
-                sigma: verdict.sigma(),
-            }
+            Assessment::Nominal { sigma }
         }
     }
 }

@@ -32,7 +32,7 @@ pub mod parallel;
 mod shard;
 
 pub use config::ParallelJoinConfig;
-pub use messages::{PreparedBatch, ShardSnapshot, ShardStats};
+pub use messages::ShardStats;
 pub use parallel::ParallelJoin;
 
 #[cfg(test)]
@@ -270,7 +270,7 @@ mod tests {
             &mut interner,
         );
         let key: Arc<str> = Arc::from("loc abc def");
-        let mut batch = PreparedBatch::with_capacity(1);
+        let mut batch = crate::messages::PreparedBatch::with_capacity(1);
         assert!(batch.is_empty());
         batch.push(rec, Arc::clone(&key), grams, linkage_types::ShardId(0));
         assert_eq!(batch.len(), 1);

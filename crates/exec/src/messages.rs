@@ -18,11 +18,11 @@ use linkage_types::{MatchPair, PerSide, Result, ShardId, Side, SidedRecord};
 
 // The structure-of-arrays batch now lives beside the batched probe
 // kernel that consumes it; it is still part of this wire protocol.
-pub use linkage_operators::PreparedBatch;
+pub(crate) use linkage_operators::PreparedBatch;
 
 /// A command from the coordinator to one shard.
 #[derive(Debug)]
-pub enum ShardCmd {
+pub(crate) enum ShardCmd {
     /// Exact phase: process these hash-routed tuples (key pre-normalised).
     ExactBatch(Vec<(SidedRecord, Arc<str>)>),
     /// Approximate phase: probe every tuple, store the ones homed here.
@@ -49,7 +49,7 @@ pub enum ShardCmd {
 
 /// A reply from one shard to the coordinator.
 #[derive(Debug)]
-pub enum ShardReply {
+pub(crate) enum ShardReply {
     /// Pairs emitted by a batch command (either phase), in processing
     /// order; an `Err` poisons the join.
     Pairs(Result<Vec<MatchPair>>),
@@ -82,7 +82,7 @@ pub enum ShardReply {
 /// partition in parallel, and the bytes are exactly what the snapshot
 /// file stores, so there is one codec path to trust, not two.
 #[derive(Debug, Clone)]
-pub struct ShardSnapshot {
+pub(crate) struct ShardSnapshot {
     /// Whether the shard had performed the §3.3 handover (`core_bytes`
     /// is an `SSH_CORE` payload) or was still exact (`EXACT_CORE`).
     pub approx: bool,

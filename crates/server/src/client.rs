@@ -14,10 +14,11 @@ use linkage::api::PipelineConfig;
 use linkage::types::snapshot::{Decoder, Encoder};
 use linkage::types::{LinkageError, Result, SidedRecord};
 
-use crate::proto::{
-    decode_error, encode_config, get_event, msg, put_sided_record, read_frame, write_frame,
-    WireEvent, WIRE_VERSION,
+use linkage::types::wire::{
+    decode_error, msg, put_sided_record, read_frame, write_frame, WIRE_VERSION,
 };
+
+use crate::proto::{encode_config, get_event, WireEvent};
 use crate::session::ServerStats;
 
 /// A server's answer to `FEED` and `FIN`: how much it now holds.

@@ -13,12 +13,6 @@ use linkage::api::{
 use linkage::types::snapshot::{Decoder, Encoder};
 use linkage::types::{LinkageError, MatchPair, PerSide, Result};
 
-/// Re-exported so callers (client, tests, bench) need only this crate.
-pub use linkage::types::wire::{
-    code, decode_error, encode_error, error_code, get_sided_record, msg, put_sided_record,
-    read_frame, write_frame, MAX_FRAME_BYTES, WIRE_VERSION,
-};
-
 /// Encode a [`PipelineConfig`] field by field.
 ///
 /// Every field is written, in declaration order; the `OPEN` fingerprint

@@ -29,12 +29,12 @@ use std::time::Duration;
 
 use linkage::types::fault;
 use linkage::types::snapshot::{Decoder, Encoder};
+use linkage::types::wire::{
+    code, encode_error, error_code, get_sided_record, msg, read_frame, write_frame, WIRE_VERSION,
+};
 use linkage::types::{LinkageError, Result};
 
-use crate::proto::{
-    code, decode_config, encode_error, error_code, get_sided_record, msg, put_event, read_frame,
-    write_frame, WIRE_VERSION,
-};
+use crate::proto::{decode_config, put_event};
 use crate::session::{record_bytes, SessionManager};
 
 /// SIGTERM latching, libc-crate-free: the handler just stores into a
@@ -448,10 +448,14 @@ fn handle_request(shared: &Shared, kind: u8, payload: &[u8]) -> Result<(u8, Vec<
             let incoming: u64 = records.iter().map(record_bytes).sum();
             let manager = &shared.manager;
             let mut session = manager.checkout(id)?;
-            // Reserve after checkout: a checked-out session is not
-            // evictable, so the reservation can never evict the very
+            // Refuse a batch the client got wrong before reserving room
+            // for it.  Reserve after checkout: a checked-out session is
+            // not evictable, so the reservation can never evict the very
             // session it is feeding.
-            if let Err(e) = manager.reserve_bytes(incoming) {
+            let admitted = session
+                .check_feed(&records)
+                .and_then(|()| manager.reserve_bytes(incoming));
+            if let Err(e) = admitted {
                 manager.checkin(session, 0);
                 return Err(e);
             }

@@ -258,11 +258,6 @@ impl Session {
         self.input.pushed()
     }
 
-    /// Whether the input was declared complete.
-    pub fn is_fin(&self) -> bool {
-        self.fin
-    }
-
     /// Whether the final `Finished` event was delivered.
     pub fn is_done(&self) -> bool {
         self.done
@@ -295,11 +290,7 @@ impl Session {
         if records.is_empty() {
             return Ok(0);
         }
-        if self.fin {
-            return Err(LinkageError::protocol(
-                "FEED after FIN: the session input is complete",
-            ));
-        }
+        self.check_feed(&records)?;
         let mut added = 0u64;
         for record in records {
             added += record_bytes(&record);
@@ -308,6 +299,28 @@ impl Session {
         self.fed_bytes += added;
         self.stream.advance(self.input.pushed())?;
         Ok(added)
+    }
+
+    /// Refuse, whole, a batch that the client got wrong, before anything
+    /// of it is pushed: a non-empty batch after `FIN`, or a record whose
+    /// key column (`config.keys[side]`) holds no string.  A refused batch
+    /// leaves the session exactly as it was.
+    pub fn check_feed(&self, records: &[SidedRecord]) -> Result<()> {
+        if self.fin && !records.is_empty() {
+            return Err(LinkageError::protocol(
+                "FEED after FIN: the session input is complete",
+            ));
+        }
+        for (i, sided) in records.iter().enumerate() {
+            let column = self.config.keys[sided.side];
+            if let Err(e) = sided.record.key_str(column) {
+                return Err(LinkageError::protocol(format!(
+                    "FEED record {i} ({} {}): key column {column}: {e}",
+                    sided.side, sided.record.id
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Declare the input complete.  The remaining events (through

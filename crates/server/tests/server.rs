@@ -226,6 +226,86 @@ fn graceful_shutdown_loses_no_session_mid_feed() {
     server.shutdown().unwrap();
 }
 
+/// The documented daemon sequence: a client `SHUTDOWN` is answered
+/// `BYE`, `wait()` drains and persists the unfinished session, and a new
+/// server on the same directory adopts it.
+#[test]
+fn a_client_shutdown_persists_the_open_session_for_the_next_server() {
+    let data = generate(&DatagenConfig::mid_stream_dirty(150, 37)).unwrap();
+    let config = session_config(data.parents.len() as u64);
+    let sequence = feed_sequence(&data);
+    let expected = solo_events(&config, &sequence);
+    let half = sequence.len() / 2;
+
+    let dir = scratch_dir("client-shutdown");
+    let server = start_server("unused", |c| c.evict_dir = Some(dir.clone()));
+    let mut client = Client::connect(server.addr()).unwrap();
+    let session = client.open(&config).unwrap();
+    client.feed(session, &sequence[..half]).unwrap();
+    let mut got = client.poll(session, 64).unwrap();
+    client.shutdown_server().unwrap();
+    assert_eq!(server.wait().unwrap(), 1, "the unfinished session");
+
+    let server = start_server("unused", |c| c.evict_dir = Some(dir));
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.feed(session, &sequence[half..]).unwrap();
+    got.extend(client.drain(session, 256).unwrap());
+    assert_eq!(got, expected);
+    client.close(session).unwrap();
+    assert_eq!(server.shutdown().unwrap(), 0);
+}
+
+/// A record whose key column holds no string is the client's error: the
+/// whole `FEED` is refused as `BAD_REQUEST` before anything of it is
+/// pushed, and the session goes on as if the batch had never been sent.
+#[test]
+fn a_feed_with_a_bad_key_is_refused_whole_and_the_session_survives() {
+    use linkage::api::ExecutionMode;
+    use linkage::types::{Record, Value};
+
+    let data = generate(&DatagenConfig::mid_stream_dirty(80, 13)).unwrap();
+    let sequence = feed_sequence(&data);
+    let half = sequence.len() / 2;
+    // An integer key, and a record too short to have the key column
+    // (it reads as NULL).
+    let int_key = Record::new(9_999u64, vec![Value::Int(7); GeneratedData::KEY_COLUMN + 1]);
+    let short = Record::new(9_998u64, Vec::new());
+    let bad = [
+        SidedRecord::new(Side::Right, int_key),
+        SidedRecord::new(Side::Left, short),
+    ];
+    for execution in [ExecutionMode::Serial, ExecutionMode::Sharded { shards: 2 }] {
+        let mut config = session_config(data.parents.len() as u64);
+        config.execution = execution;
+        let expected = solo_events(&config, &sequence);
+
+        let server = start_server("bad-key", |_| {});
+        let mut client = Client::connect(server.addr()).unwrap();
+        let session = client.open(&config).unwrap();
+        let accepted = client.feed(session, &sequence[..half]).unwrap().accepted;
+        for record in &bad {
+            // Good records on both sides of the bad one: none may land.
+            let batch = [
+                sequence[half].clone(),
+                record.clone(),
+                sequence[half + 1].clone(),
+            ];
+            match client.feed(session, &batch) {
+                Err(LinkageError::Protocol(m)) => assert!(m.contains("key column"), "{m}"),
+                other => panic!("{execution:?}: expected BAD_REQUEST, got {other:?}"),
+            }
+            assert_eq!(client.feed(session, &[]).unwrap().accepted, accepted);
+        }
+        client.feed(session, &sequence[half..]).unwrap();
+        let got = client.drain(session, 256).unwrap();
+        assert_eq!(got, expected, "{execution:?}");
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.closed, stats.worker_panics), (0, 0), "{stats:?}");
+        client.close(session).unwrap();
+        server.shutdown().unwrap();
+    }
+}
+
 #[test]
 fn open_rejects_bad_configs_and_unknown_sessions_with_typed_errors() {
     let server = start_server("typed-errors", |_| {});
@@ -266,10 +346,14 @@ fn oversized_open_configs_are_bad_requests_not_aborts() {
     let mut batch = channel.clone();
     batch.channel_capacity = config.channel_capacity;
     batch.batch_size = 1 << 40;
+    // Outside the outlier detector's range [0, 1): its assert would fire.
+    let mut theta_out = config.clone();
+    theta_out.theta_out = 1.0;
     for (field, oversized) in [
         ("qgram.q", q),
         ("channel_capacity", channel),
         ("batch_size", batch),
+        ("θ_out", theta_out),
     ] {
         match client.open(&oversized) {
             Err(LinkageError::Protocol(m)) => assert!(m.contains(field), "{field}: {m}"),

@@ -1,9 +1,9 @@
-//! Log-gamma, log-factorials and the regularised incomplete beta function.
+//! Log-gamma and the regularised incomplete beta function.
 //!
-//! These are the numeric primitives behind the exact binomial CDF.  They are
+//! These are the numeric primitives behind σ's binomial CDF.  They are
 //! implemented from scratch (Lanczos approximation + Numerical-Recipes-style
 //! continued fraction) so the workspace has no dependency on a numerical
-//! crate; property tests cross-check them against direct summations.
+//! crate; the tests cross-check them against known values and identities.
 
 /// Lanczos coefficients (g = 7, n = 9), giving ~15 significant digits.
 const LANCZOS_G: f64 = 7.0;
@@ -25,7 +25,7 @@ const LANCZOS_COEFFS: [f64; 9] = [
 /// Natural log of the gamma function, `ln Γ(x)`, for `x > 0`.
 ///
 /// Uses the Lanczos approximation with reflection for `x < 0.5`.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     assert!(
         x.is_finite(),
         "ln_gamma requires a finite argument, got {x}"
@@ -49,30 +49,9 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// `ln(n!)` computed through [`ln_gamma`].
-pub fn ln_factorial(n: u64) -> f64 {
-    // Small values straight from an exact table to avoid any rounding noise
-    // in the hottest calls (binomial pmf with small n).
-    const TABLE: [f64; 11] = [
-        0.0, 0.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0, 40320.0, 362880.0, 3628800.0,
-    ];
-    if (n as usize) < TABLE.len() {
-        return TABLE[n as usize].max(1.0).ln();
-    }
-    ln_gamma(n as f64 + 1.0)
-}
-
-/// `ln C(n, k)`, the natural log of the binomial coefficient.
-pub fn ln_binomial_coefficient(n: u64, k: u64) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
-}
-
 /// The regularised incomplete beta function `I_x(a, b)` for `a, b > 0` and
 /// `x ∈ [0, 1]`, evaluated with the Lentz continued-fraction algorithm.
-pub fn regularized_incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn regularized_incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!(
         a > 0.0 && b > 0.0,
         "I_x(a, b) requires a, b > 0 (a={a}, b={b})"
@@ -186,35 +165,6 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn ln_gamma_rejects_nan() {
         ln_gamma(f64::NAN);
-    }
-
-    #[test]
-    fn ln_factorial_matches_direct_products() {
-        let mut acc = 1.0f64;
-        for n in 1..=170u64 {
-            acc *= n as f64;
-            assert!(
-                close(ln_factorial(n), acc.ln(), 1e-10),
-                "n = {n}: {} vs {}",
-                ln_factorial(n),
-                acc.ln()
-            );
-        }
-        assert_eq!(ln_factorial(0), 0.0);
-    }
-
-    #[test]
-    fn ln_binomial_coefficient_matches_pascal() {
-        // C(10, 3) = 120, C(52, 5) = 2598960.
-        assert!(close(ln_binomial_coefficient(10, 3), 120f64.ln(), 1e-10));
-        assert!(close(
-            ln_binomial_coefficient(52, 5),
-            2_598_960f64.ln(),
-            1e-10
-        ));
-        assert_eq!(ln_binomial_coefficient(5, 9), f64::NEG_INFINITY);
-        assert!(close(ln_binomial_coefficient(7, 0), 0.0, 1e-12));
-        assert!(close(ln_binomial_coefficient(7, 7), 0.0, 1e-12));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # linkage-stats
 //!
-//! The statistical machinery behind the adaptive controller.
+//! The adaptive controller's one statistical primitive.
 //!
 //! The paper's monitor models the observed join result size after `n` steps
 //! as a binomial random variable `O_n ~ bin(n, p(n))` with `p(n) = n / |R|`
@@ -11,26 +11,15 @@
 //! σ(n)  ≡  P_{n,p(n)}(O ≤ Ō_n)  ≤  θ_out
 //! ```
 //!
-//! This crate provides:
-//!
-//! * [`Binomial`] — exact pmf/cdf (log-space direct summation and a
-//!   regularised-incomplete-beta formulation) plus a normal approximation,
-//!   cross-checked against each other by property tests;
-//! * [`BinomialOutlierDetector`] — the `σ` predicate itself;
-//! * the log-gamma family ([`ln_gamma`], [`ln_factorial`],
-//!   [`ln_binomial_coefficient`], [`regularized_incomplete_beta`]) both
-//!   binomial formulations are built on;
-//! * [`Histogram`] — fixed-bin histograms for experiment reports.
+//! [`BinomialOutlierDetector`] is that predicate.  It evaluates the binomial
+//! CDF through the identity `P(X ≤ k) = I_{1−p}(n − k, k + 1)`, on a private
+//! log-gamma and continued-fraction incomplete beta; the tests hold it to a
+//! direct log-space summation of the pmf.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod binomial;
-pub mod gamma;
-pub mod histogram;
-pub mod outlier;
+mod gamma;
+mod outlier;
 
-pub use binomial::{Binomial, CdfMethod};
-pub use gamma::{ln_binomial_coefficient, ln_factorial, ln_gamma, regularized_incomplete_beta};
-pub use histogram::Histogram;
-pub use outlier::{BinomialOutlierDetector, OutlierVerdict};
+pub use outlier::BinomialOutlierDetector;

@@ -499,11 +499,6 @@ impl StringGramSet {
         }
     }
 
-    /// Extract with the default configuration (`q = 3`, padded).
-    pub fn extract_default(input: &str) -> Self {
-        Self::extract(input, &QGramConfig::default())
-    }
-
     /// Number of **distinct** grams.
     pub fn len(&self) -> usize {
         self.grams.len()

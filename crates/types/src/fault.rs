@@ -59,6 +59,7 @@ pub fn injected(site: &str) -> LinkageError {
     LinkageError::Io(format!("{INJECTED_PREFIX}`{site}`"))
 }
 
+/// The registry compiled in with `--features fault`.
 #[cfg(feature = "fault")]
 mod registry {
     use std::collections::HashMap;
@@ -77,8 +78,8 @@ mod registry {
     }
 
     static SITES: OnceLock<Mutex<HashMap<String, Site>>> = OnceLock::new();
-    /// Fast-path gate: [`super::fires`] is called on hot durability paths,
-    /// so skip the mutex entirely while nothing is armed.
+    /// Fast-path gate: [`fires`] is called on hot durability paths, so
+    /// skip the mutex entirely while nothing is armed.
     static ARMED: AtomicUsize = AtomicUsize::new(0);
     /// Signalled when a paused site is released (or the registry reset).
     static RELEASED: Condvar = Condvar::new();
@@ -97,6 +98,14 @@ mod registry {
         x
     }
 
+    /// Arm `site` with `trigger` (argument 0).  Re-arming replaces the
+    /// previous trigger and resets the site's call counter.
+    pub fn arm(site: &str, trigger: Trigger) {
+        arm_with(site, trigger, 0);
+    }
+
+    /// Arm `site` with `trigger` and a site-specific argument that [`fires`]
+    /// hands back on a hit — typically a byte offset at which to cut a write.
     pub fn arm_with(site: &str, trigger: Trigger, arg: u64) {
         // xorshift has a single absorbing state at 0; remap only that seed.
         let seed = match trigger {
@@ -118,6 +127,7 @@ mod registry {
         ARMED.store(map.len(), Ordering::SeqCst);
     }
 
+    /// Remove the trigger on `site`, if any.
     pub fn disarm(site: &str) {
         let mut map = sites();
         map.remove(site);
@@ -125,6 +135,13 @@ mod registry {
         RELEASED.notify_all();
     }
 
+    /// Let the thread parked at `site` by [`Trigger::Pause`] go, and
+    /// disarm the site.
+    pub fn release(site: &str) {
+        disarm(site);
+    }
+
+    /// Disarm every site and zero all counters.
     pub fn reset() {
         let mut map = sites();
         map.clear();
@@ -132,6 +149,9 @@ mod registry {
         RELEASED.notify_all();
     }
 
+    /// Called by production code at a failpoint.  Counts the call and
+    /// returns `Some(arg)` when the armed trigger matches, `None` otherwise
+    /// (including when the site is not armed at all).
     pub fn fires(site: &str) -> Option<u64> {
         if ARMED.load(Ordering::SeqCst) == 0 {
             return None;
@@ -171,119 +191,69 @@ mod registry {
         }
     }
 
+    /// How many times `site` has fired since it was armed.
     pub fn hits(site: &str) -> u64 {
         sites().get(site).map_or(0, |s| s.hits)
     }
 
+    /// Whether `err` was raised by a failpoint rather than a real failure.
     pub fn is_injected(err: &LinkageError) -> bool {
         matches!(err, LinkageError::Io(m) if m.starts_with(super::INJECTED_PREFIX))
     }
 }
 
 #[cfg(feature = "fault")]
-pub use active::*;
+pub use registry::*;
 
-/// Registry front-end compiled in with `--features fault`.
-#[cfg(feature = "fault")]
-mod active {
-    use super::{registry, Trigger};
-    use crate::error::LinkageError;
+// Without the `fault` feature: inert stubs, no registry exists and no
+// failpoint can ever fire.
 
-    /// Arm `site` with `trigger` (argument 0).  Re-arming replaces the
-    /// previous trigger and resets the site's call counter.
-    pub fn arm(site: &str, trigger: Trigger) {
-        registry::arm_with(site, trigger, 0);
-    }
+/// No-op without `--features fault`.
+#[cfg(not(feature = "fault"))]
+#[inline(always)]
+pub fn arm(_site: &str, _trigger: Trigger) {}
 
-    /// Arm `site` with `trigger` and a site-specific argument that [`fires`]
-    /// hands back on a hit — typically a byte offset at which to cut a write.
-    pub fn arm_with(site: &str, trigger: Trigger, arg: u64) {
-        registry::arm_with(site, trigger, arg);
-    }
+/// No-op without `--features fault`.
+#[cfg(not(feature = "fault"))]
+#[inline(always)]
+pub fn arm_with(_site: &str, _trigger: Trigger, _arg: u64) {}
 
-    /// Remove the trigger on `site`, if any.
-    pub fn disarm(site: &str) {
-        registry::disarm(site);
-    }
+/// No-op without `--features fault`.
+#[cfg(not(feature = "fault"))]
+#[inline(always)]
+pub fn disarm(_site: &str) {}
 
-    /// Let the thread parked at `site` by [`Trigger::Pause`] go, and
-    /// disarm the site.
-    pub fn release(site: &str) {
-        registry::disarm(site);
-    }
+/// No-op without `--features fault`.
+#[cfg(not(feature = "fault"))]
+#[inline(always)]
+pub fn release(_site: &str) {}
 
-    /// Disarm every site and zero all counters.
-    pub fn reset() {
-        registry::reset();
-    }
+/// No-op without `--features fault`.
+#[cfg(not(feature = "fault"))]
+#[inline(always)]
+pub fn reset() {}
 
-    /// Called by production code at a failpoint.  Counts the call and
-    /// returns `Some(arg)` when the armed trigger matches, `None` otherwise
-    /// (including when the site is not armed at all).
-    pub fn fires(site: &str) -> Option<u64> {
-        registry::fires(site)
-    }
-
-    /// How many times `site` has fired since it was armed.
-    pub fn hits(site: &str) -> u64 {
-        registry::hits(site)
-    }
-
-    /// Whether `err` was raised by a failpoint rather than a real failure.
-    pub fn is_injected(err: &LinkageError) -> bool {
-        registry::is_injected(err)
-    }
+/// Always `None` without `--features fault`; the surrounding failure
+/// branch is dead code the optimiser removes.
+#[cfg(not(feature = "fault"))]
+#[inline(always)]
+pub fn fires(_site: &str) -> Option<u64> {
+    None
 }
 
+/// Always 0 without `--features fault`.
 #[cfg(not(feature = "fault"))]
-pub use inert::*;
+#[inline(always)]
+pub fn hits(_site: &str) -> u64 {
+    0
+}
 
-/// Inert stubs compiled without the `fault` feature: no registry exists and
-/// no failpoint can ever fire.
+/// Always `false` without `--features fault`: nothing can be injected,
+/// so every error is a real one and cleanup paths always run.
 #[cfg(not(feature = "fault"))]
-mod inert {
-    use super::Trigger;
-    use crate::error::LinkageError;
-
-    /// No-op without `--features fault`.
-    #[inline(always)]
-    pub fn arm(_site: &str, _trigger: Trigger) {}
-
-    /// No-op without `--features fault`.
-    #[inline(always)]
-    pub fn arm_with(_site: &str, _trigger: Trigger, _arg: u64) {}
-
-    /// No-op without `--features fault`.
-    #[inline(always)]
-    pub fn disarm(_site: &str) {}
-
-    /// No-op without `--features fault`.
-    #[inline(always)]
-    pub fn release(_site: &str) {}
-
-    /// No-op without `--features fault`.
-    #[inline(always)]
-    pub fn reset() {}
-
-    /// Always `None` without `--features fault`; the surrounding failure
-    /// branch is dead code the optimiser removes.
-    #[inline(always)]
-    pub fn fires(_site: &str) -> Option<u64> {
-        None
-    }
-
-    /// Always 0 without `--features fault`.
-    #[inline(always)]
-    pub fn hits(_site: &str) -> u64 {
-        0
-    }
-
-    /// Always `false` without `--features fault`: nothing can be injected,
-    /// so every error is a real one and cleanup paths always run.
-    #[inline(always)]
-    pub fn is_injected(_err: &LinkageError) -> bool {
-        false
-    }
+#[inline(always)]
+pub fn is_injected(_err: &LinkageError) -> bool {
+    false
 }
 
 #[cfg(all(test, feature = "fault"))]

@@ -43,7 +43,7 @@ pub mod value;
 pub mod wire;
 
 pub use error::{LinkageError, Result};
-pub use matchpair::{MatchKind, MatchPair, MatchSet};
+pub use matchpair::{MatchKind, MatchPair};
 pub use partition::{stable_hash, Partitioner, ShardId};
 pub use record::{Record, RecordId, SidedRecord};
 pub use relation::Relation;

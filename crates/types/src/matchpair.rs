@@ -1,6 +1,5 @@
-//! Join results: match pairs and match sets.
+//! Join results: match pairs and how they were matched.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -91,79 +90,6 @@ impl fmt::Display for MatchPair {
     }
 }
 
-/// A deduplicating accumulator of match pairs.
-///
-/// The adaptive join can, after an operator switch, legitimately rediscover a
-/// pair it has already emitted (e.g. the exact operator found `(l, r)` and a
-/// later approximate probe of a variant finds it again).  `MatchSet`
-/// deduplicates on `(left id, right id)` so result-size accounting — the
-/// monitor's `O_t` — never double counts.
-#[derive(Debug, Default, Clone)]
-pub struct MatchSet {
-    pairs: Vec<MatchPair>,
-    seen: HashSet<(RecordId, RecordId)>,
-    exact_count: usize,
-    approximate_count: usize,
-}
-
-impl MatchSet {
-    /// Create an empty match set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert a pair; returns `true` if it was new.
-    ///
-    /// The *first* discovery of a pair determines its recorded [`MatchKind`].
-    pub fn insert(&mut self, pair: MatchPair) -> bool {
-        if self.seen.insert(pair.id_pair()) {
-            match pair.kind {
-                MatchKind::Exact => self.exact_count += 1,
-                MatchKind::Approximate { .. } => self.approximate_count += 1,
-            }
-            self.pairs.push(pair);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the pair `(left, right)` has already been recorded.
-    pub fn contains(&self, left: RecordId, right: RecordId) -> bool {
-        self.seen.contains(&(left, right))
-    }
-
-    /// Total number of distinct pairs.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Whether no pairs have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// Number of pairs first discovered by an exact match.
-    pub fn exact_count(&self) -> usize {
-        self.exact_count
-    }
-
-    /// Number of pairs first discovered by an approximate match.
-    pub fn approximate_count(&self) -> usize {
-        self.approximate_count
-    }
-
-    /// The recorded pairs, in discovery order.
-    pub fn pairs(&self) -> &[MatchPair] {
-        &self.pairs
-    }
-
-    /// Consume the set, returning the pairs in discovery order.
-    pub fn into_pairs(self) -> Vec<MatchPair> {
-        self.pairs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,60 +120,5 @@ mod tests {
         assert!(q.kind.is_approximate());
         assert!(q.to_string().contains("#1"));
         assert!(q.to_string().contains("approx"));
-    }
-
-    #[test]
-    fn match_set_deduplicates_on_id_pair() {
-        let mut set = MatchSet::new();
-        assert!(set.insert(MatchPair::exact(rec(1, "a"), rec(2, "a"))));
-        assert!(!set.insert(MatchPair::approximate(rec(1, "a"), rec(2, "a"), 0.8)));
-        assert_eq!(set.len(), 1);
-        assert_eq!(set.exact_count(), 1);
-        assert_eq!(set.approximate_count(), 0);
-        assert!(set.contains(RecordId(1), RecordId(2)));
-        assert!(!set.contains(RecordId(2), RecordId(1)));
-    }
-
-    #[test]
-    fn match_set_counts_by_kind_of_first_discovery() {
-        let mut set = MatchSet::new();
-        set.insert(MatchPair::approximate(rec(1, "a"), rec(2, "ab"), 0.9));
-        set.insert(MatchPair::exact(rec(3, "c"), rec(4, "c")));
-        set.insert(MatchPair::exact(rec(3, "c"), rec(5, "c")));
-        assert_eq!(set.len(), 3);
-        assert_eq!(set.exact_count(), 2);
-        assert_eq!(set.approximate_count(), 1);
-    }
-
-    #[test]
-    fn match_set_preserves_discovery_order() {
-        let mut set = MatchSet::new();
-        set.insert(MatchPair::exact(rec(1, "a"), rec(10, "a")));
-        set.insert(MatchPair::exact(rec(2, "b"), rec(20, "b")));
-        let ids: Vec<_> = set.pairs().iter().map(MatchPair::id_pair).collect();
-        assert_eq!(
-            ids,
-            vec![(RecordId(1), RecordId(10)), (RecordId(2), RecordId(20))]
-        );
-        let into = set.into_pairs();
-        assert_eq!(into.len(), 2);
-    }
-
-    #[test]
-    fn empty_set() {
-        let set = MatchSet::new();
-        assert!(set.is_empty());
-        assert_eq!(set.len(), 0);
-        assert_eq!(set.exact_count(), 0);
-        assert_eq!(set.approximate_count(), 0);
-    }
-
-    #[test]
-    fn asymmetric_pairs_are_distinct() {
-        // (1, 2) and (2, 1) are different pairs: ids live in different inputs.
-        let mut set = MatchSet::new();
-        assert!(set.insert(MatchPair::exact(rec(1, "a"), rec(2, "a"))));
-        assert!(set.insert(MatchPair::exact(rec(2, "a"), rec(1, "a"))));
-        assert_eq!(set.len(), 2);
     }
 }

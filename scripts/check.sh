@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Both lockfiles must already describe both workspaces: a change that
+# adds or drops a crate or a dependency edge fails here, instead of
+# silently rewriting perfbench's lock during a benchmark run.
+echo "==> lockfiles are current (root, perfbench)"
+cargo metadata --locked --format-version 1 >/dev/null
+cargo metadata --locked --format-version 1 --manifest-path perfbench/Cargo.toml >/dev/null
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -182,7 +182,7 @@ impl PipelineBuilder {
         self
     }
 
-    /// Outlier significance threshold `θ_out`.
+    /// Outlier significance threshold `θ_out ∈ [0, 1)`.
     pub fn theta_out(mut self, theta_out: f64) -> Self {
         self.config.theta_out = theta_out;
         self

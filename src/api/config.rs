@@ -65,7 +65,7 @@ pub struct PipelineConfig {
     pub similarity: QGramCoefficient,
     /// Similarity threshold `θ_sim` of the approximate phase.
     pub theta_sim: f64,
-    /// Significance threshold `θ_out` of the binomial outlier test.
+    /// Significance threshold `θ_out ∈ [0, 1)` of the binomial outlier test.
     pub theta_out: f64,
     /// Monitor cadence in consumed child tuples.
     pub check_every: u64,
@@ -128,9 +128,11 @@ impl PipelineConfig {
                 self.theta_sim
             )));
         }
-        if !(0.0..=1.0).contains(&self.theta_out) {
+        // The outlier detector's own range: σ ≤ 1 always, so θ_out = 1
+        // would flag every observation.
+        if !(0.0..1.0).contains(&self.theta_out) {
             return Err(LinkageError::config(format!(
-                "θ_out must be in [0, 1], got {}",
+                "θ_out must be in [0, 1), got {}",
                 self.theta_out
             )));
         }
@@ -258,6 +260,11 @@ mod tests {
             {
                 let mut c = ok.clone();
                 c.theta_sim = 1.5;
+                c
+            },
+            {
+                let mut c = ok.clone();
+                c.theta_out = 1.0;
                 c
             },
             {

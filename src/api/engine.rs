@@ -180,12 +180,6 @@ impl RunReport {
             .unwrap_or(0)
     }
 
-    /// Total resident-state estimate: per-shard indexes plus the shared
-    /// gram table once.
-    pub fn total_state_bytes(&self) -> usize {
-        self.state_bytes() + self.interner_bytes()
-    }
-
     /// Total flat-posting slack bytes across shards: headers of
     /// never-populated gram-id slots plus unused posting capacity —
     /// reported separately from [`Self::state_bytes`] so the payload

@@ -138,6 +138,6 @@ pub use linkage_exec::ShardStats;
 pub use linkage_operators::{JoinPhase, PerKind};
 pub use linkage_text::{QGramCoefficient, QGramConfig};
 pub use linkage_types::{
-    defaults, InterleavePolicy, LinkageError, MatchKind, MatchPair, PerSide, Record, RecordId,
-    Relation, Result, Schema,
+    InterleavePolicy, LinkageError, MatchKind, MatchPair, PerSide, Record, RecordId, Relation,
+    Result, Schema,
 };

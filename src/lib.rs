@@ -70,7 +70,7 @@
 //! * [`types`] — records, relations, streams, match pairs, shared
 //!   [`types::defaults`];
 //! * [`text`] — normalisation, q-grams, similarity functions;
-//! * [`stats`] — binomial outlier detection and running statistics;
+//! * [`stats`] — the binomial outlier predicate σ(n) ≤ θ_out;
 //! * [`operators`] — scans and the exact/approximate/switchable joins;
 //! * [`core`] — the monitor → assessor → actuator control loop;
 //! * [`exec`] — the sharded partition-parallel executor;
