@@ -305,7 +305,7 @@ impl Session {
     /// of it is pushed: a non-empty batch after `FIN`, or a record whose
     /// key column (`config.keys[side]`) holds no string.  A refused batch
     /// leaves the session exactly as it was.
-    pub fn check_feed(&self, records: &[SidedRecord]) -> Result<()> {
+    pub(crate) fn check_feed(&self, records: &[SidedRecord]) -> Result<()> {
         if self.fin && !records.is_empty() {
             return Err(LinkageError::protocol(
                 "FEED after FIN: the session input is complete",

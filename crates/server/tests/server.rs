@@ -299,6 +299,11 @@ fn a_feed_with_a_bad_key_is_refused_whole_and_the_session_survives() {
         client.feed(session, &sequence[half..]).unwrap();
         let got = client.drain(session, 256).unwrap();
         assert_eq!(got, expected, "{execution:?}");
+        // A FEED after FIN is refused the same way.
+        match client.feed(session, &sequence[..1]) {
+            Err(LinkageError::Protocol(m)) => assert!(m.contains("after FIN"), "{m}"),
+            other => panic!("{execution:?}: expected BAD_REQUEST, got {other:?}"),
+        }
         let stats = client.stats().unwrap();
         assert_eq!((stats.closed, stats.worker_panics), (0, 0), "{stats:?}");
         client.close(session).unwrap();

@@ -31,7 +31,7 @@ impl BinomialOutlierDetector {
     /// With zero trials there is no evidence either way, so `σ = 1`.
     /// Otherwise `P(X ≤ k) = I_{1−p}(n − k, k + 1)` with `k` clamped to
     /// `n`.
-    pub fn sigma(&self, trials: u64, p: f64, observed: u64) -> f64 {
+    fn sigma(&self, trials: u64, p: f64, observed: u64) -> f64 {
         if trials == 0 {
             return 1.0;
         }
@@ -50,7 +50,8 @@ impl BinomialOutlierDetector {
     }
 
     /// Assess one observation: `(σ, σ ≤ θ_out)`, the tail probability and
-    /// whether it flags a completeness problem.
+    /// whether it flags a completeness problem.  Panics when `p` is
+    /// outside `[0, 1]`.
     pub fn assess(&self, trials: u64, p: f64, observed: u64) -> (f64, bool) {
         let sigma = self.sigma(trials, p, observed);
         (sigma, sigma <= self.theta_out)
@@ -133,10 +134,10 @@ mod tests {
         assert!(close(ln_binomial_coefficient(7, 7), 0.0, 1e-12));
     }
 
-    /// σ's bits on a grid of `(trials, p, observed)`, recorded before the
-    /// binomial CDF's other evaluation methods were removed.  The
+    /// σ's exact bits on a grid of `(trials, p, observed)`.  The
     /// controller switches where σ crosses θ_out, so a changed bit can
-    /// move a switch.
+    /// move a switch: a change to σ's arithmetic or its operation order
+    /// must keep every one of these.
     #[test]
     fn sigma_bits_are_pinned_on_a_grid() {
         // One row per (trials, p); observed ∈ {0, trials/4, trials/2, trials}.
