@@ -1,40 +1,46 @@
 //! The adaptive join: the serial engine, a [`Controller`] wired around a
-//! [`SwitchJoin`].
+//! [`SwitchJoinCore`].
 //!
-//! [`AdaptiveJoin`] is itself a pipelined [`Operator`]: callers pull
-//! match pairs from it exactly as from any other join.  After every
-//! consumed input tuple it asks the controller whether to switch
-//! (monitor → assessor, paper §3.2) and, if so, invokes
-//! [`SwitchJoin::switch_to_approximate`] — the §3.3 state handover,
-//! mid-stream.  [`AdaptiveJoin::next_event`] also yields the switch
+//! [`AdaptiveJoin`] is a push core: its owner feeds it tuples with
+//! [`AdaptiveJoin::feed`] and pops what is ready with
+//! [`AdaptiveJoin::pop_ready`]; it never reads input itself.  After every
+//! fed tuple it asks the controller whether to switch (monitor →
+//! assessor, paper §3.2) and, if so, invokes
+//! [`SwitchJoinCore::switch_to_approximate`] — the §3.3 state handover,
+//! mid-stream.  [`AdaptiveJoin::pop_ready`] yields the switch
 //! announcement in-band, right after the last pair that was queued before
-//! the handover; the [`Operator`] pull skips it.
+//! the handover.  Every fed tuple is processed when it is fed, so the
+//! serial engine holds no pending input.
 
 use std::time::Instant;
 
-use linkage_operators::{JoinPhase, Operator, OperatorState, SwitchJoin};
-use linkage_types::{LinkageError, MatchPair, Result, SidedRecord};
+use linkage_operators::{JoinPhase, SwitchJoinConfig, SwitchJoinCore};
+use linkage_types::{Result, SidedRecord};
 
 use crate::controller::{Controller, ControllerConfig, Pulled, SwitchEvent};
 
-/// The self-tuning join operator.
-pub struct AdaptiveJoin<I> {
-    inner: SwitchJoin<I>,
+/// The self-tuning join.
+pub struct AdaptiveJoin {
+    core: SwitchJoinCore,
     controller: Controller,
 }
 
-impl<I: Operator<Item = SidedRecord>> AdaptiveJoin<I> {
-    /// Wrap a [`SwitchJoin`] with a controller.
-    pub fn new(inner: SwitchJoin<I>, config: ControllerConfig) -> Self {
-        Self {
-            inner,
+impl AdaptiveJoin {
+    /// A fresh join under `join`, controlled by `config`.  `ForceAt(0)`
+    /// switches here, before anything is fed, so the run is byte-for-byte
+    /// a pure SSH join.
+    pub fn new(join: SwitchJoinConfig, config: ControllerConfig) -> Result<Self> {
+        let mut engine = Self {
+            core: SwitchJoinCore::new(join),
             controller: Controller::new(config),
-        }
+        };
+        engine.control_step()?;
+        Ok(engine)
     }
 
-    /// The wrapped operator's current phase.
+    /// The join's current phase.
     pub fn phase(&self) -> JoinPhase {
-        self.inner.phase()
+        self.core.phase()
     }
 
     /// The controller: its configuration, counters and the recorded switch.
@@ -47,32 +53,31 @@ impl<I: Operator<Item = SidedRecord>> AdaptiveJoin<I> {
         &mut self.controller
     }
 
-    /// Read access to the wrapped [`SwitchJoin`] (snapshot encoding).
-    pub fn inner(&self) -> &SwitchJoin<I> {
-        &self.inner
+    /// Read access to the join core (snapshot encoding, reports).
+    pub fn core(&self) -> &SwitchJoinCore {
+        &self.core
     }
 
-    /// Mutable access to the wrapped [`SwitchJoin`] (snapshot restore
-    /// installs the decoded kernel through
-    /// [`SwitchJoin::restore`](linkage_operators::SwitchJoin::restore)).
-    pub fn inner_mut(&mut self) -> &mut SwitchJoin<I> {
-        &mut self.inner
+    /// Mutable access to the join core (snapshot restore installs the
+    /// decoded kernel through [`SwitchJoinCore::restore`]).
+    pub fn core_mut(&mut self) -> &mut SwitchJoinCore {
+        &mut self.core
     }
 
-    /// Ask the controller after a consumed tuple (or at open) and perform
-    /// the timed handover if it says so.
+    /// Ask the controller after a fed tuple (or at construction) and
+    /// perform the timed handover if it says so.
     fn control_step(&mut self) -> Result<()> {
         let Some(sigma) = self
             .controller
-            .decide(self.inner.consumed(), self.inner.emitted().total())
+            .decide(self.core.consumed(), self.core.emitted().total())
         else {
             return Ok(());
         };
-        let queued = self.inner.buffered();
+        let queued = self.core.buffered();
         let start = Instant::now();
-        let recovered = self.inner.switch_to_approximate()?;
+        let recovered = self.core.switch_to_approximate()?;
         let event = SwitchEvent {
-            after_tuples: self.inner.total_consumed(),
+            after_tuples: self.core.total_consumed(),
             sigma,
             recovered,
         };
@@ -81,98 +86,31 @@ impl<I: Operator<Item = SidedRecord>> AdaptiveJoin<I> {
         Ok(())
     }
 
-    /// Consume input tuples — running the per-tuple control loop after
-    /// each — until `available` total tuples have been consumed, without
-    /// popping any buffered match pair.
-    ///
-    /// This is the incremental-session entry point: a caller feeding the
-    /// input in batches advances the join exactly to the end of the fed
-    /// prefix, then drains the pairs buffered so far.  The output is
-    /// bit-identical to a single uninterrupted run because emission
-    /// counters and switch decisions update at produce-time (inside
-    /// [`SwitchJoin::advance`]), never at pop-time — the pop schedule
-    /// cannot perturb them.
-    ///
-    /// The input must actually hold `available` tuples: an earlier end
-    /// of input is a typed [`LinkageError::Execution`].
-    pub fn advance_to(&mut self, available: u64) -> Result<()> {
-        self.inner.state().check_next(self.name())?;
-        while self.inner.total_consumed() < available {
-            if !self.inner.advance()? {
-                return Err(LinkageError::execution(format!(
-                    "session input ended at {} consumed tuples but {available} were promised",
-                    self.inner.total_consumed()
-                )));
-            }
+    /// Process `records` in order, running the control loop after each.
+    /// Produced pairs stay queued for [`Self::pop_ready`]: emission
+    /// counters and switch decisions update when a tuple is processed,
+    /// never when a pair is popped, so how the input is chunked and when
+    /// the output is popped cannot change the stream.
+    pub fn feed(&mut self, records: &[SidedRecord]) -> Result<()> {
+        for sided in records {
+            self.core.process(sided.clone())?;
             self.control_step()?;
         }
         Ok(())
     }
 
-    /// The next pair or switch announcement that is ready without reading
-    /// input, or `None` if producing one needs more input.
-    pub fn pop_ready(&mut self) -> Result<Option<Pulled>> {
-        // Enforce the protocol here too: `pop` bypasses the inner
-        // operator's own state check, and buffered pairs must not leak
-        // out of a closed operator.
-        self.inner.state().check_next(self.name())?;
-        Ok(self.controller.pull(|| self.inner.pop()))
-    }
-
-    /// The next pair or switch announcement, reading input as needed, or
-    /// `None` at the end of the stream.
-    pub fn next_event(&mut self) -> Result<Option<Pulled>> {
-        self.inner.state().check_next(self.name())?;
-        loop {
-            if let Some(pulled) = self.controller.pull(|| self.inner.pop()) {
-                return Ok(Some(pulled));
-            }
-            if !self.inner.advance()? {
-                return Ok(None);
-            }
-            self.control_step()?;
-        }
-    }
-}
-
-impl<I: Operator<Item = SidedRecord>> Operator for AdaptiveJoin<I> {
-    type Item = MatchPair;
-
-    fn name(&self) -> &'static str {
-        "adaptive-join"
-    }
-
-    fn state(&self) -> OperatorState {
-        self.inner.state()
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.inner.open()?;
-        // `ForceAt(0)` switches here, before anything is consumed, so the
-        // run is byte-for-byte a pure SSH join.
-        self.control_step()
-    }
-
-    fn next(&mut self) -> Result<Option<MatchPair>> {
-        loop {
-            match self.next_event()? {
-                Some(Pulled::Match(pair)) => return Ok(Some(pair)),
-                Some(Pulled::Switched(_)) => {}
-                None => return Ok(None),
-            }
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.inner.close()
+    /// The next queued pair or switch announcement, or `None` if producing
+    /// one needs more input.
+    pub fn pop_ready(&mut self) -> Option<Pulled> {
+        self.controller.pull(|| self.core.pop())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linkage_operators::{InterleavedScan, SwitchJoinConfig};
-    use linkage_types::{Field, PerSide, Record, Schema, Value, VecStream};
+    use linkage_operators::{InterleavedScan, Operator};
+    use linkage_types::{Field, MatchPair, PerSide, Record, Schema, Value, VecStream};
 
     use linkage_datagen::SplitMix64;
 
@@ -218,20 +156,35 @@ mod tests {
         (relation_stream(parents), relation_stream(children))
     }
 
-    fn adaptive(
-        n: usize,
-        dirty_from: usize,
-    ) -> AdaptiveJoin<InterleavedScan<VecStream, VecStream>> {
+    /// The alternating parent/child feed and a fresh join over it.
+    fn adaptive(n: usize, dirty_from: usize) -> (AdaptiveJoin, Vec<SidedRecord>) {
         let (parents, children) = dataset(n, dirty_from);
-        let scan = InterleavedScan::alternating(parents, children);
-        let join = SwitchJoin::new(scan, SwitchJoinConfig::new(PerSide::new(0, 0)));
-        AdaptiveJoin::new(join, ControllerConfig::new(n as u64))
+        let feed = InterleavedScan::alternating(parents, children)
+            .run_to_end()
+            .unwrap();
+        let join = AdaptiveJoin::new(
+            SwitchJoinConfig::new(PerSide::new(0, 0)),
+            ControllerConfig::new(n as u64),
+        )
+        .unwrap();
+        (join, feed)
+    }
+
+    /// Feed everything, then pop every pair.
+    fn run(join: &mut AdaptiveJoin, feed: &[SidedRecord]) -> Vec<MatchPair> {
+        join.feed(feed).unwrap();
+        std::iter::from_fn(|| join.pop_ready())
+            .filter_map(|pulled| match pulled {
+                Pulled::Match(pair) => Some(pair),
+                Pulled::Switched(_) => None,
+            })
+            .collect()
     }
 
     #[test]
     fn clean_data_never_switches() {
-        let mut join = adaptive(200, 200);
-        let pairs = join.run_to_end().unwrap();
+        let (mut join, feed) = adaptive(200, 200);
+        let pairs = run(&mut join, &feed);
         assert_eq!(pairs.len(), 200);
         assert_eq!(join.phase(), JoinPhase::Exact);
         assert!(join.controller().switch().is_none());
@@ -239,8 +192,8 @@ mod tests {
 
     #[test]
     fn dirty_tail_triggers_a_switch_and_recovers_matches() {
-        let mut join = adaptive(300, 150);
-        let pairs = join.run_to_end().unwrap();
+        let (mut join, feed) = adaptive(300, 150);
+        let pairs = run(&mut join, &feed);
 
         let event = join
             .controller()
@@ -252,7 +205,7 @@ mod tests {
         // Every parent-child pair is found: clean ones exactly, dirty ones
         // approximately (recovered or post-switch).
         assert_eq!(pairs.len(), 300);
-        let emitted = join.inner().emitted();
+        let emitted = join.core().emitted();
         assert_eq!(emitted.total(), 300);
         assert!(
             emitted.approximate >= 100,
@@ -268,10 +221,11 @@ mod tests {
 
     #[test]
     fn report_reflects_progress() {
-        let mut join = adaptive(64, 64);
-        join.open().unwrap();
-        let _ = join.next().unwrap();
-        assert!(join.inner().total_consumed() >= 2);
+        let (mut join, feed) = adaptive(64, 64);
+        join.feed(&feed[..2]).unwrap();
+        assert!(matches!(join.pop_ready(), Some(Pulled::Match(_))));
+        assert!(join.pop_ready().is_none(), "nothing more without input");
+        assert_eq!(join.core().total_consumed(), 2);
         assert_eq!(join.phase(), JoinPhase::Exact);
         assert!(join.controller().switch().is_none());
     }

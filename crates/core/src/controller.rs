@@ -3,7 +3,7 @@
 //! visible in the output.
 //!
 //! The serial [`crate::AdaptiveJoin`] calls [`Controller::decide`] after
-//! every consumed tuple; the sharded executor in `linkage-exec` calls it
+//! every fed tuple; the sharded executor in `linkage-exec` calls it
 //! after every exact-phase epoch, with the router's consumed counts and
 //! the deduplicated global match count.  Both use one checkpoint rule —
 //! assess when `consumed.right / check_every` has grown since the last
@@ -17,7 +17,7 @@
 //! [`Controller::record_switch`], and from then on pops its output queue
 //! through [`Controller::pull`]: the pairs that were queued before the
 //! handover come out first, then [`Pulled::Switched`] — in-band, from the
-//! engine's own pull — then the recovered and post-switch pairs.
+//! engine's own queue — then the recovered and post-switch pairs.
 
 use std::time::Duration;
 
@@ -102,7 +102,7 @@ pub struct SwitchEvent {
     pub recovered: u64,
 }
 
-/// What an engine's pull returns: the next pair, or the switch
+/// What an engine's `pop_ready` returns: the next pair, or the switch
 /// announcement in its place in the stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Pulled {
@@ -172,7 +172,7 @@ impl Controller {
     /// tuples and emitted `matches` distinct pairs: `Some(sigma)` if so.
     ///
     /// Called after every tuple (serial), after every exact epoch
-    /// (sharded) and once at open, where it fires for `ForceAt(0)` only.
+    /// (sharded) and once at construction, firing for `ForceAt(0)` only.
     /// Never fires again once a switch is recorded.
     pub fn decide(&mut self, consumed: PerSide<u64>, matches: u64) -> Option<f64> {
         if self.switch.is_some() {

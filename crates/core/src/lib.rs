@@ -14,16 +14,16 @@
 //!   checkpoint, records the switch the engine performs, and places the
 //!   [`Pulled::Switched`] announcement in the engine's output right after
 //!   the last pair queued before the handover;
-//! * [`AdaptiveJoin`] is the serial engine: it asks the controller after
-//!   every consumed tuple and performs the exact → approximate state
-//!   handover ([`linkage_operators::SwitchJoin::switch_to_approximate`],
-//!   §3.3) mid-stream, after which recovered and newly found approximate
-//!   matches flow out of the same operator.  The sharded engine in
+//! * [`AdaptiveJoin`] is the serial engine, a push core: it asks the
+//!   controller after every fed tuple and performs the exact →
+//!   approximate state handover
+//!   ([`linkage_operators::SwitchJoinCore::switch_to_approximate`], §3.3)
+//!   mid-stream, after which recovered and newly found approximate
+//!   matches flow out of the same queue.  The sharded engine in
 //!   `linkage-exec` asks the same controller after every exact epoch.
 //!
-//! [`AdaptiveJoin`] is itself a pipelined operator, so the whole adaptive
-//! pipeline composes like any other query plan.  See
-//! `examples/quickstart.rs` for an end-to-end run.
+//! Neither engine reads input: the `linkage::api` facade (or the server)
+//! feeds them.  See `examples/quickstart.rs` for an end-to-end run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

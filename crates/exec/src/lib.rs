@@ -4,8 +4,8 @@
 //! pipeline: scale the paper's single-threaded exact → approximate join
 //! across cores without changing what it emits.
 //!
-//! * [`ParallelJoin`] — a pipelined operator that hash-partitions the
-//!   input across N worker shards (one [`ExactJoinCore`] kernel per
+//! * [`ParallelJoin`] — a push core that hash-partitions the fed input
+//!   across N worker shards (one [`ExactJoinCore`] kernel per
 //!   thread, bounded channels), switches **globally** to the
 //!   approximate kernel when the aggregated monitor → assessor loop
 //!   triggers, and merges emitted match pairs deterministically;
@@ -40,9 +40,11 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::Arc;
 
-    use linkage_core::{AdaptiveJoin, ControllerConfig, SwitchPolicy};
+    use linkage_core::{AdaptiveJoin, ControllerConfig, Pulled, SwitchPolicy};
     use linkage_datagen::{generate, DatagenConfig, GeneratedData};
-    use linkage_operators::{InterleavedScan, JoinPhase, Operator, SwitchJoin, SwitchJoinConfig};
+    use linkage_operators::{
+        InterleavedScan, JoinPhase, Operator, SwitchJoinConfig, SwitchJoinCore,
+    };
     use linkage_types::{Field, Value};
     use linkage_types::{
         LinkageError, MatchPair, PerSide, Record, RecordId, Schema, SidedRecord, VecStream,
@@ -55,20 +57,47 @@ mod tests {
         right: GeneratedData::KEY_COLUMN,
     };
 
-    fn scan(data: &GeneratedData) -> InterleavedScan<VecStream, VecStream> {
+    /// The alternating parent/child feed.
+    fn feed(data: &GeneratedData) -> Vec<SidedRecord> {
         InterleavedScan::alternating(
             VecStream::from_relation(&data.parents),
             VecStream::from_relation(&data.children),
         )
+        .run_to_end()
+        .unwrap()
     }
 
-    fn parallel(
-        data: &GeneratedData,
-        shards: usize,
-    ) -> ParallelJoin<InterleavedScan<VecStream, VecStream>> {
+    fn parallel(data: &GeneratedData, shards: usize) -> ParallelJoin {
         let config =
             ParallelJoinConfig::new(shards, KEYS, data.parents.len() as u64).with_batch_size(32);
-        ParallelJoin::new(scan(data), config)
+        ParallelJoin::new(config).unwrap()
+    }
+
+    /// Feed everything, finish, pop every pair and close.
+    fn run(join: &mut ParallelJoin, feed: &[SidedRecord]) -> Vec<MatchPair> {
+        join.feed(feed).unwrap();
+        join.finish().unwrap();
+        let pairs = std::iter::from_fn(|| join.pop_ready())
+            .filter_map(|pulled| match pulled {
+                Pulled::Match(pair) => Some(pair),
+                Pulled::Switched(_) => None,
+            })
+            .collect();
+        join.close().unwrap();
+        pairs
+    }
+
+    /// The serial join core's pairs over `feed`, switched before the
+    /// first tuple or never.
+    fn serial_core(feed: &[SidedRecord], switched: bool) -> Vec<MatchPair> {
+        let mut join = SwitchJoinCore::new(SwitchJoinConfig::new(KEYS));
+        if switched {
+            assert_eq!(join.switch_to_approximate().unwrap(), 0);
+        }
+        for sided in feed {
+            join.process(sided.clone()).unwrap();
+        }
+        std::iter::from_fn(|| join.pop()).collect()
     }
 
     fn forced(config: ParallelJoinConfig, after: u64) -> ParallelJoinConfig {
@@ -90,11 +119,11 @@ mod tests {
     #[test]
     fn clean_data_matches_serial_exact_join_for_every_shard_count() {
         let data = generate(&DatagenConfig::clean(120, 21)).unwrap();
-        let mut serial = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
-        let expected = id_set(&serial.run_to_end().unwrap());
+        let feed = feed(&data);
+        let expected = id_set(&serial_core(&feed, false));
         for shards in [1, 2, 3, 4] {
             let mut join = parallel(&data, shards);
-            let pairs = join.run_to_end().unwrap();
+            let pairs = run(&mut join, &feed);
             assert_eq!(join.phase(), JoinPhase::Exact, "{shards} shards switched");
             assert!(join.controller().switch().is_none());
             assert_no_duplicates(&pairs);
@@ -106,11 +135,19 @@ mod tests {
     fn dirty_tail_triggers_a_global_switch_with_full_recovery() {
         let data = generate(&DatagenConfig::mid_stream_dirty(150, 22)).unwrap();
         // The serial adaptive join is the reference behaviour.
+        let feed = feed(&data);
         let mut serial = AdaptiveJoin::new(
-            SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS)),
+            SwitchJoinConfig::new(KEYS),
             ControllerConfig::new(data.parents.len() as u64),
-        );
-        let serial_pairs = serial.run_to_end().unwrap();
+        )
+        .unwrap();
+        serial.feed(&feed).unwrap();
+        let serial_pairs: Vec<MatchPair> = std::iter::from_fn(|| serial.pop_ready())
+            .filter_map(|pulled| match pulled {
+                Pulled::Match(pair) => Some(pair),
+                Pulled::Switched(_) => None,
+            })
+            .collect();
         assert!(
             serial.controller().switch().is_some(),
             "workload must switch"
@@ -118,7 +155,7 @@ mod tests {
 
         for shards in [1, 2, 4] {
             let mut join = parallel(&data, shards);
-            let pairs = join.run_to_end().unwrap();
+            let pairs = run(&mut join, &feed);
             let event = join
                 .controller()
                 .switch()
@@ -138,16 +175,14 @@ mod tests {
     fn forced_switch_matches_pure_ssh_join_set() {
         let data = generate(&DatagenConfig::mid_stream_dirty(100, 23)).unwrap();
         // A switch before the first tuple leaves the pure SSH join.
-        let mut ssh = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
-        ssh.open().unwrap();
-        assert_eq!(ssh.switch_to_approximate().unwrap(), 0);
-        let expected = id_set(&ssh.run_to_end().unwrap());
+        let feed = feed(&data);
+        let expected = id_set(&serial_core(&feed, true));
         for shards in [1, 3] {
             let config = ParallelJoinConfig::new(shards, KEYS, data.parents.len() as u64)
                 .with_batch_size(17); // deliberately not a divisor of anything
             let config = forced(config, 60);
-            let mut join = ParallelJoin::new(scan(&data), config);
-            let pairs = join.run_to_end().unwrap();
+            let mut join = ParallelJoin::new(config).unwrap();
+            let pairs = run(&mut join, &feed);
             let event = join.controller().switch().expect("forced switch");
             assert_eq!(event.sigma, 0.0, "forced switches report sigma 0");
             assert_no_duplicates(&pairs);
@@ -158,10 +193,9 @@ mod tests {
     #[test]
     fn output_is_deterministic_per_shard_count() {
         let data = generate(&DatagenConfig::mid_stream_dirty(80, 24)).unwrap();
+        let feed = feed(&data);
         let run = |shards: usize| -> Vec<(RecordId, RecordId)> {
-            parallel(&data, shards)
-                .run_to_end()
-                .unwrap()
+            run(&mut parallel(&data, shards), &feed)
                 .iter()
                 .map(MatchPair::id_pair)
                 .collect()
@@ -175,8 +209,8 @@ mod tests {
         let config =
             ParallelJoinConfig::new(4, KEYS, data.parents.len() as u64).with_batch_size(32);
         let config = forced(config, 64); // guarantee a post-switch phase
-        let mut join = ParallelJoin::new(scan(&data), config);
-        join.run_to_end().unwrap();
+        let mut join = ParallelJoin::new(config).unwrap();
+        run(&mut join, &feed(&data));
         assert_eq!(join.consumed().left as usize, data.parents.len());
         assert_eq!(join.consumed().right as usize, data.children.len());
 
@@ -198,7 +232,7 @@ mod tests {
     fn emitted_counters_match_output_stream() {
         let data = generate(&DatagenConfig::mid_stream_dirty(70, 26)).unwrap();
         let mut join = parallel(&data, 2);
-        let pairs = join.run_to_end().unwrap();
+        let pairs = run(&mut join, &feed(&data));
         assert_eq!(join.emitted().total() as usize, pairs.len());
         let exact = pairs.iter().filter(|p| p.kind.is_exact()).count();
         assert_eq!(join.emitted().exact as usize, exact);
@@ -209,16 +243,21 @@ mod tests {
     #[test]
     fn operator_protocol_is_enforced() {
         let data = generate(&DatagenConfig::clean(10, 27)).unwrap();
+        let feed = feed(&data);
         let mut join = parallel(&data, 2);
+        join.feed(&feed[..3]).unwrap();
+        join.finish().unwrap();
+        assert!(join.finish().is_ok(), "finish is idempotent");
         assert!(matches!(
-            join.next(),
-            Err(LinkageError::OperatorState(ref m)) if m.contains("before open")
+            join.feed(&feed[3..]),
+            Err(LinkageError::OperatorState(ref m)) if m.contains("after finish")
         ));
-        join.open().unwrap();
-        assert!(join.open().is_err(), "double open must fail");
         join.close().unwrap();
         assert!(join.close().is_ok(), "close is idempotent");
-        assert!(join.next().is_err(), "next after close must fail");
+        assert!(matches!(
+            join.finish(),
+            Err(LinkageError::OperatorState(ref m)) if m.contains("after close")
+        ));
     }
 
     #[test]
@@ -227,11 +266,13 @@ mod tests {
         let records = vec![Record::new(0u64, vec![Value::Int(5)])];
         let left = VecStream::new(schema.clone(), records.clone());
         let right = VecStream::new(schema, records);
-        let scan = InterleavedScan::alternating(left, right);
-        let mut join = ParallelJoin::new(scan, ParallelJoinConfig::new(2, PerSide::new(0, 0), 1));
-        join.open().unwrap();
-        assert!(join.next().is_err());
-        assert_eq!(join.next().unwrap(), None, "poisoned join is exhausted");
+        let feed = InterleavedScan::alternating(left, right)
+            .run_to_end()
+            .unwrap();
+        let config = ParallelJoinConfig::new(2, PerSide::new(0, 0), 1).with_batch_size(1);
+        let mut join = ParallelJoin::new(config).unwrap();
+        assert!(join.feed(&feed).is_err());
+        assert!(join.pop_ready().is_none(), "nothing was emitted");
         join.close().unwrap();
     }
 
@@ -239,8 +280,7 @@ mod tests {
     fn dropping_an_open_join_shuts_workers_down() {
         let data = generate(&DatagenConfig::clean(40, 28)).unwrap();
         let mut join = parallel(&data, 3);
-        join.open().unwrap();
-        let _ = join.next().unwrap();
+        join.feed(&feed(&data)[..40]).unwrap();
         drop(join); // must not hang or leak threads
     }
 
@@ -248,8 +288,9 @@ mod tests {
     fn report_before_close_has_no_shard_stats() {
         let data = generate(&DatagenConfig::clean(20, 29)).unwrap();
         let mut join = parallel(&data, 2);
-        join.open().unwrap();
-        let _ = join.next().unwrap();
+        join.feed(&feed(&data)).unwrap();
+        join.finish().unwrap();
+        assert!(join.pop_ready().is_some());
         assert!(join.shard_stats().is_empty());
         join.close().unwrap();
         assert_eq!(join.shard_stats().len(), 2);

@@ -1,19 +1,23 @@
 //! The partition-parallel adaptive join.
 //!
-//! [`ParallelJoin`] drives N worker shards (one thread each, bounded
-//! channels) through lock-step **epochs**:
+//! [`ParallelJoin`] is a push core like the serial engine: its owner
+//! feeds it tuples and pops what is ready; it never reads input.  It
+//! drives N worker shards (one thread each, bounded channels) through
+//! lock-step **epochs** of `batch_size` fed tuples, buffering the fed
+//! records until an epoch is full (the partial tail runs at
+//! [`ParallelJoin::finish`]):
 //!
-//! 1. pull up to `batch_size` tuples from the input operator;
-//! 2. route them — in the **exact phase** each tuple goes to the single
-//!    shard owning the stable hash of its normalised key, so every shard
-//!    runs an independent symmetric hash join over a disjoint partition;
-//!    in the **approximate phase** every tuple is tokenised once at the
-//!    router and broadcast: every shard probes it against its slice of the
-//!    resident inverted index, and only the tuple's home shard stores it;
-//! 3. barrier on one reply per shard, merging emitted pairs in shard
+//! 1. route the epoch — in the **exact phase** each tuple goes to the
+//!    single shard owning the stable hash of its normalised key, so every
+//!    shard runs an independent symmetric hash join over a disjoint
+//!    partition; in the **approximate phase** every tuple is tokenised
+//!    once at the router and broadcast: every shard probes it against its
+//!    slice of the resident inverted index, and only the tuple's home
+//!    shard stores it;
+//! 2. barrier on one reply per shard, merging emitted pairs in shard
 //!    order — deterministic for a given shard count, with each distinct
 //!    pair emitted exactly once;
-//! 4. after an exact epoch, ask the [`Controller`] — the one the serial
+//! 3. after an exact epoch, ask the [`Controller`] — the one the serial
 //!    [`AdaptiveJoin`] asks after every tuple — with the aggregated
 //!    counters; on a trigger, orchestrate the distributed §3.3 handover:
 //!    every shard migrates its hash tables into inverted indexes and
@@ -21,11 +25,14 @@
 //!    snapshots of the shards before it, recovering the cross-shard
 //!    matches hash partitioning had separated.
 //!
-//! The exact phase parallelises because the partitions are disjoint; the
-//! approximate phase parallelises because probe cost is proportional to
-//! posting-list length and every shard holds ~1/N of the postings.  The
-//! switch decision is made once, globally, from deduplicated counts, and
-//! announced in-band by [`ParallelJoin::next_event`] exactly as the serial
+//! Epoch boundaries fall every `batch_size` fed tuples however the input
+//! is chunked, so the per-epoch decisions, and with them the output, do
+//! not depend on how the owner feeds.  The exact phase parallelises
+//! because the partitions are disjoint; the approximate phase
+//! parallelises because probe cost is proportional to posting-list
+//! length and every shard holds ~1/N of the postings.  The switch
+//! decision is made once, globally, from deduplicated counts, and
+//! announced in-band by [`ParallelJoin::pop_ready`] exactly as the serial
 //! engine announces it.
 //!
 //! [`AdaptiveJoin`]: linkage_core::AdaptiveJoin
@@ -37,10 +44,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use linkage_core::{Controller, Pulled, SwitchEvent};
-use linkage_operators::switch::skip_consumed_prefix;
-use linkage_operators::{
-    snapshot as opsnap, JoinPhase, Operator, OperatorState, PerKind, SshJoinCore, SshStored,
-};
+use linkage_operators::{snapshot as opsnap, JoinPhase, PerKind, SshJoinCore, SshStored};
 use linkage_text::{normalize, SharedInterner};
 use linkage_types::snapshot::{kind, shard_kind, Decoder, Encoder, SnapshotBuilder, SnapshotFile};
 use linkage_types::{
@@ -73,13 +77,11 @@ impl WorkerHandle {
     }
 }
 
-/// The sharded parallel adaptive join operator.
+/// The sharded parallel adaptive join.
 ///
-/// A pipelined [`Operator`] like its serial counterpart: callers pull
-/// merged match pairs from it.  `open` spawns the worker threads, `close`
-/// collects their statistics and joins them.
-pub struct ParallelJoin<I> {
-    input: I,
+/// Built ready to feed: [`Self::new`] spawns the worker threads, and
+/// [`Self::close`] collects their statistics and joins them.
+pub struct ParallelJoin {
     config: ParallelJoinConfig,
     partitioner: Partitioner,
     /// The join-wide gram table: the router's prepare kernel interns into
@@ -91,12 +93,10 @@ pub struct ParallelJoin<I> {
     prep: SshJoinCore,
     controller: Controller,
     workers: Vec<WorkerHandle>,
-    state: OperatorState,
     phase: JoinPhase,
     out: VecDeque<MatchPair>,
-    /// The next approximate-phase epoch, tokenised while the workers were
-    /// busy probing the previous one.
-    prepared_ahead: Option<Arc<PreparedBatch>>,
+    /// Fed records not yet in an epoch: always fewer than `batch_size`.
+    pending: Vec<SidedRecord>,
     /// Approximate-phase epochs dispatched to the workers whose replies
     /// have not been collected yet (bounded send-ahead; see
     /// [`Self::approx_epoch`]).
@@ -104,34 +104,38 @@ pub struct ParallelJoin<I> {
     consumed: PerSide<u64>,
     emitted: PerKind,
     shard_stats: Vec<ShardStats>,
-    exhausted: bool,
+    /// [`Self::finish`] was called: the input is complete.
+    finished: bool,
 }
 
-impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
-    /// Build over a sided input.
-    pub fn new(input: I, config: ParallelJoinConfig) -> Self {
+impl ParallelJoin {
+    /// Spawn the workers.  `ForceAt(0)` switches here, before any epoch,
+    /// mirroring the serial engine.
+    pub fn new(config: ParallelJoinConfig) -> Result<Self> {
         let partitioner = Partitioner::new(config.shards);
         let interner = SharedInterner::new();
         let prep = config.join.ssh_core_with(interner.clone());
         let controller = Controller::new(config.controller.clone());
-        Self {
-            input,
+        let pending = Vec::with_capacity(config.batch_size);
+        let mut join = Self {
             config,
             partitioner,
             interner,
             prep,
             controller,
             workers: Vec::new(),
-            state: OperatorState::default(),
             phase: JoinPhase::Exact,
             out: VecDeque::new(),
-            prepared_ahead: None,
+            pending,
             approx_in_flight: 0,
             consumed: PerSide::default(),
             emitted: PerKind::default(),
             shard_stats: Vec::new(),
-            exhausted: false,
-        }
+            finished: false,
+        };
+        join.spawn_workers()?;
+        join.control_step()?;
+        Ok(join)
     }
 
     /// Number of worker shards.
@@ -166,8 +170,8 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         &self.controller
     }
 
-    /// Per-shard statistics, collected by [`Operator::close`]; empty
-    /// before that.
+    /// Per-shard statistics, collected by [`Self::close`]; empty before
+    /// that.
     pub fn shard_stats(&self) -> &[ShardStats] {
         &self.shard_stats
     }
@@ -195,30 +199,69 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         Ok(())
     }
 
-    /// Pull up to one epoch's worth of input.
-    fn pull_batch(&mut self) -> Result<Vec<SidedRecord>> {
-        let mut batch = Vec::with_capacity(self.config.batch_size);
-        while batch.len() < self.config.batch_size {
-            match self.input.next()? {
-                Some(sided) => batch.push(sided),
-                None => break,
-            }
+    /// Fail unless the workers are still running.
+    fn check_open(&self) -> Result<()> {
+        if self.workers.is_empty() {
+            return Err(LinkageError::operator_state(
+                "parallel-join: used after close()",
+            ));
         }
-        Ok(batch)
+        Ok(())
     }
 
-    /// Run one epoch: pull, route, barrier, merge, assess.
-    fn epoch(&mut self) -> Result<()> {
-        if self.phase == JoinPhase::Approximate {
-            return self.approx_epoch();
+    /// Buffer `records`, running one epoch each time `batch_size` of them
+    /// are buffered.  Produced pairs stay queued for [`Self::pop_ready`].
+    pub fn feed(&mut self, mut records: &[SidedRecord]) -> Result<()> {
+        self.check_open()?;
+        if self.finished {
+            return Err(LinkageError::operator_state(
+                "parallel-join: fed after finish()",
+            ));
         }
-        let batch = self.pull_batch()?;
-        if batch.is_empty() {
-            self.exhausted = true;
+        let batch_size = self.config.batch_size;
+        while !records.is_empty() {
+            let take = (batch_size - self.pending.len()).min(records.len());
+            self.pending.extend_from_slice(&records[..take]);
+            records = &records[take..];
+            if self.pending.len() == batch_size {
+                let batch = std::mem::replace(&mut self.pending, Vec::with_capacity(batch_size));
+                self.epoch(batch)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Declare the input complete: run the partial tail epoch, if any,
+    /// and collect every epoch still in flight, so everything the input
+    /// produces is queued.  Idempotent.
+    pub fn finish(&mut self) -> Result<()> {
+        self.check_open()?;
+        if self.finished {
             return Ok(());
         }
-        self.exact_epoch(batch)?;
-        self.control_step()
+        self.finished = true;
+        if !self.pending.is_empty() {
+            let batch = std::mem::take(&mut self.pending);
+            self.epoch(batch)?;
+        }
+        self.quiesce()
+    }
+
+    /// The fed records not yet in an epoch, oldest first.  A snapshot
+    /// does not hold them: its consumed counts end before them.
+    pub fn pending(&self) -> &[SidedRecord] {
+        &self.pending
+    }
+
+    /// Run one epoch: route, barrier, merge, assess.
+    fn epoch(&mut self, batch: Vec<SidedRecord>) -> Result<()> {
+        match self.phase {
+            JoinPhase::Exact => {
+                self.exact_epoch(batch)?;
+                self.control_step()
+            }
+            JoinPhase::Approximate => self.approx_epoch(batch),
+        }
     }
 
     /// Exact phase: hash-partition the batch, one shard per tuple.
@@ -248,51 +291,33 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         self.config.channel_capacity.clamp(1, 2)
     }
 
-    /// Approximate phase: broadcast prepared batches, store at the home
+    /// Approximate phase: broadcast the prepared batch, store at the home
     /// shard — with a bounded **send-ahead pipeline**.  Up to
-    /// [`Self::approx_pipeline_depth`] epochs are dispatched before the
-    /// oldest one's barrier is collected, and the next epoch is tokenised
-    /// while the workers probe, so the router's normalise + q-gram +
-    /// intern work and its reply merging overlap with shard work instead
-    /// of serialising in front of it.  No control decision happens in
-    /// this phase (the switch is behind us), so the deeper dispatch
-    /// cannot reorder anything: replies are still collected one epoch at
-    /// a time, in shard order.
-    fn approx_epoch(&mut self) -> Result<()> {
-        while self.approx_in_flight < self.approx_pipeline_depth() {
-            let shared = match self.prepared_ahead.take() {
-                Some(prepared) => Some(prepared),
-                None => {
-                    let batch = self.pull_batch()?;
-                    if batch.is_empty() {
-                        None
-                    } else {
-                        Some(self.prepare_batch(batch)?)
-                    }
-                }
-            };
-            let Some(shared) = shared else { break };
-            for worker in &self.workers {
-                worker.send(ShardCmd::ApproxBatch(Arc::clone(&shared)))?;
-            }
-            self.approx_in_flight += 1;
-            let next = self.pull_batch()?;
-            if !next.is_empty() {
-                self.prepared_ahead = Some(self.prepare_batch(next)?);
-            }
+    /// [`Self::approx_pipeline_depth`] epochs are in flight at once: the
+    /// batch is tokenised while the workers probe the epochs before it,
+    /// and the oldest epoch's barrier is collected only when the pipeline
+    /// is full, so the router's normalise + q-gram + intern work and its
+    /// reply merging overlap with shard work instead of serialising in
+    /// front of it.  No control decision happens in this phase (the
+    /// switch is behind us), so the deeper dispatch cannot reorder
+    /// anything: replies are still collected one epoch at a time, in
+    /// shard order.
+    fn approx_epoch(&mut self, batch: Vec<SidedRecord>) -> Result<()> {
+        let shared = self.prepare_batch(batch)?;
+        if self.approx_in_flight == self.approx_pipeline_depth() {
+            self.collect_batch_replies()?;
+            self.approx_in_flight -= 1;
         }
-        if self.approx_in_flight == 0 {
-            self.exhausted = true;
-            return Ok(());
+        for worker in &self.workers {
+            worker.send(ShardCmd::ApproxBatch(Arc::clone(&shared)))?;
         }
-        self.collect_batch_replies()?;
-        self.approx_in_flight -= 1;
+        self.approx_in_flight += 1;
         Ok(())
     }
 
     /// Normalise, tokenise, intern and home-assign one epoch's tuples
     /// into one shared structure-of-arrays batch.  Counts the tuples as
-    /// consumed: the router has irrevocably taken them from the input,
+    /// consumed: the router has irrevocably taken them into the join,
     /// even if the matching barrier happens epochs later.
     fn prepare_batch(&mut self, batch: Vec<SidedRecord>) -> Result<Arc<PreparedBatch>> {
         let mut prepared = PreparedBatch::with_capacity(batch.len());
@@ -337,7 +362,7 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         self.out.extend(pairs);
     }
 
-    /// Ask the controller after an exact epoch (or at open) and run the
+    /// Ask the controller after an exact epoch (or when built) and run the
     /// distributed handover if it says so.
     fn control_step(&mut self) -> Result<()> {
         match self.controller.decide(self.consumed, self.emitted.total()) {
@@ -414,86 +439,21 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         &self.config
     }
 
-    /// Run full epochs — never popping a buffered pair — while doing so
-    /// cannot read past `available` total input tuples.
-    ///
-    /// This is the incremental-session entry point.  Only *whole* epochs
-    /// run, and only while a conservative per-call ceiling still fits
-    /// under `available`: [`batch_size`] tuples in the exact phase, and
-    /// `2 × pipeline depth × batch_size` in the approximate phase (one
-    /// `approx_epoch` call may dispatch up to the send-ahead
-    /// depth *and* tokenise one batch ahead per dispatch).  The input is
-    /// therefore never observed at a premature end, and epoch boundaries
-    /// land exactly where an uninterrupted run over the full input would
-    /// put them — which, together with produce-time emission counters,
-    /// is why a session-driven run's output is bit-identical to a solo
-    /// run's.
-    ///
-    /// [`batch_size`]: crate::ParallelJoinConfig::batch_size
-    pub fn advance_to(&mut self, available: u64) -> Result<()> {
-        self.state.check_next(self.name())?;
-        while !self.exhausted {
-            let margin = match self.phase {
-                JoinPhase::Approximate => 2 * self.approx_pipeline_depth() * self.config.batch_size,
-                _ => self.config.batch_size,
-            } as u64;
-            if self.total_consumed() + margin > available {
-                break;
-            }
-            self.epoch()?;
-        }
-        Ok(())
+    /// The next queued pair or switch announcement, or `None` if producing
+    /// one needs more input (or [`Self::finish`]).
+    pub fn pop_ready(&mut self) -> Option<Pulled> {
+        self.controller.pull(|| self.out.pop_front())
     }
 
-    /// The next pair or switch announcement that is ready without reading
-    /// input, or `None` if producing one needs another epoch.
-    pub fn pop_ready(&mut self) -> Result<Option<Pulled>> {
-        self.state.check_next(self.name())?;
-        Ok(self.controller.pull(|| self.out.pop_front()))
-    }
-
-    /// The next pair or switch announcement, running epochs as needed, or
-    /// `None` at the end of the stream.
-    pub fn next_event(&mut self) -> Result<Option<Pulled>> {
-        self.state.check_next(self.name())?;
-        loop {
-            if let Some(pulled) = self.controller.pull(|| self.out.pop_front()) {
-                return Ok(Some(pulled));
-            }
-            if self.exhausted {
-                return Ok(None);
-            }
-            if let Err(e) = self.epoch() {
-                // A severed shard cannot be resumed; stop pulling input.
-                self.exhausted = true;
-                return Err(e);
-            }
-        }
-    }
-
-    /// Drain the approximate-phase send-ahead pipeline so every worker is
-    /// exactly caught up with the router's `consumed` counters: collect
-    /// each dispatched epoch's barrier, then dispatch and collect the
-    /// tokenised-ahead batch (its tuples were counted as consumed when it
-    /// was prepared).  The pairs those barriers produce surface in `out`
-    /// in exactly the order an uninterrupted run would have emitted them.
-    /// A no-op in the exact phase, whose epochs are synchronous.
-    ///
-    /// Public because graceful session eviction wants the same property
-    /// on its own: a server draining a session before snapshotting it to
-    /// disk calls this to park the engine at an epoch boundary.
-    /// ([`Self::snapshot_sections`] also quiesces, so calling it first is
-    /// belt-and-braces, not required.)
-    pub fn quiesce(&mut self) -> Result<()> {
+    /// Collect every approximate-phase epoch in flight, so every worker
+    /// is exactly caught up with the router's `consumed` counters.  The
+    /// pairs those barriers produce surface in `out` in exactly the order
+    /// an uninterrupted run would have emitted them.  A no-op in the
+    /// exact phase, whose epochs are synchronous.
+    fn quiesce(&mut self) -> Result<()> {
         while self.approx_in_flight > 0 {
             self.collect_batch_replies()?;
             self.approx_in_flight -= 1;
-        }
-        if let Some(shared) = self.prepared_ahead.take() {
-            for worker in &self.workers {
-                worker.send(ShardCmd::ApproxBatch(Arc::clone(&shared)))?;
-            }
-            self.collect_batch_replies()?;
         }
         Ok(())
     }
@@ -506,10 +466,10 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
     ///
     /// Quiesces the send-ahead pipeline first, so the snapshot is an
     /// epoch-boundary state: valid in either phase, on either side of the
-    /// §3.3 switch.  Section payload layouts are specified in
-    /// `docs/format.md`.
+    /// §3.3 switch.  The [`pending`](Self::pending) input is not part of
+    /// it.  Section payload layouts are specified in `docs/format.md`.
     pub fn snapshot_sections(&mut self, builder: &mut SnapshotBuilder) -> Result<()> {
-        if self.state != OperatorState::Open {
+        if self.check_open().is_err() {
             return Err(LinkageError::snapshot("snapshot requires an open join"));
         }
         self.quiesce()?;
@@ -529,7 +489,8 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         e.put_u64(self.emitted.exact);
         e.put_u64(self.emitted.approximate);
         self.controller.put_switch(&mut e);
-        e.put_bool(self.exhausted);
+        // `exhausted`: whether the input was declared complete.
+        e.put_bool(self.finished);
         self.controller.put_loop(&mut e);
         // `ctl_last_checkpoint`: derived, kept for the layout.
         let monitor = self.controller.monitor();
@@ -559,19 +520,17 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         Ok(())
     }
 
-    /// Install snapshotted state into a freshly opened, pristine join:
-    /// restore the shared interner in place (every worker holds a handle
-    /// to the same table), ship each worker its encoded partition to
-    /// decode and replay in parallel, adopt the coordinator counters and
-    /// the controller's `STREAM` section, and fast-forward the input past
-    /// the consumed prefix (verifying the per-side counts — a source that
-    /// ends early or interleaves differently is a typed error, never
-    /// silent corruption).
+    /// Install snapshotted state into a pristine join: restore the shared
+    /// interner in place (every worker holds a handle to the same table),
+    /// ship each worker its encoded partition to decode and replay in
+    /// parallel, and adopt the coordinator counters and the controller's
+    /// `STREAM` section.  The owner then feeds the input that follows the
+    /// snapshot's consumed prefix.
     pub fn restore_sections(&mut self, file: &SnapshotFile) -> Result<()> {
-        if self.state != OperatorState::Open {
+        if self.check_open().is_err() {
             return Err(LinkageError::snapshot("restore requires an open join"));
         }
-        if self.total_consumed() != 0 {
+        if self.total_consumed() != 0 || !self.pending.is_empty() {
             return Err(LinkageError::snapshot(
                 "restore requires a pristine join (nothing consumed)",
             ));
@@ -596,7 +555,8 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
             approximate: d.get_u64()?,
         };
         self.controller.get_switch(&mut d)?;
-        let exhausted = d.get_bool()?;
+        // `exhausted`: the owner knows where its input ends.
+        d.get_bool()?;
         self.controller.get_loop(&mut d)?;
         // `ctl_last_checkpoint` is `ctl_last_checked / check_every`.
         d.get_u64()?;
@@ -646,15 +606,14 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
         self.phase = phase;
         self.out.extend(pending);
         self.emitted = emitted;
-        self.exhausted = exhausted;
-
-        skip_consumed_prefix(&mut self.input, consumed)?;
         self.consumed = consumed;
         Ok(())
     }
 
-    /// Send `Finish` everywhere, harvest statistics, join the threads.
-    fn shutdown_workers(&mut self) -> Result<()> {
+    /// Stop the workers: send `Finish` everywhere, harvest their
+    /// statistics into [`Self::shard_stats`] and join the threads.
+    /// Idempotent; feeding, finishing or snapshotting afterwards fails.
+    pub fn close(&mut self) -> Result<()> {
         let mut workers = std::mem::take(&mut self.workers);
         let mut first_err: Option<LinkageError> = None;
         for worker in &workers {
@@ -696,49 +655,7 @@ impl<I: Operator<Item = SidedRecord>> ParallelJoin<I> {
     }
 }
 
-impl<I: Operator<Item = SidedRecord>> Operator for ParallelJoin<I> {
-    type Item = MatchPair;
-
-    fn name(&self) -> &'static str {
-        "parallel-join"
-    }
-
-    fn state(&self) -> OperatorState {
-        self.state
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.state.check_open(self.name())?;
-        self.input.open()?;
-        self.spawn_workers()?;
-        self.state = OperatorState::Open;
-        // `ForceAt(0)` switches here, before any epoch, mirroring the
-        // serial engine.
-        self.control_step()
-    }
-
-    fn next(&mut self) -> Result<Option<MatchPair>> {
-        loop {
-            match self.next_event()? {
-                Some(Pulled::Match(pair)) => return Ok(Some(pair)),
-                Some(Pulled::Switched(_)) => {}
-                None => return Ok(None),
-            }
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        if self.state != OperatorState::Closed {
-            let shutdown = self.shutdown_workers();
-            self.input.close()?;
-            self.state = OperatorState::Closed;
-            shutdown?;
-        }
-        Ok(())
-    }
-}
-
-impl<I> Drop for ParallelJoin<I> {
+impl Drop for ParallelJoin {
     fn drop(&mut self) {
         // Severing the command channels makes every worker exit its loop;
         // dropping the reply receivers unblocks any in-flight send.

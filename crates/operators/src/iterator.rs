@@ -81,16 +81,6 @@ pub trait Operator {
     /// Release resources; idempotent.
     fn close(&mut self) -> Result<()>;
 
-    /// How many items a previous incarnation of this operator already
-    /// delivered.  Nonzero only for an input rebuilt at an absolute
-    /// position — a rehydrated session input holds the records its
-    /// engine had not consumed yet, not the ones it had — whose consumer
-    /// must check a snapshot's consumed count against this offset
-    /// instead of pulling and discarding that prefix again.
-    fn resume_offset(&self) -> u64 {
-        0
-    }
-
     /// Convenience driver: open if necessary, drain every item, close.
     fn run_to_end(&mut self) -> Result<Vec<Self::Item>> {
         if self.state() == OperatorState::Created {

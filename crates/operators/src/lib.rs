@@ -12,10 +12,11 @@
 //!   probe the opposite hash table, emit, insert;
 //! * [`SshJoinCore`] — the approximate similarity join kernel (§2.2): an
 //!   incremental inverted q-gram index per side with threshold matching;
-//! * [`SwitchJoin`] — the adaptive operator (§3.3): starts exact, and on
-//!   demand hands its hash-table state over to the approximate kernel
-//!   mid-stream, recovering missed matches without emitting duplicates
-//!   (per-tuple matched-exactly flags);
+//! * [`SwitchJoinCore`] — the adaptive join (§3.3) as a push core: starts
+//!   exact, and on demand hands its hash-table state over to the
+//!   approximate kernel mid-stream, recovering missed matches without
+//!   emitting duplicates (per-tuple matched-exactly flags);
+//!   [`SwitchJoin`] is a pull adapter over it;
 //! * [`oracle`] — quadratic nested-loop reference joins for tests and
 //!   benchmarks, among them the arrival-order stream oracle every kernel
 //!   path is compared with pair by pair.
@@ -42,4 +43,6 @@ pub use iterator::{Operator, OperatorState};
 pub use scan::InterleavedScan;
 pub use ssh::{GramIndex, ProbeFunnel, SshJoinCore, SshStored};
 pub use state::{KeyTable, StoredTuple};
-pub use switch::{JoinPhase, PerKind, RestoredCore, SwitchJoin, SwitchJoinConfig, SwitchRestore};
+pub use switch::{
+    JoinPhase, PerKind, RestoredCore, SwitchJoin, SwitchJoinConfig, SwitchJoinCore, SwitchRestore,
+};

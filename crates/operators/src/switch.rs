@@ -1,10 +1,12 @@
 //! The switchable join: exact until told otherwise, approximate after.
 //!
-//! [`SwitchJoin`] starts life as a pipelined exact symmetric hash join and
-//! can be switched to the approximate SSH join **mid-stream** by an external
-//! controller (the adaptivity loop in `linkage-core`, or a caller invoking
-//! [`SwitchJoin::switch_to_approximate`] directly).  The switch performs the
-//! paper's §3.3 state handover:
+//! [`SwitchJoinCore`] is a push core: it is fed one tuple at a time and
+//! never reads input itself.  It starts life as a pipelined exact
+//! symmetric hash join and can be switched to the approximate SSH join
+//! **mid-stream** by an external controller (the adaptivity loop in
+//! `linkage-core`, or a caller invoking
+//! [`SwitchJoinCore::switch_to_approximate`] directly).  The switch
+//! performs the paper's §3.3 state handover:
 //!
 //! 1. the exact join's per-side hash tables are migrated into the SSH
 //!    join's inverted q-gram indexes (tokenising each resident key once);
@@ -16,6 +18,10 @@
 //!
 //! After the switch, arriving tuples are processed by the SSH join kernel,
 //! which emits both equal-key (exact-kind) and similar-key matches.
+//!
+//! [`SwitchJoin`] is a pull adapter over the core — an [`Operator`] that
+//! reads its own input, one tuple per [`SwitchJoin::advance`].  The
+//! engines do not use it; it is kept for the benchmark's handover layer.
 
 use std::collections::VecDeque;
 
@@ -122,7 +128,7 @@ impl SwitchJoinConfig {
     }
 }
 
-// One long-lived instance per operator: the inline size gap between the
+// One long-lived instance per join: the inline size gap between the
 // kernels (the approximate core carries its probe scratch) never
 // multiplies across a collection, so boxing would only add indirection.
 #[allow(clippy::large_enum_variant)]
@@ -134,7 +140,7 @@ enum PhaseCore {
 }
 
 /// One decoded phase kernel, ready to be installed by
-/// [`SwitchJoin::restore`].
+/// [`SwitchJoinCore::restore`].
 ///
 /// `PhaseCore` itself stays private (its `Switching` placeholder is an
 /// internal invariant of the handover); a snapshot only ever captures a
@@ -148,18 +154,17 @@ pub enum RestoredCore {
     Approximate(SshJoinCore),
 }
 
-/// Full operator-level state of a [`SwitchJoin`], as reconstructed from a
-/// snapshot (`linkage_types::snapshot`).  Built by the engine layers from
-/// the decoded sections and installed with [`SwitchJoin::restore`].
+/// Full state of a [`SwitchJoinCore`], as reconstructed from a snapshot
+/// (`linkage_types::snapshot`).  Built by the engine layers from the
+/// decoded sections and installed with [`SwitchJoinCore::restore`].
 pub struct SwitchRestore {
     /// The phase kernel with its resident state replayed.
     pub core: RestoredCore,
-    /// Matches that were emitted by a kernel but not yet pulled
+    /// Matches that were emitted by a kernel but not yet popped
     /// downstream when the snapshot was taken.
     pub pending: Vec<MatchPair>,
-    /// Input tuples the snapshotted run had consumed per side; the
-    /// resumed run re-reads the same sources and discards exactly this
-    /// prefix.
+    /// Input tuples the snapshotted run had consumed per side.  Whoever
+    /// feeds the restored join continues its input after this prefix.
     pub consumed: PerSide<u64>,
     /// Emission counters at the snapshot point.
     pub emitted: PerKind,
@@ -169,63 +174,6 @@ pub struct SwitchRestore {
     /// Total consumed tuples at the moment of the switch, if it
     /// happened.
     pub switched_after: Option<u64>,
-}
-
-/// Fast-forward a freshly opened `input` past the prefix a snapshotted
-/// run had consumed (`consumed` tuples per side), verifying the counts
-/// as it goes — a source that ends early or interleaves differently is a
-/// typed [`LinkageError::Snapshot`], never silent corruption.
-///
-/// An input that was itself rebuilt at an absolute position
-/// ([`Operator::resume_offset`] nonzero) no longer holds the prefix:
-/// nothing is pulled, and the snapshot's total must equal that offset.
-pub fn skip_consumed_prefix<I: Operator<Item = SidedRecord>>(
-    input: &mut I,
-    consumed: PerSide<u64>,
-) -> Result<()> {
-    let offset = input.resume_offset();
-    if offset > 0 {
-        if offset != consumed.left + consumed.right {
-            return Err(LinkageError::snapshot(format!(
-                "input does not match the snapshot: the input resumes after {offset} \
-                 tuples, the snapshotted run had consumed {}",
-                consumed.left + consumed.right
-            )));
-        }
-        return Ok(());
-    }
-    let mut seen = PerSide::new(0u64, 0u64);
-    while seen.left < consumed.left || seen.right < consumed.right {
-        let Some(sided) = input.next()? else {
-            return Err(LinkageError::snapshot(format!(
-                "input ended while skipping the consumed prefix: snapshot consumed \
-                 {}/{} tuples (left/right), input supplied only {}/{}",
-                consumed.left, consumed.right, seen.left, seen.right
-            )));
-        };
-        seen[sided.side] += 1;
-        if seen[sided.side] > consumed[sided.side] {
-            return Err(LinkageError::snapshot(format!(
-                "input does not match the snapshot: saw more {:?}-side tuples in the \
-                 prefix than the snapshotted run consumed ({} > {})",
-                sided.side, seen[sided.side], consumed[sided.side]
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// A join operator that can swap its kernel mid-stream.
-pub struct SwitchJoin<I> {
-    input: I,
-    config: SwitchJoinConfig,
-    core: PhaseCore,
-    out: VecDeque<MatchPair>,
-    state: OperatorState,
-    consumed: PerSide<u64>,
-    emitted: PerKind,
-    recovered_at_switch: u64,
-    switched_after: Option<u64>,
 }
 
 /// Emission counters split by match kind.
@@ -244,16 +192,26 @@ impl PerKind {
     }
 }
 
-impl<I: Operator<Item = SidedRecord>> SwitchJoin<I> {
-    /// Build over a sided input, starting in the exact phase.
-    pub fn new(input: I, config: SwitchJoinConfig) -> Self {
+/// The switchable join as a push core: it is fed one tuple at a time
+/// and never reads input itself.
+pub struct SwitchJoinCore {
+    config: SwitchJoinConfig,
+    core: PhaseCore,
+    out: VecDeque<MatchPair>,
+    consumed: PerSide<u64>,
+    emitted: PerKind,
+    recovered_at_switch: u64,
+    switched_after: Option<u64>,
+}
+
+impl SwitchJoinCore {
+    /// A fresh join in the exact phase.
+    pub fn new(config: SwitchJoinConfig) -> Self {
         let exact = config.exact_core();
         Self {
-            input,
             config,
             core: PhaseCore::Exact(exact),
             out: VecDeque::new(),
-            state: OperatorState::default(),
             consumed: PerSide::default(),
             emitted: PerKind::default(),
             recovered_at_switch: 0,
@@ -284,8 +242,8 @@ impl<I: Operator<Item = SidedRecord>> SwitchJoin<I> {
         self.consumed.left + self.consumed.right
     }
 
-    /// Pairs emitted so far, by kind.  The operator emits each distinct
-    /// pair at most once, so this is also the distinct-result count the
+    /// Pairs emitted so far, by kind.  The join emits each distinct pair
+    /// at most once, so this is also the distinct-result count the
     /// monitor observes.
     pub fn emitted(&self) -> PerKind {
         self.emitted
@@ -312,16 +270,10 @@ impl<I: Operator<Item = SidedRecord>> SwitchJoin<I> {
 
     /// Perform the exact → approximate handover now (paper §3.3).
     ///
-    /// Recovered matches are buffered and drained by subsequent
-    /// [`Operator::next`] calls.  Returns the number of recovered pairs.
-    /// Switching requires an open operator, and switching twice is an
-    /// adaptivity error.
+    /// Recovered matches are queued behind the pairs already queued, for
+    /// [`Self::pop`].  Returns the number of recovered pairs.  Switching
+    /// twice is an adaptivity error.
     pub fn switch_to_approximate(&mut self) -> Result<u64> {
-        if self.state != OperatorState::Open {
-            return Err(LinkageError::adaptivity(
-                "switch_to_approximate requires an open operator",
-            ));
-        }
         match std::mem::replace(&mut self.core, PhaseCore::Switching) {
             PhaseCore::Exact(exact) => {
                 let before = self.out.len();
@@ -344,42 +296,33 @@ impl<I: Operator<Item = SidedRecord>> SwitchJoin<I> {
         }
     }
 
-    /// Consume exactly one input tuple, buffering any resulting matches.
-    /// Returns `false` when the input is exhausted.  This is the
-    /// fine-grained stepping hook the adaptive controller uses to assess
-    /// between tuples.
-    pub fn advance(&mut self) -> Result<bool> {
-        self.state.check_next(self.name())?;
-        match self.input.next()? {
-            Some(sided) => {
-                self.consumed[sided.side] += 1;
-                let before = self.out.len();
-                match &mut self.core {
-                    PhaseCore::Exact(c) => {
-                        c.process(sided, &mut self.out)?;
-                    }
-                    PhaseCore::Approximate(c) => {
-                        c.process(sided, &mut self.out)?;
-                    }
-                    PhaseCore::Switching => {
-                        return Err(LinkageError::adaptivity(
-                            "advance() during an in-flight switch",
-                        ))
-                    }
-                }
-                self.count_new_emissions(before);
-                Ok(true)
+    /// Consume one input tuple, queueing any resulting matches.
+    pub fn process(&mut self, sided: SidedRecord) -> Result<()> {
+        self.consumed[sided.side] += 1;
+        let before = self.out.len();
+        match &mut self.core {
+            PhaseCore::Exact(c) => {
+                c.process(sided, &mut self.out)?;
             }
-            None => Ok(false),
+            PhaseCore::Approximate(c) => {
+                c.process(sided, &mut self.out)?;
+            }
+            PhaseCore::Switching => {
+                return Err(LinkageError::adaptivity(
+                    "a tuple was fed during an in-flight switch",
+                ))
+            }
         }
+        self.count_new_emissions(before);
+        Ok(())
     }
 
-    /// Pop one buffered match, if any.
+    /// Pop the oldest queued match, if any.
     pub fn pop(&mut self) -> Option<MatchPair> {
         self.out.pop_front()
     }
 
-    /// Number of emitted pairs currently buffered (not yet popped).
+    /// Number of emitted pairs currently queued (not yet popped).
     pub fn buffered(&self) -> usize {
         self.out.len()
     }
@@ -400,26 +343,16 @@ impl<I: Operator<Item = SidedRecord>> SwitchJoin<I> {
         }
     }
 
-    /// The buffered matches not yet popped, oldest first — the snapshot
+    /// The queued matches not yet popped, oldest first — the snapshot
     /// persists these verbatim so a resumed run re-emits them in order.
     pub fn pending_pairs(&self) -> impl ExactSizeIterator<Item = &MatchPair> {
         self.out.iter()
     }
 
-    /// Install snapshot state and fast-forward the input past the prefix
-    /// the snapshotted run had already consumed.
-    ///
-    /// Requires an open, pristine join (nothing consumed, nothing
-    /// buffered).  The snapshot stores no input tuples; the resumed
-    /// pipeline re-reads the same sources and this method discards
-    /// exactly `snap.consumed` tuples per side, verifying the counts as
-    /// it goes — a source that ends early or interleaves differently is
-    /// a typed [`LinkageError::Snapshot`] error, never silent
-    /// corruption.
+    /// Install snapshot state into a pristine join (nothing consumed,
+    /// nothing queued).  The snapshot stores no input tuples: the caller
+    /// feeds the restored join the input that follows `snap.consumed`.
     pub fn restore(&mut self, snap: SwitchRestore) -> Result<()> {
-        if self.state != OperatorState::Open {
-            return Err(LinkageError::snapshot("restore requires an open operator"));
-        }
         if self.total_consumed() != 0 || !self.out.is_empty() {
             return Err(LinkageError::snapshot(
                 "restore requires a pristine join (nothing consumed or buffered)",
@@ -430,12 +363,10 @@ impl<I: Operator<Item = SidedRecord>> SwitchJoin<I> {
             RestoredCore::Approximate(c) => PhaseCore::Approximate(c),
         };
         self.out.extend(snap.pending);
+        self.consumed = snap.consumed;
         self.emitted = snap.emitted;
         self.recovered_at_switch = snap.recovered_at_switch;
         self.switched_after = snap.switched_after;
-
-        skip_consumed_prefix(&mut self.input, snap.consumed)?;
-        self.consumed = snap.consumed;
         Ok(())
     }
 
@@ -445,6 +376,50 @@ impl<I: Operator<Item = SidedRecord>> SwitchJoin<I> {
                 MatchKind::Exact => self.emitted.exact += 1,
                 MatchKind::Approximate { .. } => self.emitted.approximate += 1,
             }
+        }
+    }
+}
+
+/// A pull adapter over [`SwitchJoinCore`]: an [`Operator`] that reads its
+/// own input.  [`Self::advance`] pulls one tuple and feeds it to the
+/// core.  The engines are push cores and do not use it; it is the entry
+/// point the `perfbench` handover layer times.
+pub struct SwitchJoin<I> {
+    input: I,
+    core: SwitchJoinCore,
+    state: OperatorState,
+}
+
+impl<I: Operator<Item = SidedRecord>> SwitchJoin<I> {
+    /// Build over a sided input, starting in the exact phase.
+    pub fn new(input: I, config: SwitchJoinConfig) -> Self {
+        Self {
+            input,
+            core: SwitchJoinCore::new(config),
+            state: OperatorState::default(),
+        }
+    }
+
+    /// [`SwitchJoinCore::switch_to_approximate`] on an open operator.
+    pub fn switch_to_approximate(&mut self) -> Result<u64> {
+        if self.state != OperatorState::Open {
+            return Err(LinkageError::adaptivity(
+                "switch_to_approximate requires an open operator",
+            ));
+        }
+        self.core.switch_to_approximate()
+    }
+
+    /// Pull one input tuple and feed it to the core.  Returns `false`
+    /// when the input is exhausted.
+    pub fn advance(&mut self) -> Result<bool> {
+        self.state.check_next(self.name())?;
+        match self.input.next()? {
+            Some(sided) => {
+                self.core.process(sided)?;
+                Ok(true)
+            }
+            None => Ok(false),
         }
     }
 }
@@ -470,7 +445,7 @@ impl<I: Operator<Item = SidedRecord>> Operator for SwitchJoin<I> {
     fn next(&mut self) -> Result<Option<MatchPair>> {
         self.state.check_next(self.name())?;
         loop {
-            if let Some(pair) = self.out.pop_front() {
+            if let Some(pair) = self.core.pop() {
                 return Ok(Some(pair));
             }
             if !self.advance()? {
@@ -492,7 +467,13 @@ impl<I: Operator<Item = SidedRecord>> Operator for SwitchJoin<I> {
 mod tests {
     use super::*;
     use crate::scan::InterleavedScan;
-    use linkage_types::{Field, Record, Schema, Value, VecStream};
+    use linkage_types::{Field, Record, Schema, Side, Value, VecStream};
+
+    const A: &str = "TAA BZ SANTA CRISTINA VALGARDENA";
+    const A_TYPO: &str = "TAA BZ SANTA CRISTINx VALGARDENA";
+    const B: &str = "LIG GE GENOVA NERVI CAPOLUNGO";
+    const B_TYPO: &str = "LIG GE GENOVA NERVx CAPOLUNGO";
+    const C: &str = "PIE TO TORINO CENTRO STAZIONE";
 
     fn stream_of(keys: &[&str]) -> VecStream {
         let records = keys
@@ -503,24 +484,37 @@ mod tests {
         VecStream::new(Schema::of(vec![Field::string("k")]), records)
     }
 
-    const A: &str = "TAA BZ SANTA CRISTINA VALGARDENA";
-    const A_TYPO: &str = "TAA BZ SANTA CRISTINx VALGARDENA";
-    const B: &str = "LIG GE GENOVA NERVI CAPOLUNGO";
-    const B_TYPO: &str = "LIG GE GENOVA NERVx CAPOLUNGO";
-    const C: &str = "PIE TO TORINO CENTRO STAZIONE";
+    /// The alternating feed of `left` and `right` (equal lengths).
+    fn feed(left: &[&str], right: &[&str]) -> Vec<SidedRecord> {
+        let record = |i: usize, k: &str| Record::new(i as u64, vec![Value::string(k)]);
+        left.iter()
+            .zip(right)
+            .enumerate()
+            .flat_map(|(i, (l, r))| {
+                [
+                    SidedRecord::new(Side::Left, record(i, l)),
+                    SidedRecord::new(Side::Right, record(i, r)),
+                ]
+            })
+            .collect()
+    }
 
-    fn switch_join(
-        left: &[&str],
-        right: &[&str],
-    ) -> SwitchJoin<InterleavedScan<VecStream, VecStream>> {
-        let scan = InterleavedScan::alternating(stream_of(left), stream_of(right));
-        SwitchJoin::new(scan, SwitchJoinConfig::new(PerSide::new(0, 0)))
+    fn join() -> SwitchJoinCore {
+        SwitchJoinCore::new(SwitchJoinConfig::new(PerSide::new(0, 0)))
+    }
+
+    /// Feed every tuple, then pop everything queued.
+    fn run(join: &mut SwitchJoinCore, tuples: Vec<SidedRecord>) -> Vec<MatchPair> {
+        for sided in tuples {
+            join.process(sided).unwrap();
+        }
+        std::iter::from_fn(|| join.pop()).collect()
     }
 
     #[test]
     fn stays_exact_without_a_switch() {
-        let mut join = switch_join(&[A, B], &[A, B_TYPO]);
-        let pairs = join.run_to_end().unwrap();
+        let mut join = join();
+        let pairs = run(&mut join, feed(&[A, B], &[A, B_TYPO]));
         assert_eq!(join.phase(), JoinPhase::Exact);
         assert_eq!(pairs.len(), 1, "typo pair is missed by the exact phase");
         assert_eq!(
@@ -535,14 +529,12 @@ mod tests {
 
     #[test]
     fn mid_stream_switch_recovers_resident_matches_without_duplicates() {
-        let mut join = switch_join(&[A, B, C], &[A, B_TYPO, C]);
-        join.open().unwrap();
-        // Drain the first four tuples: the clean (A, A) pair is emitted, the
+        let mut tuples = feed(&[A, B, C], &[A, B_TYPO, C]);
+        let tail = tuples.split_off(4);
+        let mut join = join();
+        // The first four tuples: the clean (A, A) pair is emitted, the
         // (B, B_TYPO) pair is silently missed.
-        for _ in 0..4 {
-            assert!(join.advance().unwrap());
-        }
-        let mut pairs: Vec<MatchPair> = std::iter::from_fn(|| join.pop()).collect();
+        let mut pairs = run(&mut join, tuples);
         assert_eq!(pairs.len(), 1);
 
         // Switch mid-stream: the missed pair is recovered from state.
@@ -553,10 +545,7 @@ mod tests {
 
         // Finish the stream: the (C, C) pair arrives post-switch and is
         // emitted (as exact kind) by the approximate kernel.
-        while let Some(p) = join.next().unwrap() {
-            pairs.push(p);
-        }
-        join.close().unwrap();
+        pairs.extend(run(&mut join, tail));
 
         assert_eq!(pairs.len(), 3);
         let mut seen = std::collections::HashSet::new();
@@ -575,36 +564,40 @@ mod tests {
 
     #[test]
     fn switch_twice_is_an_adaptivity_error() {
-        let mut join = switch_join(&[A], &[A]);
-        join.open().unwrap();
+        let mut join = join();
         join.switch_to_approximate().unwrap();
         let err = join.switch_to_approximate().unwrap_err();
         assert!(matches!(err, LinkageError::Adaptivity(_)));
-        // The operator must still be usable after the failed switch.
-        assert_eq!(join.run_to_end().unwrap().len(), 1);
+        // The join must still be usable after the failed switch.
+        assert_eq!(run(&mut join, feed(&[A], &[A])).len(), 1);
     }
 
+    /// The pull adapter: switching needs an open operator, and a run
+    /// drains the core it feeds.
     #[test]
     fn switch_requires_open_operator() {
-        let mut join = switch_join(&[A], &[A]);
+        let scan = InterleavedScan::alternating(stream_of(&[A, B]), stream_of(&[A, B_TYPO]));
+        let mut join = SwitchJoin::new(scan, SwitchJoinConfig::new(PerSide::new(0, 0)));
         assert!(join.switch_to_approximate().is_err());
+        join.open().unwrap();
+        assert!(join.advance().unwrap());
+        join.switch_to_approximate().unwrap();
+        assert_eq!(join.run_to_end().unwrap().len(), 2);
     }
 
     #[test]
     fn immediate_switch_behaves_like_pure_ssh_join() {
-        let mut join = switch_join(&[A, B], &[A_TYPO, B_TYPO]);
-        join.open().unwrap();
+        let mut join = join();
         assert_eq!(join.switch_to_approximate().unwrap(), 0);
-        let pairs = join.run_to_end().unwrap();
+        let pairs = run(&mut join, feed(&[A, B], &[A_TYPO, B_TYPO]));
         assert_eq!(pairs.len(), 2);
         assert!(pairs.iter().all(|p| p.kind.is_approximate()));
     }
 
     #[test]
     fn counters_track_phases() {
-        let mut join = switch_join(&[A, B], &[A, B_TYPO]);
-        join.open().unwrap();
-        while join.advance().unwrap() {}
+        let mut join = join();
+        run(&mut join, feed(&[A, B], &[A, B_TYPO]));
         assert_eq!(join.total_consumed(), 4);
         assert_eq!(join.stored(), PerSide::new(2, 2));
         join.switch_to_approximate().unwrap();

@@ -266,6 +266,7 @@ impl RetryClient {
             let Some(conn) = self.conn.as_mut() else {
                 continue;
             };
+            let feeding = matches!(action, Action::Feed(..));
             let outcome: Result<()> = match action {
                 Action::Done => {
                     let t = self.tracked(handle)?;
@@ -347,7 +348,17 @@ impl RetryClient {
                     }
                     Recovery::Backoff => self.backoff(failures),
                     Recovery::Heal => self.mark_for_heal(handle),
-                    Recovery::Fatal => return Err(e),
+                    Recovery::Fatal => {
+                        // The server refuses a FEED whole: none of the
+                        // unacked records were applied, and resending
+                        // them would fail the same way forever.
+                        if feeding {
+                            if let Some(t) = self.sessions.get_mut(&handle) {
+                                t.journal.truncate(t.acked as usize);
+                            }
+                        }
+                        return Err(e);
+                    }
                 }
                 last_err = e;
             }

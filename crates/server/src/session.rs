@@ -2,18 +2,20 @@
 //! global state-bytes budget, LRU eviction of idle sessions to disk and
 //! transparent rehydration.
 //!
-//! A **session** wraps an incrementally fed [`Pipeline`] (serial or
-//! sharded — the manager only sees the boxed engine behind a
-//! [`MatchStream`]) and its [`SessionInput`].  Eviction splits the
-//! session where the engine stands: everything it consumed goes to disk
-//! inside the engine state ([`MatchStream::snapshot_builder`], under
-//! the bit-identical-resume contract), and the sidecar file carries
-//! only what the snapshot cannot — the configuration, the input's
-//! absolute position and the few records pushed but not yet consumed.
-//! Rehydration re-declares the pipeline, positions a fresh input there
-//! and hands the verified snapshot to [`Pipeline::resume_from`]; the
-//! stream then yields exactly the events the evicted session had not
-//! yet delivered.
+//! A **session** wraps the [`MatchStream`] of an incrementally fed
+//! [`Pipeline`] (serial or sharded — the manager only sees the boxed
+//! engine behind it) and a count of the records fed.  Eviction splits
+//! the session where the engine stands: everything it consumed goes to
+//! disk inside the engine state ([`MatchStream::snapshot_builder`],
+//! under the bit-identical-resume contract), and the sidecar file
+//! carries only what the snapshot cannot — the configuration, the fed
+//! count and the pending input, the records fed but not yet in an epoch
+//! (a sharded engine's partial epoch; a serial engine has none).
+//! Rehydration re-declares the pipeline, hands the verified snapshot to
+//! [`Pipeline::resume_from`], checks that the fed count minus the
+//! pending records is where the snapshot ends, and feeds the pending
+//! records again; the stream then yields exactly the events the evicted
+//! session had not yet delivered.
 //!
 //! Admission control: the manager enforces a live-session cap and a
 //! global state-bytes budget.  Both are relieved by evicting the least
@@ -35,7 +37,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use linkage::api::{MatchEvent, MatchStream, Pipeline, PipelineConfig, SessionInput};
+use linkage::api::{MatchEvent, MatchStream, Pipeline, PipelineConfig};
 use linkage::types::fault;
 use linkage::types::snapshot::{crc32, Decoder, Encoder, SnapshotBuilder, SnapshotFile};
 use linkage::types::wire::{get_sided_record, put_sided_record};
@@ -50,7 +52,7 @@ use crate::proto::{wire_event, WireEvent};
 pub const FEED_META_KIND: u32 = 64;
 
 /// Section kind of the eviction sidecar's pending input: the records
-/// pushed into the session but not yet consumed by its engine, in push
+/// fed to the session but not yet in an epoch of its engine, in feed
 /// order.  (The consumed prefix lives in the `.snap` file's engine
 /// state and is not stored twice.)
 pub const FEED_PENDING_KIND: u32 = 65;
@@ -189,7 +191,8 @@ pub struct Session {
     config: PipelineConfig,
     fingerprint: u32,
     stream: MatchStream,
-    input: SessionInput,
+    /// Records fed so far.
+    fed: u64,
     /// [`record_bytes`] of every record fed so far — what the session
     /// holds against the budget until it finishes.
     fed_bytes: u64,
@@ -207,7 +210,7 @@ impl std::fmt::Debug for Session {
         f.debug_struct("Session")
             .field("id", &self.id)
             .field("fingerprint", &self.fingerprint)
-            .field("fed", &self.input.pushed())
+            .field("fed", &self.fed)
             .field("fin", &self.fin)
             .field("done", &self.done)
             .finish_non_exhaustive()
@@ -222,14 +225,16 @@ impl Drop for Session {
 
 impl Session {
     fn build(id: u64, config: PipelineConfig, fingerprint: u32) -> Result<Self> {
-        let (pipeline, input) = Pipeline::builder().config(config.clone()).session()?;
-        let stream = pipeline.run()?;
+        let stream = Pipeline::builder()
+            .config(config.clone())
+            .session()?
+            .run()?;
         Ok(Self {
             id,
             config,
             fingerprint,
             stream,
-            input,
+            fed: 0,
             fed_bytes: 0,
             fin: false,
             done: false,
@@ -255,7 +260,7 @@ impl Session {
 
     /// Total records fed so far.
     pub fn fed(&self) -> u64 {
-        self.input.pushed()
+        self.fed
     }
 
     /// Whether the final `Finished` event was delivered.
@@ -275,9 +280,8 @@ impl Session {
         }
     }
 
-    /// Append a batch of records to the session's input and advance the
-    /// engine over the newly available prefix.  Returns the bytes the
-    /// batch added to the session's accounting.
+    /// Feed a batch of records to the session's engine.  Returns the
+    /// bytes the batch added to the session's accounting.
     ///
     /// An *empty* batch is always legal — even after `FIN` — and changes
     /// nothing: its `FED` reply carries the accepted total, which is how
@@ -291,18 +295,15 @@ impl Session {
             return Ok(0);
         }
         self.check_feed(&records)?;
-        let mut added = 0u64;
-        for record in records {
-            added += record_bytes(&record);
-            self.input.push_sided(record)?;
-        }
+        self.stream.feed(&records)?;
+        let added: u64 = records.iter().map(record_bytes).sum();
+        self.fed += records.len() as u64;
         self.fed_bytes += added;
-        self.stream.advance(self.input.pushed())?;
         Ok(added)
     }
 
     /// Refuse, whole, a batch that the client got wrong, before anything
-    /// of it is pushed: a non-empty batch after `FIN`, or a record whose
+    /// of it is fed: a non-empty batch after `FIN`, or a record whose
     /// key column (`config.keys[side]`) holds no string.  A refused batch
     /// leaves the session exactly as it was.
     pub(crate) fn check_feed(&self, records: &[SidedRecord]) -> Result<()> {
@@ -324,12 +325,11 @@ impl Session {
     }
 
     /// Declare the input complete.  The remaining events (through
-    /// `Finished`) become drainable via [`Self::poll`].
+    /// `Finished`) become drainable via [`Self::poll`], which runs what
+    /// the engine still holds.
     pub fn fin(&mut self) {
-        if !self.fin {
-            self.input.finish();
-            self.fin = true;
-        }
+        self.stream.finish();
+        self.fin = true;
     }
 
     /// Drain up to `max` ready events.  Before `FIN` only events that
@@ -412,13 +412,13 @@ impl Session {
         crate::proto::encode_config(&mut meta, &self.config);
         meta.put_u32(self.fingerprint);
         meta.put_bool(self.fin);
-        meta.put_u64(self.input.pushed());
+        meta.put_u64(self.fed);
         meta.put_u64(self.fed_bytes);
         builder.push_section(FEED_META_KIND, meta.finish());
-        let pending = self.input.buffered_records();
+        let pending = self.stream.pending_input();
         let mut queue = Encoder::new();
         queue.put_u32(pending.len() as u32);
-        for record in &pending {
+        for record in pending {
             put_sided_record(&mut queue, record);
         }
         builder.push_section(FEED_PENDING_KIND, queue.finish());
@@ -445,12 +445,12 @@ impl Session {
     }
 
     /// Rebuild a session from the files written by [`Self::evict_to`]:
-    /// re-declare the pipeline from the sidecar's config, position a
-    /// fresh session input where the evicted one stood (absolute pushed
-    /// count, pending records queued) and resume the engine from the
-    /// snapshot, which is read, verified and decoded exactly once.  The
-    /// manifest is deleted first (un-committing the pair), then the data
-    /// files, on success.
+    /// re-declare the pipeline from the sidecar's config, resume the
+    /// engine from the snapshot (read, verified and decoded exactly
+    /// once), check that the sidecar's fed count minus its pending
+    /// records is the snapshot's consumed count, and feed the pending
+    /// records.  The manifest is deleted first (un-committing the pair),
+    /// then the data files, on success.
     ///
     /// The snapshot's [`EVICT_BIND_KIND`] section is cross-checked
     /// against the sidecar's declared id and fingerprint; a mismatched
@@ -507,19 +507,28 @@ impl Session {
             )));
         };
 
-        let (pipeline, input) = Pipeline::builder().config(config.clone()).session()?;
-        input.restore_position(consumed, pending)?;
-        if fin {
-            input.finish();
+        let mut stream = Pipeline::builder()
+            .config(config.clone())
+            .session()?
+            .resume_from(&snap_file)?;
+        if stream.consumed() != consumed {
+            return Err(LinkageError::snapshot(format!(
+                "input does not match the snapshot: feed sidecar of session {id} \
+                 resumes after {consumed} records, the snapshotted run had consumed {}",
+                stream.consumed()
+            )));
         }
-        let stream = pipeline.resume_from(&snap_file)?;
+        stream.feed(&pending)?;
+        if fin {
+            stream.finish();
+        }
         remove_committed(manifest_path, snap_path, feed_path)?;
         Ok(Self {
             id,
             config,
             fingerprint,
             stream,
-            input,
+            fed: pushed,
             fed_bytes,
             fin,
             done: false,

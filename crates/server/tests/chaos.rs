@@ -68,15 +68,14 @@ fn feed_sequence(data: &GeneratedData) -> Vec<SidedRecord> {
 }
 
 fn solo_events(config: &PipelineConfig, sequence: &[SidedRecord]) -> Vec<WireEvent> {
-    let (pipeline, input) = Pipeline::builder()
+    let mut stream = Pipeline::builder()
         .config(config.clone())
         .session()
+        .unwrap()
+        .run()
         .unwrap();
-    let stream = pipeline.run().unwrap();
-    for record in sequence {
-        input.push_sided(record.clone()).unwrap();
-    }
-    input.finish();
+    stream.feed(sequence).unwrap();
+    stream.finish();
     stream
         .map(|event| wire_event(&event.unwrap()))
         .collect::<Vec<_>>()

@@ -303,10 +303,12 @@ fn a_mixed_eviction_pair_fails_rehydration_with_a_typed_cross_check() {
 }
 
 /// A sidecar that is committed and CRC-clean but whose contents lie —
-/// a pending-record count no payload could hold, or more pending records
-/// than were ever pushed — passes the sweep (the commit record is
-/// self-consistent) and must fail rehydration as a typed quarantine:
-/// never an allocation sized from the count, never an adoption.
+/// a pending-record count no payload could hold, more pending records
+/// than were ever pushed, or a pushed count that does not end where the
+/// snapshot's consumed prefix plus the pending records do — passes the
+/// sweep (the commit record is self-consistent) and must fail
+/// rehydration as a typed quarantine: never an allocation sized from the
+/// count, never an adoption.
 #[test]
 fn a_sidecar_with_impossible_counts_is_quarantined_not_trusted() {
     let data = generate(&DatagenConfig::mid_stream_dirty(40, 3)).unwrap();
@@ -326,6 +328,12 @@ fn a_sidecar_with_impossible_counts_is_quarantined_not_trusted() {
     let mut one = Encoder::new();
     one.put_u32(1);
     put_sided_record(&mut one, &sequence[0]);
+    // Claim one record more than the snapshot consumed plus the honest
+    // pending section holds.
+    let mut one_more = meta.clone();
+    let pushed = u64::from_le_bytes(one_more[at..at + 8].try_into().unwrap());
+    one_more[at..at + 8].copy_from_slice(&(pushed + 1).to_le_bytes());
+    let honest_pending = honest.section(FEED_PENDING_KIND).unwrap().to_vec();
 
     for (meta, pending, needle) in [
         (meta, huge.finish(), "count 4294967295"),
@@ -334,6 +342,7 @@ fn a_sidecar_with_impossible_counts_is_quarantined_not_trusted() {
             one.finish(),
             "0 pushed records but holds 1 pending",
         ),
+        (one_more, honest_pending, "does not match the snapshot"),
     ] {
         let mut sidecar = SnapshotBuilder::new();
         sidecar.push_section(FEED_META_KIND, meta);

@@ -56,15 +56,14 @@ fn feed_sequence(data: &GeneratedData) -> Vec<SidedRecord> {
 /// Ground truth: run the same config over the same feed sequence as a
 /// direct in-process session (no server) and collect every event.
 fn solo_events(config: &PipelineConfig, sequence: &[SidedRecord]) -> Vec<WireEvent> {
-    let (pipeline, input) = Pipeline::builder()
+    let mut stream = Pipeline::builder()
         .config(config.clone())
         .session()
+        .unwrap()
+        .run()
         .unwrap();
-    let stream = pipeline.run().unwrap();
-    for record in sequence {
-        input.push_sided(record.clone()).unwrap();
-    }
-    input.finish();
+    stream.feed(sequence).unwrap();
+    stream.finish();
     stream
         .map(|event| wire_event(&event.unwrap()))
         .collect::<Vec<_>>()
@@ -443,6 +442,37 @@ fn retry_client_round_trip_is_bit_identical_on_a_healthy_server() {
         "one dial, no faults to recover from"
     );
     assert_eq!(client.heals(), 0);
+    server.shutdown().unwrap();
+}
+
+/// A FEED the server refuses whole (a record without a string key) is
+/// dropped from the retry journal: the next feed on the handle succeeds,
+/// and the session's stream is that of the records it accepted.
+#[test]
+fn a_refused_retry_feed_is_dropped_and_the_session_carries_on() {
+    use linkage::types::{Record, Value};
+
+    let data = generate(&DatagenConfig::mid_stream_dirty(80, 19)).unwrap();
+    let config = session_config(data.parents.len() as u64);
+    let sequence = feed_sequence(&data);
+    let expected = solo_events(&config, &sequence);
+    let (a, c) = sequence.split_at(sequence.len() / 2);
+    let int_key = Record::new(9_999u64, vec![Value::Int(7); GeneratedData::KEY_COLUMN + 1]);
+    let b = [c[0].clone(), SidedRecord::new(Side::Right, int_key)];
+
+    let server = start_server("retry-refused", |_| {});
+    let mut client = RetryClient::connect(server.addr().to_string(), RetryPolicy::default());
+    let handle = client.open(&config).unwrap();
+    client.feed(handle, a).unwrap();
+    match client.feed(handle, &b) {
+        Err(LinkageError::Protocol(m)) => assert!(m.contains("key column"), "{m}"),
+        other => panic!("expected a refused FEED, got {other:?}"),
+    }
+    let ack = client.feed(handle, c).unwrap();
+    assert_eq!(ack.accepted, (a.len() + c.len()) as u64);
+    let got = client.drain(handle, 128).unwrap();
+    client.close(handle).unwrap();
+    assert_eq!(got, expected);
     server.shutdown().unwrap();
 }
 

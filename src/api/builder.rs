@@ -1,28 +1,38 @@
 //! The fluent pipeline builder.
+//!
+//! A [`Pipeline`] is a declaration plus, for a batch pipeline, its
+//! interleaved sources; the engine — a push core — is built when the
+//! pipeline runs or resumes, and the [`MatchStream`] it returns owns the
+//! input.  [`PipelineBuilder::session`] declares a pipeline without
+//! sources, whose stream the caller feeds.
 
 use linkage_core::{AdaptiveJoin, SwitchPolicy};
 use linkage_datagen::{generate, DatagenConfig};
 use linkage_exec::ParallelJoin;
-use linkage_operators::{InterleavedScan, SwitchJoin};
+use linkage_operators::InterleavedScan;
 use linkage_text::{QGramCoefficient, QGramConfig};
 use linkage_types::snapshot::SnapshotFile;
-use linkage_types::{DataType, InterleavePolicy, LinkageError, PerSide, Result, Side};
+use linkage_types::{DataType, InterleavePolicy, LinkageError, PerSide, Result, Side, VecStream};
 
 use crate::api::config::{ExecutionMode, PipelineConfig};
 use crate::api::engine::JoinEngine;
-use crate::api::session::SessionInput;
 use crate::api::source::Source;
 use crate::api::stream::{MatchStream, RunOutcome};
 
 /// A built, ready-to-run linkage pipeline over either engine.
 pub struct Pipeline {
-    engine: Box<dyn JoinEngine + Send>,
+    config: PipelineConfig,
+    /// The declared (or inferred) reference-relation size.
+    reference: u64,
+    /// The interleaved sources of a batch pipeline; `None` for a session,
+    /// whose stream is fed instead.
+    sources: Option<InterleavedScan<VecStream, VecStream>>,
 }
 
 impl std::fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
-            .field("engine", &self.engine.engine_name())
+            .field("engine", &self.engine_name())
             .finish_non_exhaustive()
     }
 }
@@ -35,16 +45,33 @@ impl Pipeline {
 
     /// Which engine backs this pipeline (`"serial"`, `"sharded"`).
     pub fn engine_name(&self) -> &'static str {
-        self.engine.engine_name()
+        match self.config.execution {
+            ExecutionMode::Serial => "serial",
+            ExecutionMode::Sharded { .. } => "sharded",
+        }
     }
 
-    /// Execute: open the engine and stream [`MatchEvent`]s.
+    /// Construct the engine the declaration asks for.
+    fn engine(&self) -> Result<Box<dyn JoinEngine + Send>> {
+        // Exhaustive on purpose: `ExecutionMode` is `#[non_exhaustive]`
+        // only for downstream crates — adding a variant here must fail to
+        // compile until it gets an engine.
+        Ok(match self.config.execution {
+            ExecutionMode::Sharded { shards } => Box::new(ParallelJoin::new(
+                self.config.parallel(shards, self.reference),
+            )?),
+            ExecutionMode::Serial => Box::new(AdaptiveJoin::new(
+                self.config.switch_join(),
+                self.config.controller(self.reference),
+            )?),
+        })
+    }
+
+    /// Execute: start the engine and stream [`MatchEvent`]s.
     ///
     /// [`MatchEvent`]: crate::api::MatchEvent
     pub fn run(self) -> Result<MatchStream> {
-        let mut engine = self.engine;
-        engine.open()?;
-        Ok(MatchStream::new(engine))
+        MatchStream::new(self.engine()?, self.sources)
     }
 
     /// Execute and materialise: every match pair plus the final report.
@@ -61,9 +88,10 @@ impl Pipeline {
     /// `META` section's engine name, shard count and configuration
     /// fingerprint are all validated) — then call this in place of
     /// [`run`](Self::run).  The engine rebuilds its join state from the
-    /// snapshot's tuple columns, fast-forwards the input past the
-    /// consumed prefix, and the returned stream yields the remaining
-    /// events bit-identically to the uninterrupted run.
+    /// snapshot's tuple columns, the stream skips its sources' consumed
+    /// prefix (a source that ends early or interleaves differently is a
+    /// typed [`LinkageError::Snapshot`]), and the returned stream yields
+    /// the remaining events bit-identically to the uninterrupted run.
     pub fn resume(self, path: impl AsRef<std::path::Path>) -> Result<MatchStream> {
         self.resume_from(&SnapshotFile::read_from(path.as_ref())?)
     }
@@ -71,15 +99,11 @@ impl Pipeline {
     /// [`resume`](Self::resume) from a container the caller already read
     /// and verified — the bytes are hashed and parsed once, however many
     /// of its sections the caller inspects first (the server's
-    /// rehydration checks its own binding section before resuming).
+    /// rehydration checks its own binding section before resuming).  A
+    /// session's resumed stream is fed the input that follows
+    /// [`MatchStream::consumed`].
     pub fn resume_from(self, file: &SnapshotFile) -> Result<MatchStream> {
-        let mut engine = self.engine;
-        engine.open()?;
-        if let Err(e) = engine.restore_state(file) {
-            let _ = engine.close();
-            return Err(e);
-        }
-        Ok(MatchStream::new(engine))
+        MatchStream::resume(self.engine()?, self.sources, file)
     }
 }
 
@@ -318,70 +342,50 @@ impl PipelineBuilder {
             .reference_size
             .unwrap_or(left.len() as u64)
             .max(1);
-        let scan = InterleavedScan::new(
+        let sources = InterleavedScan::new(
             left.into_stream(),
             right.into_stream(),
             self.config.interleave,
         );
-        // Exhaustive on purpose: `ExecutionMode` is `#[non_exhaustive]`
-        // only for downstream crates — adding a variant here must fail to
-        // compile until it gets an engine.
-        let engine: Box<dyn JoinEngine + Send> = match self.config.execution {
-            ExecutionMode::Sharded { shards } => Box::new(ParallelJoin::new(
-                scan,
-                self.config.parallel(shards, reference),
-            )),
-            ExecutionMode::Serial => Box::new(AdaptiveJoin::new(
-                SwitchJoin::new(scan, self.config.switch_join()),
-                self.config.controller(reference),
-            )),
-        };
-        Ok(Pipeline { engine })
+        Ok(Pipeline {
+            config: self.config,
+            reference,
+            sources: Some(sources),
+        })
     }
 
     /// Build an incrementally fed pipeline for a long-lived session:
-    /// instead of declaring sources, the returned [`SessionInput`] handle
-    /// feeds records in batches (and eventually declares the input
-    /// finished), while the [`Pipeline`] is driven through
-    /// [`MatchStream::advance`] / [`MatchStream::next_ready`].
+    /// instead of declaring sources, the caller feeds the running
+    /// [`MatchStream`] records in batches with [`MatchStream::feed`],
+    /// pops what is ready with [`MatchStream::next_ready`], and
+    /// eventually declares the input complete with
+    /// [`MatchStream::finish`].
     ///
     /// Two extra rules versus [`build`](Self::build): no sources may be
-    /// declared (records arrive through the handle), and
+    /// declared (records arrive through the stream), and
     /// [`reference_size`](Self::reference_size) must be set explicitly —
     /// with an unbounded input there is nothing to infer it from, and
     /// pinning it keeps the configuration identity stable across
     /// snapshot, eviction and [`Pipeline::resume`].
-    ///
-    /// [`MatchStream::advance`]: crate::api::MatchStream::advance
-    /// [`MatchStream::next_ready`]: crate::api::MatchStream::next_ready
-    pub fn session(self) -> Result<(Pipeline, SessionInput)> {
+    pub fn session(self) -> Result<Pipeline> {
         self.config.validate()?;
         if self.mixed_sources || !matches!(self.inputs, Inputs::None) {
             return Err(LinkageError::config(
                 "a session pipeline takes no sources — records arrive \
-                 through the SessionInput handle",
+                 through MatchStream::feed",
             ));
         }
-        if self.config.reference_size.is_none() {
+        let Some(reference) = self.config.reference_size else {
             return Err(LinkageError::config(
                 "a session pipeline requires an explicit .reference_size(...) \
                  — an incrementally fed input has no inferable size",
             ));
-        }
-        let reference = self.config.reference_size.unwrap_or(1).max(1);
-        let input = SessionInput::new();
-        let stream = input.stream();
-        let engine: Box<dyn JoinEngine + Send> = match self.config.execution {
-            ExecutionMode::Sharded { shards } => Box::new(ParallelJoin::new(
-                stream,
-                self.config.parallel(shards, reference),
-            )),
-            ExecutionMode::Serial => Box::new(AdaptiveJoin::new(
-                SwitchJoin::new(stream, self.config.switch_join()),
-                self.config.controller(reference),
-            )),
         };
-        Ok((Pipeline { engine }, input))
+        Ok(Pipeline {
+            reference: reference.max(1),
+            config: self.config,
+            sources: None,
+        })
     }
 
     /// [`build`](Self::build) then [`Pipeline::run`].

@@ -1,8 +1,10 @@
 //! The engine contract behind the facade.
 //!
 //! Both engines — the serial [`AdaptiveJoin`] and the sharded
-//! [`ParallelJoin`] — run the one [`linkage_core::Controller`] and
-//! announce the switch in-band from their own pull, so the facade only
+//! [`ParallelJoin`] — are push cores: they are fed, run the one
+//! [`linkage_core::Controller`], and announce the switch in-band from
+//! their own output queue; neither reads input.  The facade's
+//! [`MatchStream`](crate::api::MatchStream) owns the input and only
 //! forwards what they return.  [`JoinEngine`] is private to this crate:
 //! the facade holds a `Box<dyn JoinEngine>`, and a new backend is one
 //! more impl here plus an [`ExecutionMode`](crate::api::ExecutionMode)
@@ -13,8 +15,7 @@ use std::time::Duration;
 use linkage_core::{AdaptiveJoin, Pulled, SwitchEvent};
 use linkage_exec::{ParallelJoin, ShardStats};
 use linkage_operators::{
-    snapshot as opsnap, JoinPhase, Operator, OperatorState, PerKind, ProbeFunnel, RestoredCore,
-    SwitchRestore,
+    snapshot as opsnap, JoinPhase, PerKind, ProbeFunnel, RestoredCore, SwitchRestore,
 };
 use linkage_text::SharedInterner;
 use linkage_types::snapshot::{crc32, kind, Decoder, Encoder, SnapshotBuilder, SnapshotFile};
@@ -25,18 +26,23 @@ pub(crate) trait JoinEngine {
     /// Stable engine name for reports (`"serial"`, `"sharded"`).
     fn engine_name(&self) -> &'static str;
 
-    /// Prepare the engine (open inputs, spawn workers).
-    fn open(&mut self) -> Result<()>;
+    /// Take `records` into the join, in order, running the control loop.
+    /// Produced pairs stay queued for [`Self::pop_ready`].
+    fn feed(&mut self, records: &[SidedRecord]) -> Result<()>;
 
-    /// The next pair or switch announcement, reading input as needed, or
-    /// `Ok(None)` when exhausted.
-    fn next_event(&mut self) -> Result<Option<Pulled>>;
+    /// The input is complete: process whatever is still pending, so every
+    /// remaining pair is queued.
+    fn finish(&mut self) -> Result<()>;
 
-    /// The next pair or switch announcement that is ready without reading
-    /// input, or `Ok(None)` if producing one needs more.
+    /// The next queued pair or switch announcement, or `Ok(None)` if
+    /// producing one needs more input (or [`Self::finish`]).
     fn pop_ready(&mut self) -> Result<Option<Pulled>>;
 
-    /// Release resources (close inputs, join workers); idempotent.
+    /// Fed records not yet taken into the join (the sharded engine's
+    /// partial epoch), oldest first.  A snapshot does not hold them.
+    fn pending(&self) -> &[SidedRecord];
+
+    /// Release resources (join workers); idempotent.
     fn close(&mut self) -> Result<()>;
 
     /// Summarise the run so far as the unified report.
@@ -44,33 +50,18 @@ pub(crate) trait JoinEngine {
 
     /// Append the engine's complete durable state — a `META` identity
     /// section plus the engine-specific sections of `docs/format.md` —
-    /// to a snapshot under construction.  Requires an open engine; the
-    /// sharded engine quiesces its epoch pipeline first, so the call is
-    /// valid between any two pulls, in either phase.
+    /// to a snapshot under construction.  The sharded engine quiesces its
+    /// epoch pipeline first, so the call is valid between any two feeds,
+    /// in either phase.
     fn snapshot_state(&mut self, builder: &mut SnapshotBuilder) -> Result<()>;
 
-    /// Install previously snapshotted state into a freshly opened,
-    /// pristine engine: validate the `META` identity (engine, shard
-    /// count, configuration fingerprint), rebuild the join state by
-    /// replaying the snapshot's tuple columns, and fast-forward the
-    /// re-declared input past the consumed prefix.  After this the
-    /// engine's remaining output is bit-identical to what the
-    /// interrupted run would have produced.
+    /// Install previously snapshotted state into a pristine engine:
+    /// validate the `META` identity (engine, shard count, configuration
+    /// fingerprint) and rebuild the join state by replaying the
+    /// snapshot's tuple columns.  Fed the input that follows the
+    /// snapshot's consumed prefix, the engine's remaining output is then
+    /// bit-identical to what the interrupted run would have produced.
     fn restore_state(&mut self, file: &SnapshotFile) -> Result<()>;
-
-    /// Consume input — running the engine's control loop — as far as is
-    /// safe given that only `available` total input tuples exist so far,
-    /// without emitting anything: produced pairs stay buffered for
-    /// [`Self::pop_ready`].  [`MatchStream::advance`] calls this after
-    /// each feed of an incrementally fed
-    /// ([session](crate::api::PipelineBuilder::session)) pipeline.  Each
-    /// engine advances by its own granularity (per tuple serially, per
-    /// whole epoch sharded) and is careful never to observe a premature
-    /// end of input, which is what keeps the eventual output
-    /// bit-identical to a solo run.
-    ///
-    /// [`MatchStream::advance`]: crate::api::MatchStream::advance
-    fn advance_input(&mut self, available: u64) -> Result<()>;
 }
 
 /// Fingerprint a configuration for the `META` section: CRC-32 of its
@@ -205,54 +196,52 @@ impl RunReport {
     }
 }
 
-impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
+impl JoinEngine for AdaptiveJoin {
     fn engine_name(&self) -> &'static str {
         "serial"
     }
 
-    fn open(&mut self) -> Result<()> {
-        Operator::open(self)
+    fn feed(&mut self, records: &[SidedRecord]) -> Result<()> {
+        AdaptiveJoin::feed(self, records)
     }
 
-    fn next_event(&mut self) -> Result<Option<Pulled>> {
-        AdaptiveJoin::next_event(self)
+    /// Every fed tuple was processed when it was fed.
+    fn finish(&mut self) -> Result<()> {
+        Ok(())
     }
 
     fn pop_ready(&mut self) -> Result<Option<Pulled>> {
-        AdaptiveJoin::pop_ready(self)
+        Ok(AdaptiveJoin::pop_ready(self))
+    }
+
+    fn pending(&self) -> &[SidedRecord] {
+        &[]
     }
 
     fn close(&mut self) -> Result<()> {
-        Operator::close(self)
+        Ok(())
     }
 
     fn report(&self) -> RunReport {
-        let inner = self.inner();
+        let core = self.core();
         RunReport {
             engine: self.engine_name(),
             shards: 1,
-            phase: inner.phase(),
-            consumed: inner.consumed(),
-            emitted: inner.emitted(),
+            phase: core.phase(),
+            consumed: core.consumed(),
+            emitted: core.emitted(),
             switch: self.controller().switch(),
             switch_latency: self.controller().switch_latency(),
             shard_stats: Vec::new(),
-            funnel: inner.ssh_core_ref().map(|core| Box::new(core.funnel())),
+            funnel: core.ssh_core_ref().map(|core| Box::new(core.funnel())),
         }
-    }
-
-    fn advance_input(&mut self, available: u64) -> Result<()> {
-        AdaptiveJoin::advance_to(self, available)
     }
 
     fn snapshot_state(&mut self, builder: &mut SnapshotBuilder) -> Result<()> {
-        if Operator::state(self) != OperatorState::Open {
-            return Err(LinkageError::snapshot("snapshot requires an open engine"));
-        }
         put_meta(builder, "serial", 1, serial_fingerprint(self));
 
-        let inner = self.inner();
-        match (inner.exact_core_ref(), inner.ssh_core_ref()) {
+        let join = self.core();
+        match (join.exact_core_ref(), join.ssh_core_ref()) {
             (Some(exact), _) => {
                 builder.push_section(kind::EXACT_CORE as u32, opsnap::encode_exact_core(exact));
             }
@@ -263,8 +252,8 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
                 );
                 builder.push_section(kind::SSH_CORE as u32, opsnap::encode_ssh_core(ssh));
             }
-            // `Switching` is transient inside one pull; the engine is
-            // never observed in it between pulls.
+            // `Switching` is transient inside one feed; the engine is
+            // never observed in it between calls.
             (None, None) => {
                 return Err(LinkageError::snapshot(
                     "snapshot during an in-flight switch",
@@ -273,19 +262,19 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
         }
 
         let mut e = Encoder::new();
-        let consumed = inner.consumed();
+        let consumed = join.consumed();
         e.put_u64(consumed.left);
         e.put_u64(consumed.right);
-        opsnap::put_per_kind(&mut e, inner.emitted());
-        e.put_u64(inner.recovered_at_switch());
-        e.put_opt_u64(inner.switched_after());
+        opsnap::put_per_kind(&mut e, join.emitted());
+        e.put_u64(join.recovered_at_switch());
+        e.put_opt_u64(join.switched_after());
         self.controller().put_loop(&mut e);
         self.controller().put_switch(&mut e);
         builder.push_section(kind::CONTROLLER as u32, e.finish());
 
         builder.push_section(
             kind::PENDING as u32,
-            opsnap::encode_pairs(inner.pending_pairs()),
+            opsnap::encode_pairs(join.pending_pairs()),
         );
         builder.push_section(kind::STREAM as u32, self.controller().encode_stream());
         Ok(())
@@ -307,7 +296,7 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
         self.controller_mut()
             .decode_stream(file.section(kind::STREAM as u32)?, &mut pending)?;
 
-        let config = self.inner().config().clone();
+        let config = self.core().config().clone();
         let core = if let Some(bytes) = file.try_section(kind::SSH_CORE as u32) {
             let table = opsnap::decode_interner(file.section(kind::INTERNER as u32)?)?;
             RestoredCore::Approximate(opsnap::decode_ssh_core(
@@ -322,7 +311,7 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
             )?)
         };
 
-        self.inner_mut().restore(SwitchRestore {
+        self.core_mut().restore(SwitchRestore {
             core,
             pending,
             consumed,
@@ -335,35 +324,39 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for AdaptiveJoin<I> {
 
 /// The serial engine's configuration identity: join declaration plus
 /// control-loop settings.
-fn serial_fingerprint<I: Operator<Item = SidedRecord>>(engine: &AdaptiveJoin<I>) -> u32 {
+fn serial_fingerprint(engine: &AdaptiveJoin) -> u32 {
     let controller = engine.controller();
     config_fingerprint(&(
-        engine.inner().config(),
+        engine.core().config(),
         controller.monitor().config(),
         controller.assessor().config(),
         controller.policy(),
     ))
 }
 
-impl<I: Operator<Item = SidedRecord>> JoinEngine for ParallelJoin<I> {
+impl JoinEngine for ParallelJoin {
     fn engine_name(&self) -> &'static str {
         "sharded"
     }
 
-    fn open(&mut self) -> Result<()> {
-        Operator::open(self)
+    fn feed(&mut self, records: &[SidedRecord]) -> Result<()> {
+        ParallelJoin::feed(self, records)
     }
 
-    fn next_event(&mut self) -> Result<Option<Pulled>> {
-        ParallelJoin::next_event(self)
+    fn finish(&mut self) -> Result<()> {
+        ParallelJoin::finish(self)
     }
 
     fn pop_ready(&mut self) -> Result<Option<Pulled>> {
-        ParallelJoin::pop_ready(self)
+        Ok(ParallelJoin::pop_ready(self))
+    }
+
+    fn pending(&self) -> &[SidedRecord] {
+        ParallelJoin::pending(self)
     }
 
     fn close(&mut self) -> Result<()> {
-        Operator::close(self)
+        ParallelJoin::close(self)
     }
 
     fn report(&self) -> RunReport {
@@ -378,10 +371,6 @@ impl<I: Operator<Item = SidedRecord>> JoinEngine for ParallelJoin<I> {
             shard_stats: self.shard_stats().to_vec(),
             funnel: None,
         }
-    }
-
-    fn advance_input(&mut self, available: u64) -> Result<()> {
-        ParallelJoin::advance_to(self, available)
     }
 
     fn snapshot_state(&mut self, builder: &mut SnapshotBuilder) -> Result<()> {

@@ -17,13 +17,17 @@
 //!   configs (`SwitchJoinConfig`, `ControllerConfig`,
 //!   `ParallelJoinConfig`) become thin internals constructed from it;
 //! * one [`Controller`](crate::core::Controller) decides the switch for
-//!   either engine, and the engine's own pull announces it in-band — the
-//!   engines sit behind a crate-private trait, so a future backend
-//!   (async, multi-node) is one more impl inside this crate;
+//!   either engine, and the engine's own output queue announces it
+//!   in-band — the engines are push cores behind a crate-private trait,
+//!   so a future backend (async, multi-node) is one more impl inside this
+//!   crate;
 //! * [`MatchStream`] — `run()` returns an iterator of [`MatchEvent`]s:
 //!   each [`MatchEvent::Match`], the mid-stream
 //!   [`MatchEvent::Switched`] notification, and a final
-//!   [`MatchEvent::Finished`] carrying the unified [`RunReport`].
+//!   [`MatchEvent::Finished`] carrying the unified [`RunReport`].  The
+//!   stream owns the input: it feeds the engine from the declared
+//!   sources, or — for a [`PipelineBuilder::session`] — whatever the
+//!   caller passes to [`MatchStream::feed`].
 //!
 //! # Serial quickstart
 //!
@@ -120,14 +124,12 @@
 mod builder;
 mod config;
 mod engine;
-mod session;
 mod source;
 mod stream;
 
 pub use builder::{Pipeline, PipelineBuilder};
 pub use config::{ExecutionMode, PipelineConfig};
 pub use engine::RunReport;
-pub use session::SessionInput;
 pub use source::Source;
 pub use stream::{MatchEvent, MatchStream, RunOutcome};
 

@@ -56,8 +56,10 @@
 
 #[cfg(test)]
 mod common {
+    use linkage_core::{AdaptiveJoin, Pulled};
     use linkage_datagen::GeneratedData;
-    use linkage_operators::{oracle, InterleavedScan, Operator};
+    use linkage_exec::ParallelJoin;
+    use linkage_operators::{oracle, InterleavedScan, Operator, SwitchJoinCore};
     use linkage_text::{QGramCoefficient, QGramConfig};
     use linkage_types::{MatchPair, PerSide, RecordId, SidedRecord, VecStream};
     use std::collections::HashSet;
@@ -80,6 +82,40 @@ mod common {
     /// The interleaved tuple feed, in the order the engines consume it.
     pub fn feed(data: &GeneratedData) -> Vec<SidedRecord> {
         scan(data).run_to_end().expect("scan failed")
+    }
+
+    /// Feed `tuples` to the join core, then pop every queued pair.
+    pub fn run_core(join: &mut SwitchJoinCore, tuples: &[SidedRecord]) -> Vec<MatchPair> {
+        for sided in tuples {
+            join.process(sided.clone()).expect("process failed");
+        }
+        std::iter::from_fn(|| join.pop()).collect()
+    }
+
+    /// The pairs among popped events.
+    fn pairs_of(pulled: impl Iterator<Item = Pulled>) -> Vec<MatchPair> {
+        pulled
+            .filter_map(|p| match p {
+                Pulled::Match(pair) => Some(pair),
+                Pulled::Switched(_) => None,
+            })
+            .collect()
+    }
+
+    /// Feed `tuples` to the serial engine, then pop every pair.
+    pub fn run_adaptive(join: &mut AdaptiveJoin, tuples: &[SidedRecord]) -> Vec<MatchPair> {
+        join.feed(tuples).expect("feed failed");
+        pairs_of(std::iter::from_fn(|| join.pop_ready()))
+    }
+
+    /// Feed `tuples` to the sharded engine, finish, pop every pair and
+    /// close it.
+    pub fn run_parallel(join: &mut ParallelJoin, tuples: &[SidedRecord]) -> Vec<MatchPair> {
+        join.feed(tuples).expect("feed failed");
+        join.finish().expect("finish failed");
+        let pairs = pairs_of(std::iter::from_fn(|| join.pop_ready()));
+        join.close().expect("close failed");
+        pairs
     }
 
     /// The stream oracle over `feed` at [`THETA`] under the default
@@ -130,13 +166,13 @@ mod common {
 mod exact_equivalence {
     use super::common::*;
     use linkage_datagen::{generate, DatagenConfig};
-    use linkage_operators::{JoinPhase, Operator, SwitchJoin, SwitchJoinConfig};
+    use linkage_operators::{JoinPhase, SwitchJoinConfig, SwitchJoinCore};
     use linkage_text::QGramCoefficient;
 
     fn assert_matches_oracle(config: &DatagenConfig) {
         let data = generate(config).expect("datagen failed");
-        let mut join = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
-        let pairs = join.run_to_end().expect("join failed");
+        let mut join = SwitchJoinCore::new(SwitchJoinConfig::new(KEYS));
+        let pairs = run_core(&mut join, &feed(&data));
         assert_eq!(join.phase(), JoinPhase::Exact);
         let expected = stream_oracle(&feed(&data), None, |_| QGramCoefficient::Jaccard);
         assert_eq!(
@@ -169,7 +205,7 @@ mod adaptive_recovery {
     use super::common::*;
     use linkage_core::{AdaptiveJoin, ControllerConfig};
     use linkage_datagen::{generate, DatagenConfig};
-    use linkage_operators::{oracle, JoinPhase, Operator, SwitchJoin, SwitchJoinConfig};
+    use linkage_operators::{oracle, JoinPhase, SwitchJoinConfig, SwitchJoinCore};
     use linkage_text::QGramJaccard;
     use linkage_types::RecordId;
     use std::collections::HashSet;
@@ -180,16 +216,20 @@ mod adaptive_recovery {
         let data = generate(&config).expect("datagen failed");
         let truth: HashSet<(RecordId, RecordId)> = data.truth.iter().copied().collect();
 
+        let tuples = feed(&data);
+
         // Baseline: exact-only (a switch join nobody switches).
-        let mut exact_join = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
-        let exact_pairs = exact_join.run_to_end().expect("exact join failed");
+        let mut exact_join = SwitchJoinCore::new(SwitchJoinConfig::new(KEYS));
+        let exact_pairs = run_core(&mut exact_join, &tuples);
         let exact_correct = id_set(&exact_pairs).intersection(&truth).count();
 
-        // Adaptive: SwitchJoin driven by the monitor/assessor/actuator loop.
-        let switch = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS).with_theta(THETA));
-        let mut adaptive =
-            AdaptiveJoin::new(switch, ControllerConfig::new(data.parents.len() as u64));
-        let adaptive_pairs = adaptive.run_to_end().expect("adaptive join failed");
+        // Adaptive: the join driven by the monitor/assessor/actuator loop.
+        let mut adaptive = AdaptiveJoin::new(
+            SwitchJoinConfig::new(KEYS).with_theta(THETA),
+            ControllerConfig::new(data.parents.len() as u64),
+        )
+        .expect("adaptive join failed");
+        let adaptive_pairs = run_adaptive(&mut adaptive, &tuples);
 
         // The switch really happened mid-stream.
         let event = adaptive
@@ -232,10 +272,12 @@ mod adaptive_recovery {
     #[test]
     fn clean_workload_never_switches() {
         let data = generate(&DatagenConfig::clean(200, 9)).expect("datagen failed");
-        let switch = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
-        let mut adaptive =
-            AdaptiveJoin::new(switch, ControllerConfig::new(data.parents.len() as u64));
-        let pairs = adaptive.run_to_end().expect("adaptive join failed");
+        let mut adaptive = AdaptiveJoin::new(
+            SwitchJoinConfig::new(KEYS),
+            ControllerConfig::new(data.parents.len() as u64),
+        )
+        .expect("adaptive join failed");
+        let pairs = run_adaptive(&mut adaptive, &feed(&data));
         assert!(adaptive.controller().switch().is_none());
         assert_eq!(adaptive.phase(), JoinPhase::Exact);
         assert_eq!(pairs.len(), data.truth.len());
@@ -243,31 +285,27 @@ mod adaptive_recovery {
 
     #[test]
     fn manual_switch_is_equivalent_to_controller_switch_result_set() {
-        // Driving SwitchJoin by hand at the same point the controller chose
-        // yields the same distinct result set.
+        // Driving the join core by hand at the same point the controller
+        // chose yields the same distinct result set.
         let data = generate(&DatagenConfig::mid_stream_dirty(120, 11)).expect("datagen failed");
+        let tuples = feed(&data);
 
-        let switch = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
-        let mut adaptive =
-            AdaptiveJoin::new(switch, ControllerConfig::new(data.parents.len() as u64));
-        let controller_pairs = adaptive.run_to_end().expect("adaptive failed");
+        let mut adaptive = AdaptiveJoin::new(
+            SwitchJoinConfig::new(KEYS),
+            ControllerConfig::new(data.parents.len() as u64),
+        )
+        .expect("adaptive failed");
+        let controller_pairs = run_adaptive(&mut adaptive, &tuples);
         let switch_at = adaptive
             .controller()
             .switch()
             .expect("no switch")
-            .after_tuples;
+            .after_tuples as usize;
 
-        let mut manual = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
-        manual.open().expect("open failed");
-        for _ in 0..switch_at {
-            assert!(manual.advance().expect("advance failed"));
-        }
+        let mut manual = SwitchJoinCore::new(SwitchJoinConfig::new(KEYS));
+        let mut manual_pairs = run_core(&mut manual, &tuples[..switch_at]);
         manual.switch_to_approximate().expect("switch failed");
-        let mut manual_pairs = Vec::new();
-        while let Some(p) = manual.next().expect("next failed") {
-            manual_pairs.push(p);
-        }
-        manual.close().expect("close failed");
+        manual_pairs.extend(run_core(&mut manual, &tuples[switch_at..]));
 
         assert_eq!(id_set(&manual_pairs), id_set(&controller_pairs));
         assert_no_duplicates(&manual_pairs);
@@ -280,7 +318,7 @@ mod parallel_equivalence {
     use linkage_core::SwitchPolicy;
     use linkage_datagen::{generate, DatagenConfig, GeneratedData};
     use linkage_exec::{ParallelJoin, ParallelJoinConfig};
-    use linkage_operators::{oracle, Operator};
+    use linkage_operators::oracle;
     use linkage_text::{QGramCoefficient, QGramJaccard};
     use linkage_types::{MatchPair, RecordId};
     use proptest::prelude::*;
@@ -299,8 +337,8 @@ mod parallel_equivalence {
             let controller = config.controller.clone();
             config = config.with_controller(controller.with_policy(SwitchPolicy::ForceAt(after)));
         }
-        let mut join = ParallelJoin::new(scan(data), config);
-        let pairs = join.run_to_end().expect("parallel join failed");
+        let mut join = ParallelJoin::new(config).expect("parallel join failed");
+        let pairs = run_parallel(&mut join, &feed(data));
         if force_switch_after.is_some() {
             assert!(
                 join.controller().switch().is_some(),
@@ -1051,33 +1089,107 @@ mod probe_kernel_equivalence {
 #[cfg(test)]
 mod protocol {
     use super::common::*;
-    use linkage_core::{AdaptiveJoin, ControllerConfig};
+    use linkage::api::{MatchEvent, MatchStream, Pipeline, PipelineConfig};
     use linkage_datagen::{generate, DatagenConfig};
-    use linkage_operators::{Operator, OperatorState, SwitchJoin, SwitchJoinConfig};
+    use linkage_types::LinkageError;
 
+    /// The input lifecycle the facade owns: a batch pipeline is never
+    /// fed, a session is fed until `finish` and drained after it, and a
+    /// drained or failed stream is fused.
     #[test]
     fn lifecycle_is_enforced_through_the_whole_stack() {
         let data = generate(&DatagenConfig::clean(10, 1)).expect("datagen failed");
-        let switch = SwitchJoin::new(scan(&data), SwitchJoinConfig::new(KEYS));
-        let mut join = AdaptiveJoin::new(switch, ControllerConfig::new(10));
+        let tuples = feed(&data);
+        let drain = |stream: &mut MatchStream| -> Vec<MatchEvent> {
+            stream
+                .by_ref()
+                .collect::<Result<_, _>>()
+                .expect("drain failed")
+        };
 
-        assert_eq!(join.state(), OperatorState::Created);
-        assert!(join.next().is_err(), "next before open must fail");
-        join.open().expect("open failed");
-        assert!(join.open().is_err(), "double open must fail");
-        assert!(join.next().expect("next failed").is_some());
-        join.close().expect("close failed");
-        assert!(join.next().is_err(), "next after close must fail");
-        assert_eq!(join.state(), OperatorState::Closed);
+        let mut batch = Pipeline::builder()
+            .left(&data.parents)
+            .right(&data.children)
+            .keys(KEYS.left, KEYS.right)
+            .run()
+            .expect("run failed");
+        assert!(matches!(
+            batch.feed(&tuples),
+            Err(LinkageError::OperatorState(_))
+        ));
+        batch.finish();
+        let events = drain(&mut batch);
+        assert!(matches!(events.last(), Some(MatchEvent::Finished(_))));
+        assert!(batch.next().is_none(), "a drained stream is fused");
+
+        let mut config = PipelineConfig::default();
+        config.keys = KEYS;
+        config.reference_size = Some(data.parents.len() as u64);
+        let session = || {
+            Pipeline::builder()
+                .config(config.clone())
+                .session()
+                .expect("session build")
+                .run()
+                .expect("session run")
+        };
+
+        let mut starved = session();
+        starved.feed(&tuples).expect("feed failed");
+        while let Some(event) = starved.next_ready() {
+            event.expect("ready event");
+        }
+        assert!(matches!(
+            starved.next(),
+            Some(Err(LinkageError::Execution(_)))
+        ));
+        assert!(starved.next().is_none(), "an error fuses the stream");
+
+        let mut stream = session();
+        for chunk in tuples.chunks(3) {
+            stream.feed(chunk).expect("feed failed");
+        }
+        stream.finish();
+        stream.finish();
+        assert!(matches!(
+            stream.feed(&tuples[..1]),
+            Err(LinkageError::OperatorState(_))
+        ));
+        let pairs = |events: &[MatchEvent]| -> Vec<_> {
+            events
+                .iter()
+                .filter_map(|e| match e {
+                    MatchEvent::Match(pair) => Some(pair.id_pair()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let fed = drain(&mut stream);
+        assert!(matches!(fed.last(), Some(MatchEvent::Finished(_))));
+        assert_eq!(
+            pairs(&fed),
+            pairs(&events),
+            "a session replays the batch run"
+        );
+        assert!(matches!(
+            stream.snapshot_builder(),
+            Err(LinkageError::Snapshot(_))
+        ));
     }
 }
 
 #[cfg(test)]
 mod snapshot_resume {
-    use linkage::api::{MatchEvent, MatchStream, Pipeline, PipelineBuilder, QGramCoefficient};
+    use linkage::api::{
+        ExecutionMode, MatchEvent, MatchStream, Pipeline, PipelineBuilder, PipelineConfig,
+        QGramCoefficient, Source, SwitchPolicy,
+    };
     use linkage_datagen::{generate, DatagenConfig, GeneratedData};
+    use linkage_operators::{InterleavedScan, Operator};
     use linkage_types::snapshot::{SnapshotFile, FORMAT_VERSION, MAGIC};
-    use linkage_types::LinkageError;
+    use linkage_types::{
+        InterleavePolicy, LinkageError, PerSide, Relation, SidedRecord, VecStream,
+    };
     use proptest::prelude::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1213,6 +1325,208 @@ mod snapshot_resume {
     /// of the configuration types' `Debug` rendering.  These values were
     /// recorded before the two engines shared one controller: moving or
     /// renaming a config type shows up here, not as refused resumes.
+    /// The declaration both halves of the chunking property run: the
+    /// same configuration as a batch pipeline over `data` and as a
+    /// session (whose reference size must be explicit).
+    fn chunk_config(data: &GeneratedData, engine: usize, switch_at: Option<u64>) -> PipelineConfig {
+        let mut config = PipelineConfig::default();
+        config.keys = PerSide::new(GeneratedData::KEY_COLUMN, GeneratedData::KEY_COLUMN);
+        config.reference_size = Some(data.parents.len() as u64);
+        if engine > 0 {
+            config.execution = ExecutionMode::Sharded {
+                shards: [2, 3][(engine - 1) / 3],
+            };
+            config.batch_size = [1, 7, 64][(engine - 1) % 3];
+        }
+        if let Some(at) = switch_at {
+            config.switch_policy = SwitchPolicy::ForceAt(at);
+        }
+        config
+    }
+
+    /// Feed `tuples` in chunks of the sizes `chunks` cycles through,
+    /// popping up to `polled` ready events after each.  `at_boundary`
+    /// sees the stream after every chunk with the count fed so far.
+    fn feed_in_chunks(
+        stream: &mut MatchStream,
+        tuples: &[SidedRecord],
+        chunks: &[usize],
+        polled: usize,
+        events: &mut Vec<String>,
+        mut at_boundary: impl FnMut(&mut MatchStream, usize, usize),
+    ) {
+        let mut fed = 0;
+        for &size in chunks.iter().cycle() {
+            if fed == tuples.len() {
+                break;
+            }
+            let size = size.min(tuples.len() - fed);
+            stream.feed(&tuples[fed..fed + size]).expect("feed failed");
+            fed += size;
+            for _ in 0..polled {
+                match stream.next_ready() {
+                    Some(event) => events.push(fingerprint(event.expect("ready event"))),
+                    None => break,
+                }
+            }
+            at_boundary(stream, fed, events.len());
+        }
+    }
+
+    proptest! {
+        /// Feeding a session in arbitrary chunks — empty, single tuples,
+        /// smaller and larger than an epoch, straddling the switch —
+        /// yields the batch run's event stream pair for pair, `Switched`
+        /// included.  A snapshot taken between two chunks, while part of
+        /// an epoch is pending, resumes by `resume_from` plus feeding the
+        /// pending records and the rest, to the same stream.
+        #[test]
+        fn fed_chunks_replay_the_batch_run_and_resume_at_any_chunk_boundary(
+            parents in 24usize..48,
+            seed in 0u64..10_000,
+            engine in 0usize..7, // 0 = serial; else shards {2, 3} × batch {1, 7, 64}
+            switch_percent in 0usize..130, // ≥ 100: the controller decides
+            chunks in proptest::collection::vec(0usize..80, 1..8),
+            cut_percent in 0usize..101,
+            polled in 0usize..6,
+        ) {
+            let data = generate(&DatagenConfig::mid_stream_dirty(parents, seed))
+                .expect("datagen failed");
+            let mut scan = InterleavedScan::new(
+                VecStream::from_relation(&data.parents),
+                VecStream::from_relation(&data.children),
+                InterleavePolicy::default(),
+            );
+            let tuples = scan.run_to_end().expect("scan failed");
+            let switch_at =
+                (switch_percent < 100).then(|| (switch_percent * tuples.len() / 100) as u64);
+            let config = chunk_config(&data, engine, switch_at);
+            let batch = config.batch_size;
+            let sharded = engine > 0;
+            let expected = drain(
+                Pipeline::builder()
+                    .config(config.clone())
+                    .left(&data.parents)
+                    .right(&data.children)
+                    .run()
+                    .expect("batch run failed"),
+            );
+            let session = || {
+                Pipeline::builder()
+                    .config(config.clone())
+                    .session()
+                    .expect("session")
+            };
+
+            let cut = cut_percent * tuples.len() / 100;
+            let mut snapshot = None;
+            let mut stream = session().run().expect("session run failed");
+            let mut events = Vec::new();
+            let take_snapshot = |stream: &mut MatchStream, fed: usize, delivered: usize| {
+                if snapshot.is_none() && fed >= cut {
+                    let pending = stream.pending_input().to_vec();
+                    assert_eq!(pending.len(), if sharded { fed % batch } else { 0 });
+                    assert_eq!(stream.consumed() + pending.len() as u64, fed as u64);
+                    let bytes = stream.snapshot_builder().expect("snapshot failed").to_bytes();
+                    snapshot = Some((fed, delivered, bytes, pending));
+                }
+            };
+            feed_in_chunks(&mut stream, &tuples, &chunks, polled, &mut events, take_snapshot);
+            stream.finish();
+            events.extend(drain(stream));
+            prop_assert_eq!(events, expected);
+
+            let (fed, delivered, bytes, pending) =
+                snapshot.expect("a chunk boundary reaches every cut");
+            let file = SnapshotFile::from_vec(bytes).expect("container");
+            let mut resumed = session().resume_from(&file).expect("resume failed");
+            prop_assert_eq!(resumed.consumed() + pending.len() as u64, fed as u64);
+            resumed.feed(&pending).expect("feed pending failed");
+            let mut events = expected[..delivered].to_vec();
+            let rest = &tuples[fed..];
+            feed_in_chunks(&mut resumed, rest, &chunks, polled, &mut events, |_, _, _| {});
+            resumed.finish();
+            events.extend(drain(resumed));
+            prop_assert_eq!(events, expected);
+        }
+    }
+
+    /// Snapshot a run of `make` after 20 events and resume it against the
+    /// sources `resume_with` declares; the error it fails with.
+    fn resume_against(
+        make: fn(&GeneratedData) -> PipelineBuilder,
+        resume_with: fn(&GeneratedData) -> (Source, Source),
+        tag: &str,
+    ) -> LinkageError {
+        let data = generate(&DatagenConfig::mid_stream_dirty(60, 16)).expect("datagen failed");
+        let mut stream = make(&data).run().expect("run failed");
+        for _ in 0..20 {
+            stream.next().expect("stream ended early").expect("event");
+        }
+        let path = snap_path(tag);
+        stream.snapshot(&path).expect("snapshot failed");
+        drop(stream);
+        let (left, right) = resume_with(&data);
+        let err = make(&data)
+            .left(left)
+            .right(right)
+            .resume(&path)
+            .expect_err("resume must refuse the source");
+        std::fs::remove_file(&path).ok();
+        err
+    }
+
+    /// Both engines, declared with an explicit reference size so that
+    /// other sources keep the configuration fingerprint.
+    const BOTH_ENGINES: [fn(&GeneratedData) -> PipelineBuilder; 2] = [
+        |d| declare(d).reference_size(d.parents.len() as u64).serial(),
+        |d| {
+            declare(d)
+                .reference_size(d.parents.len() as u64)
+                .sharded(2)
+                .batch_size(8)
+        },
+    ];
+
+    /// The first `n` records of `relation`.
+    fn prefix(relation: &Relation, n: usize) -> Source {
+        Source::records(relation.schema().clone(), relation.records()[..n].to_vec())
+    }
+
+    #[test]
+    fn resuming_against_a_source_shorter_than_the_consumed_prefix_is_a_typed_error() {
+        for make in BOTH_ENGINES {
+            let err = resume_against(
+                make,
+                |d| (prefix(&d.parents, 10), prefix(&d.children, 10)),
+                "short",
+            );
+            match err {
+                LinkageError::Snapshot(m) => assert!(m.contains("input ended"), "{m}"),
+                other => panic!("expected a typed snapshot error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn resuming_against_a_differently_split_source_is_a_typed_error() {
+        for make in BOTH_ENGINES {
+            // Fewer children than the snapshot consumed: the alternating
+            // scan then yields more parents than it consumed.
+            let err = resume_against(
+                make,
+                |d| (Source::relation(&d.parents), prefix(&d.children, 5)),
+                "split",
+            );
+            match err {
+                LinkageError::Snapshot(m) => {
+                    assert!(m.contains("does not match the snapshot"), "{m}")
+                }
+                other => panic!("expected a typed snapshot error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn config_and_meta_fingerprints_are_pinned() {
         use linkage::api::PipelineConfig;
@@ -1622,15 +1936,14 @@ mod server_service {
     /// Ground truth: the same config over the same feed order as a
     /// direct in-process session, every event collected.
     fn solo_events(config: &PipelineConfig, sequence: &[SidedRecord]) -> Vec<WireEvent> {
-        let (pipeline, input) = Pipeline::builder()
+        let mut stream = Pipeline::builder()
             .config(config.clone())
             .session()
-            .expect("session build");
-        let stream = pipeline.run().expect("session run");
-        for record in sequence {
-            input.push_sided(record.clone()).expect("push");
-        }
-        input.finish();
+            .expect("session build")
+            .run()
+            .expect("session run");
+        stream.feed(sequence).expect("feed");
+        stream.finish();
         stream
             .map(|event| wire_event(&event.expect("event")))
             .collect()
@@ -1691,109 +2004,10 @@ mod server_service {
         }
     }
 
-    /// One facade-level evict → rehydrate cycle: push the first `cut`
-    /// records, let the engine consume all but (at least) `hold_back` of
-    /// them, deliver `polled` events, snapshot; then rebuild the
-    /// pipeline, position a fresh input where the old one stood (only
-    /// the unconsumed records come back), resume, and feed the rest.
-    /// Returns every event of the two halves plus how many records were
-    /// pending at the cut.
-    fn cycle_events(
-        config: &PipelineConfig,
-        sequence: &[SidedRecord],
-        cut: usize,
-        hold_back: usize,
-        polled: usize,
-    ) -> (Vec<WireEvent>, usize) {
-        let (pipeline, input) = Pipeline::builder()
-            .config(config.clone())
-            .session()
-            .expect("session build");
-        let mut stream = pipeline.run().expect("session run");
-        for record in &sequence[..cut] {
-            input.push_sided(record.clone()).expect("push");
-        }
-        stream.advance((cut - hold_back) as u64).expect("advance");
-        let mut events = Vec::new();
-        while events.len() < polled {
-            match stream.next_ready() {
-                Some(event) => events.push(wire_event(&event.expect("event"))),
-                None => break,
-            }
-        }
-        let snapshot =
-            SnapshotFile::from_vec(stream.snapshot_builder().expect("snapshot").to_bytes())
-                .expect("container");
-        let pending = input.buffered_records();
-        assert!(pending.len() >= hold_back);
-        let consumed = input.pushed() - pending.len() as u64;
-        drop(stream);
-
-        let (pipeline, input) = Pipeline::builder()
-            .config(config.clone())
-            .session()
-            .expect("session rebuild");
-        let held = pending.len();
-        input
-            .restore_position(consumed, pending)
-            .expect("reposition");
-        assert_eq!(input.pushed(), cut as u64);
-        let mut stream = pipeline.resume_from(&snapshot).expect("resume");
-        assert_eq!(
-            input.buffered(),
-            held,
-            "resume must not pull a replayed prefix"
-        );
-        for record in &sequence[cut..] {
-            input.push_sided(record.clone()).expect("push rest");
-        }
-        stream.advance(input.pushed()).expect("advance rest");
-        input.finish();
-        events.extend(stream.map(|event| wire_event(&event.expect("event"))));
-        (events, held)
-    }
-
-    /// Rehydration restores the input at its absolute position: with
-    /// nothing, one record, and a whole epoch pushed but not yet
-    /// consumed at the cut — serial and on two shards, before, at and
-    /// after the §3.3 switch — the two halves together are the
-    /// bit-identical event sequence of an uninterrupted session.
-    #[test]
-    fn rehydration_restores_pending_input_on_both_engines() {
-        const BATCH: usize = 8;
-        let data = generate(&DatagenConfig::mid_stream_dirty(80, 17)).expect("datagen");
-        let sequence = feed_sequence(&data);
-        let switch_at = sequence.len() / 2 / BATCH * BATCH;
-        for execution in [ExecutionMode::Serial, ExecutionMode::Sharded { shards: 2 }] {
-            let mut config = session_config(data.parents.len() as u64);
-            config.execution = execution;
-            config.batch_size = BATCH;
-            config.switch_policy = SwitchPolicy::ForceAt(switch_at as u64);
-            let expected = solo_events(&config, &sequence);
-            assert!(expected.iter().any(|e| matches!(e, WireEvent::Switched(_))));
-
-            let mut most_pending = 0;
-            for cut in [switch_at - 2 * BATCH, switch_at, switch_at + 4 * BATCH] {
-                for hold_back in [0, 1, BATCH] {
-                    for polled in [0, 3] {
-                        let (got, pending) =
-                            cycle_events(&config, &sequence, cut, hold_back, polled);
-                        assert_eq!(
-                            got, expected,
-                            "{execution:?} cut={cut} hold_back={hold_back} polled={polled}"
-                        );
-                        most_pending = most_pending.max(pending);
-                    }
-                }
-            }
-            assert!(most_pending >= BATCH, "a whole epoch was held back");
-        }
-    }
-
-    /// The same through the server's own eviction: a sharded session
-    /// parks with part of an epoch unconsumed, so its sidecar carries
-    /// exactly those records — not the feed log — and the rehydrated
-    /// session continues bit-identically.
+    /// Through the server's own eviction: a sharded session parks with
+    /// part of an epoch pending, so its sidecar carries exactly those
+    /// records — not the feed log — and the rehydrated session continues
+    /// bit-identically.
     #[test]
     fn a_sharded_session_evicts_with_only_its_pending_input_in_the_sidecar() {
         const BATCH: usize = 8;
@@ -1823,11 +2037,9 @@ mod server_service {
                 "FEED_PENDING",
             );
             let pending = queue.get_u32().expect("count") as usize;
-            assert!(pending < cut, "the sidecar must not hold the feed log");
-            if cut < sequence.len() / 4 {
-                // Still exact: whole epochs are consumed, the rest waits.
-                assert_eq!(pending, cut % BATCH, "cut={cut}");
-            }
+            // Whole epochs are in the snapshot, in either phase; the
+            // rest of the fed records wait.
+            assert_eq!(pending, cut % BATCH, "cut={cut}");
 
             let mut session = manager.checkout(id).expect("rehydrate");
             assert_eq!(session.fed(), cut as u64);
