@@ -124,6 +124,7 @@
 mod builder;
 mod config;
 mod engine;
+mod session;
 mod source;
 mod stream;
 

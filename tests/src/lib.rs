@@ -2004,6 +2004,92 @@ mod server_service {
         }
     }
 
+    /// One facade-level evict → rehydrate cycle: feed the first `cut`
+    /// records, deliver up to `polled` events, snapshot; then resume a
+    /// rebuilt pipeline where the snapshot ends, feed it the pending
+    /// records and the rest.  Returns every event of the two halves plus
+    /// how many records were pending at the cut.
+    fn cycle_events(
+        config: &PipelineConfig,
+        sequence: &[SidedRecord],
+        cut: usize,
+        polled: usize,
+    ) -> (Vec<WireEvent>, usize) {
+        let session = || {
+            Pipeline::builder()
+                .config(config.clone())
+                .session()
+                .expect("session build")
+        };
+        let mut stream = session().run().expect("session run");
+        stream.feed(&sequence[..cut]).expect("feed prefix");
+        let mut events = Vec::new();
+        while events.len() < polled {
+            match stream.next_ready() {
+                Some(event) => events.push(wire_event(&event.expect("event"))),
+                None => break,
+            }
+        }
+        let snapshot =
+            SnapshotFile::from_vec(stream.snapshot_builder().expect("snapshot").to_bytes())
+                .expect("container");
+        let pending = stream.pending_input().to_vec();
+        let consumed = stream.consumed();
+        assert_eq!(consumed + pending.len() as u64, cut as u64);
+        drop(stream);
+
+        let mut stream = session().resume_from(&snapshot).expect("resume");
+        assert_eq!(
+            stream.consumed(),
+            consumed,
+            "resume keeps the absolute position"
+        );
+        assert!(stream.pending_input().is_empty());
+        stream.feed(&pending).expect("feed pending");
+        assert_eq!(stream.pending_input(), pending.as_slice());
+        stream.feed(&sequence[cut..]).expect("feed rest");
+        stream.finish();
+        events.extend(stream.map(|event| wire_event(&event.expect("event"))));
+        (events, pending.len())
+    }
+
+    /// Rehydration restores the input at its absolute position: with
+    /// nothing, one record, and all but one record of an epoch fed but
+    /// not yet consumed at the cut — serial and on two shards, before,
+    /// at and after the §3.3 switch — the two halves together are the
+    /// bit-identical event sequence of an uninterrupted session.
+    #[test]
+    fn rehydration_restores_pending_input_on_both_engines() {
+        const BATCH: usize = 8;
+        let data = generate(&DatagenConfig::mid_stream_dirty(80, 17)).expect("datagen");
+        let sequence = feed_sequence(&data);
+        let switch_at = sequence.len() / 2 / BATCH * BATCH;
+        for execution in [ExecutionMode::Serial, ExecutionMode::Sharded { shards: 2 }] {
+            let mut config = session_config(data.parents.len() as u64);
+            config.execution = execution;
+            config.batch_size = BATCH;
+            config.switch_policy = SwitchPolicy::ForceAt(switch_at as u64);
+            let expected = solo_events(&config, &sequence);
+            assert!(expected.iter().any(|e| matches!(e, WireEvent::Switched(_))));
+
+            for base in [switch_at - 2 * BATCH, switch_at, switch_at + 4 * BATCH] {
+                for held in [0, 1, BATCH - 1] {
+                    for polled in [0, 3] {
+                        let cut = base + held;
+                        let (got, pending) = cycle_events(&config, &sequence, cut, polled);
+                        let case = format!("{execution:?} cut={cut} polled={polled}");
+                        let want = match execution {
+                            ExecutionMode::Serial => 0,
+                            _ => held,
+                        };
+                        assert_eq!(pending, want, "{case}");
+                        assert_eq!(got, expected, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Through the server's own eviction: a sharded session parks with
     /// part of an epoch pending, so its sidecar carries exactly those
     /// records — not the feed log — and the rehydrated session continues
