@@ -45,7 +45,7 @@ use std::time::Instant;
 
 use linkage_core::{Controller, Pulled, SwitchEvent};
 use linkage_operators::{snapshot as opsnap, JoinPhase, PerKind, SshJoinCore, SshStored};
-use linkage_text::{normalize, SharedInterner};
+use linkage_text::SharedInterner;
 use linkage_types::snapshot::{kind, shard_kind, Decoder, Encoder, SnapshotBuilder, SnapshotFile};
 use linkage_types::{
     LinkageError, MatchKind, MatchPair, Partitioner, PerSide, Result, ShardId, Side, SidedRecord,
@@ -268,10 +268,9 @@ impl ParallelJoin {
     fn exact_epoch(&mut self, batch: Vec<SidedRecord>) -> Result<()> {
         let mut per_shard: Vec<Vec<(SidedRecord, Arc<str>)>> =
             (0..self.config.shards).map(|_| Vec::new()).collect();
-        let normalization = self.config.join.normalization();
+        let mut buf = String::new();
         for sided in batch {
-            let raw = sided.record.key_str(self.config.join.keys[sided.side])?;
-            let key: Arc<str> = Arc::from(normalize(raw, &normalization).as_str());
+            let key = self.config.join.normalized_key(&sided, &mut buf)?;
             let shard = self.partitioner.shard_of(&key);
             self.consumed[sided.side] += 1;
             per_shard[shard.as_usize()].push((sided, key));

@@ -11,21 +11,39 @@
 //! [`crate::switch::SwitchJoin`] drives it and hands its accumulated
 //! [`KeyTable`]s over to the approximate join mid-stream.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use linkage_text::{normalize, NormalizeConfig};
+use linkage_text::{normalize_into, NormalizeConfig};
 use linkage_types::{MatchPair, PerSide, Record, Result, Side, SidedRecord};
 
-use crate::state::KeyTable;
+use crate::state::{checked_u32, KeyTable};
 
-/// The probe-then-insert kernel of the exact symmetric hash join.
+/// The probe-then-insert kernel of the exact symmetric hash join.  A
+/// tuple costs one pass over its key bytes and one lookup in the key map
+/// both sides share; only a new key allocates.
 #[derive(Debug, Clone)]
 pub struct ExactJoinCore {
     keys: PerSide<usize>,
     normalize: NormalizeConfig,
+    /// Normalised key → key id.  Std's SipHash: keys come from clients.
+    ids: HashMap<Arc<str>, u32>,
+    /// The reused buffer [`Self::process`] normalises into.
+    key_buf: String,
     tables: PerSide<KeyTable>,
     emitted: u64,
+}
+
+/// `sided`'s normalised join key, written into `buf`: the one key
+/// derivation of the exact phase, for its core and its sharded router.
+pub(crate) fn normalize_key<'b>(
+    keys: &PerSide<usize>,
+    normalize: &NormalizeConfig,
+    sided: &SidedRecord,
+    buf: &'b mut String,
+) -> Result<&'b str> {
+    normalize_into(sided.record.key_str(keys[sided.side])?, normalize, buf);
+    Ok(buf)
 }
 
 impl ExactJoinCore {
@@ -37,6 +55,8 @@ impl ExactJoinCore {
         Self {
             keys,
             normalize,
+            ids: HashMap::new(),
+            key_buf: String::new(),
             tables: PerSide::default(),
             emitted: 0,
         }
@@ -46,8 +66,11 @@ impl ExactJoinCore {
     /// into `out`, insert into the own table.  Returns the number of pairs
     /// emitted.
     pub fn process(&mut self, sided: SidedRecord, out: &mut VecDeque<MatchPair>) -> Result<usize> {
-        let key = self.normalized_key(&sided)?;
-        self.process_with_key(sided, key, out)
+        let mut buf = std::mem::take(&mut self.key_buf);
+        let joined = normalize_key(&self.keys, &self.normalize, &sided, &mut buf)
+            .and_then(|key| self.join(sided, key, || Arc::from(key), out));
+        self.key_buf = buf;
+        joined
     }
 
     /// The normalised join key of `sided`, as [`Self::process`] would
@@ -55,11 +78,12 @@ impl ExactJoinCore {
     /// router (it needs the key to pick a shard) and then hands the key to
     /// [`Self::process_with_key`], so the work is not repeated per shard.
     pub fn normalized_key(&self, sided: &SidedRecord) -> Result<Arc<str>> {
-        let raw = sided.record.key_str(self.keys[sided.side])?;
-        Ok(Arc::from(normalize(raw, &self.normalize).as_str()))
+        let mut buf = String::new();
+        normalize_key(&self.keys, &self.normalize, sided, &mut buf).map(Arc::from)
     }
 
-    /// [`Self::process`] with the normalised key already computed.
+    /// [`Self::process`] with the normalised key already computed; a key
+    /// not seen before adopts `key`'s allocation.
     ///
     /// The caller is responsible for `key` being exactly
     /// [`Self::normalized_key`] of `sided` — an inconsistent key would
@@ -70,21 +94,41 @@ impl ExactJoinCore {
         key: Arc<str>,
         out: &mut VecDeque<MatchPair>,
     ) -> Result<usize> {
-        let (own, opposite) = self.tables.own_and_opposite_mut(sided.side);
-        let partners = opposite.positions_of(&key).to_vec();
-        let my_idx = own.insert(sided.record.clone(), key);
+        self.join(sided, &key, || Arc::clone(&key), out)
+    }
 
-        for idx in &partners {
-            opposite.mark_matched(*idx);
-            let partner = opposite.tuple(*idx).record.clone();
-            let (left, right) = orient(sided.side, sided.record.clone(), partner);
+    /// The id of `key` and its shared text, minting both (the text from
+    /// `adopt`) for a key not seen before.
+    fn key_id(&mut self, key: &str, adopt: impl FnOnce() -> Arc<str>) -> Result<(u32, Arc<str>)> {
+        if let Some((text, &id)) = self.ids.get_key_value(key) {
+            return Ok((id, Arc::clone(text)));
+        }
+        let (id, text) = (checked_u32(self.ids.len(), "distinct keys")?, adopt());
+        self.ids.insert(Arc::clone(&text), id);
+        Ok((id, text))
+    }
+
+    /// Insert `sided` under `key`, then emit one pair per opposite tuple
+    /// under the same key, oldest first.
+    fn join(
+        &mut self,
+        sided: SidedRecord,
+        key: &str,
+        adopt: impl FnOnce() -> Arc<str>,
+        out: &mut VecDeque<MatchPair>,
+    ) -> Result<usize> {
+        let (id, key) = self.key_id(key, adopt)?;
+        let (own, opposite) = self.tables.own_and_opposite_mut(sided.side);
+        let pos = own.insert(sided.record.clone(), key, id)?;
+        let matched = opposite.match_all(id, |partner| {
+            let (left, right) = orient(sided.side, sided.record.clone(), partner.clone());
             out.push_back(MatchPair::exact(left, right));
+        });
+        if matched > 0 {
+            own.mark_matched(pos);
+            self.emitted += matched as u64;
         }
-        if !partners.is_empty() {
-            own.mark_matched(my_idx);
-            self.emitted += partners.len() as u64;
-        }
-        Ok(partners.len())
+        Ok(matched)
     }
 
     /// Number of match pairs emitted so far.
@@ -94,7 +138,7 @@ impl ExactJoinCore {
 
     /// Number of tuples stored per side.
     pub fn stored(&self) -> PerSide<usize> {
-        self.tables.map(KeyTable::len)
+        self.tables.map(|table| table.tuples().len())
     }
 
     /// Read access to the accumulated per-side tables.
@@ -102,7 +146,8 @@ impl ExactJoinCore {
         &self.tables
     }
 
-    /// Estimated resident-state size in bytes, per side.
+    /// Estimated resident-state size in bytes, per side (the key map's
+    /// text is counted by each table that holds the key).
     pub fn state_bytes(&self) -> PerSide<usize> {
         self.tables.map(KeyTable::state_bytes)
     }
@@ -113,30 +158,33 @@ impl ExactJoinCore {
         self.tables
     }
 
-    /// Pre-size `side`'s table for `tuples` upcoming
-    /// [`Self::insert_restored`] calls, so the replay never regrows it.
+    /// Pre-size `side`'s table and the key map for `tuples` upcoming
+    /// [`Self::insert_restored`] calls, so the replay never regrows them.
     pub fn reserve_restored(&mut self, side: Side, tuples: usize) {
         self.tables[side].reserve(tuples);
+        self.ids.reserve(tuples);
     }
 
     /// Re-insert one tuple during snapshot restore.
     ///
     /// The snapshot stores only the arrival-order tuple column (record,
     /// normalised key, matched-exactly flag); replaying the inserts in
-    /// that order re-derives the by-key hash index, so it never hits
-    /// disk.  **Snapshot restore only** — tuples must be replayed in
-    /// their original arrival order for positions to line up.
+    /// that order re-derives the key map and the chains, so they never
+    /// hit disk.  **Snapshot restore only** — tuples must be replayed in
+    /// their original arrival order for the chains to line up.
     pub fn insert_restored(
         &mut self,
         side: Side,
         record: Record,
-        key: Arc<str>,
+        key: &str,
         matched_exactly: bool,
-    ) {
-        let idx = self.tables[side].insert(record, key);
+    ) -> Result<()> {
+        let (id, key) = self.key_id(key, || Arc::from(key))?;
+        let pos = self.tables[side].insert(record, key, id)?;
         if matched_exactly {
-            self.tables[side].mark_matched(idx);
+            self.tables[side].mark_matched(pos);
         }
+        Ok(())
     }
 
     /// Restore the emission counter from a snapshot (replayed inserts
@@ -211,6 +259,23 @@ mod tests {
         for p in &pairs {
             assert!(seen.insert(p.id_pair()), "duplicate pair {:?}", p.id_pair());
         }
+    }
+
+    #[test]
+    fn partners_are_emitted_oldest_first() {
+        let pairs = run(&["x", "x", "x"], &["y", "y", "x"]).1;
+        let lefts: Vec<u64> = pairs.iter().map(|p| p.left.id.as_u64()).collect();
+        assert_eq!(lefts, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn tuples_under_one_key_share_one_allocation() {
+        let (core, _) = run(&["Roma", "roma"], &["ROMA", "Milano"]);
+        let tables = core.tables();
+        let roma = &tables[Side::Left].tuples()[0].key;
+        assert!(Arc::ptr_eq(roma, &tables[Side::Left].tuples()[1].key));
+        assert!(Arc::ptr_eq(roma, &tables[Side::Right].tuples()[0].key));
+        assert!(!Arc::ptr_eq(roma, &tables[Side::Right].tuples()[1].key));
     }
 
     #[test]

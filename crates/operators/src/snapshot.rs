@@ -109,9 +109,9 @@ pub fn decode_exact_core(bytes: &[u8], config: &SwitchJoinConfig) -> Result<Exac
         core.reserve_restored(side, n);
         for _ in 0..n {
             let record = d.get_record()?;
-            let key = Arc::<str>::from(d.get_str()?);
+            let key = d.get_str()?;
             let matched = d.get_bool()?;
-            core.insert_restored(side, record, key, matched);
+            core.insert_restored(side, record, key, matched)?;
         }
     }
     let emitted = d.get_u64()?;

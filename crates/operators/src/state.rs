@@ -1,10 +1,9 @@
 //! The hash-table state of the exact join — the unit handed over to the
 //! approximate join at switch time (paper §3.3).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use linkage_types::Record;
+use linkage_types::{LinkageError, Record, Result};
 
 /// One tuple resident in a join hash table.
 #[derive(Debug, Clone)]
@@ -23,62 +22,83 @@ pub struct StoredTuple {
     pub matched_exactly: bool,
 }
 
-/// One side's hash table: tuples in arrival order plus an index from the
-/// normalised key to the positions holding it.
+/// One side's hash table, a key-id table: tuples in arrival order, and
+/// per key id (dense, from the exact core's one key map) a chain through
+/// the positions holding that key — first and last position per id,
+/// next position per tuple, all `u32`.
 #[derive(Debug, Clone, Default)]
 pub struct KeyTable {
     tuples: Vec<StoredTuple>,
-    by_key: HashMap<Arc<str>, Vec<usize>>,
+    ends: Vec<(u32, u32)>,
+    next: Vec<u32>,
+    /// Key text of the ids this table holds, once per id.
+    key_bytes: usize,
+}
+
+/// The end of a chain, and the ends of an id this table holds nothing under.
+const NONE: u32 = u32::MAX;
+
+/// `n` as a position or key id, refused at `u32::MAX` (the sentinel) and
+/// beyond instead of wrapping.
+pub(crate) fn checked_u32(n: usize, what: &str) -> Result<u32> {
+    u32::try_from(n)
+        .ok()
+        .filter(|&n| n != NONE)
+        .ok_or_else(|| LinkageError::operator_state(format!("exact join: too many {what}")))
 }
 
 impl KeyTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of stored tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
-    /// Reserve room for `additional` more tuples (and as many distinct
-    /// keys — an upper bound).
-    pub fn reserve(&mut self, additional: usize) {
+    /// Reserve room for `additional` more tuples (and as many key ids —
+    /// an upper bound).
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.tuples.reserve(additional);
-        self.by_key.reserve(additional);
+        self.next.reserve(additional);
+        self.ends.reserve(additional);
     }
 
-    /// Insert a tuple under its normalised key, returning its position.
-    pub fn insert(&mut self, record: Record, key: Arc<str>) -> usize {
-        let idx = self.tuples.len();
-        self.by_key.entry(Arc::clone(&key)).or_default().push(idx);
+    /// Append a tuple under its normalised key and that key's id,
+    /// returning its position.
+    pub(crate) fn insert(&mut self, record: Record, key: Arc<str>, id: u32) -> Result<u32> {
+        let pos = checked_u32(self.tuples.len(), "tuples on one side")?;
+        if id as usize >= self.ends.len() {
+            self.ends.resize(id as usize + 1, (NONE, NONE));
+        }
+        let ends = &mut self.ends[id as usize];
+        if ends.1 == NONE {
+            ends.0 = pos;
+            self.key_bytes += key.len();
+        } else {
+            self.next[ends.1 as usize] = pos;
+        }
+        ends.1 = pos;
+        self.next.push(NONE);
         self.tuples.push(StoredTuple {
             record,
             key,
             matched_exactly: false,
         });
-        idx
+        Ok(pos)
     }
 
-    /// Positions of the tuples stored under `key`.
-    pub fn positions_of(&self, key: &str) -> &[usize] {
-        self.by_key.get(key).map(Vec::as_slice).unwrap_or(&[])
+    /// Mark every tuple stored under key id `id` as matched exactly and
+    /// hand each record to `partner`, in arrival order.  Returns how
+    /// many there were.
+    pub(crate) fn match_all(&mut self, id: u32, mut partner: impl FnMut(&Record)) -> usize {
+        let mut pos = self.ends.get(id as usize).map_or(NONE, |ends| ends.0);
+        let mut matched = 0;
+        while pos != NONE {
+            let stored = &mut self.tuples[pos as usize];
+            stored.matched_exactly = true;
+            partner(&stored.record);
+            matched += 1;
+            pos = self.next[pos as usize];
+        }
+        matched
     }
 
-    /// The tuple at `idx`.
-    pub fn tuple(&self, idx: usize) -> &StoredTuple {
-        &self.tuples[idx]
-    }
-
-    /// Mark the tuple at `idx` as having matched exactly.
-    pub fn mark_matched(&mut self, idx: usize) {
-        self.tuples[idx].matched_exactly = true;
+    /// Mark the tuple at `pos` as having matched exactly.
+    pub(crate) fn mark_matched(&mut self, pos: u32) {
+        self.tuples[pos as usize].matched_exactly = true;
     }
 
     /// All stored tuples, in arrival order.
@@ -92,28 +112,18 @@ impl KeyTable {
         self.tuples
     }
 
-    /// Number of distinct keys in the table.
-    pub fn distinct_keys(&self) -> usize {
-        self.by_key.len()
-    }
-
     /// Estimated resident-state size in bytes.
     ///
-    /// Counts the tuple entries, the shared key text (once — both the tuple
-    /// and the index hold `Arc` clones of the same allocation) and the
-    /// key-index positions.  An estimate, not an allocator measurement: it
-    /// exists so experiments can compare state growth across operators and
-    /// shard counts on a consistent scale (the paper's §2.3 space analysis).
+    /// Counts the tuple entries, the key text once per key id the table
+    /// holds (its tuples share one allocation) and the chain columns.  An
+    /// estimate, not an allocator measurement: it exists so experiments
+    /// can compare state growth across operators and shard counts on a
+    /// consistent scale (the paper's §2.3 space analysis).
     pub fn state_bytes(&self) -> usize {
-        let tuples = self.tuples.len() * std::mem::size_of::<StoredTuple>();
-        let keys: usize = self.tuples.iter().map(|t| t.key.len()).sum();
-        let index = self.by_key.len() * std::mem::size_of::<(Arc<str>, Vec<usize>)>()
-            + self
-                .by_key
-                .values()
-                .map(|v| v.len() * std::mem::size_of::<usize>())
-                .sum::<usize>();
-        tuples + keys + index
+        self.tuples.len() * std::mem::size_of::<StoredTuple>()
+            + self.key_bytes
+            + self.ends.len() * std::mem::size_of::<(u32, u32)>()
+            + self.next.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -127,46 +137,63 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_probe_by_key() {
-        let mut t = KeyTable::new();
-        assert!(t.is_empty());
-        let (r0, k0) = rec(0, "ROMA");
-        let (r1, k1) = rec(1, "MILANO");
-        let (r2, k2) = rec(2, "ROMA");
-        assert_eq!(t.insert(r0, k0), 0);
-        assert_eq!(t.insert(r1, k1), 1);
-        assert_eq!(t.insert(r2, k2), 2);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.positions_of("ROMA"), &[0, 2]);
-        assert_eq!(t.positions_of("MILANO"), &[1]);
-        assert!(t.positions_of("NAPOLI").is_empty());
-        assert_eq!(t.distinct_keys(), 2);
+    fn chains_hold_each_ids_positions_in_arrival_order() {
+        let mut t = KeyTable::default();
+        for (pos, (key, id)) in [("ROMA", 0), ("MILANO", 1), ("ROMA", 0), ("ROMA", 0)]
+            .into_iter()
+            .enumerate()
+        {
+            let (r, k) = rec(pos as u64, key);
+            assert_eq!(t.insert(r, k, id).unwrap(), pos as u32);
+        }
+        assert_eq!(t.tuples().len(), 4);
+        let chain = |t: &mut KeyTable, id| {
+            let mut ids = Vec::new();
+            t.match_all(id, |r| ids.push(r.id.as_u64()));
+            ids
+        };
+        assert_eq!(chain(&mut t, 0), vec![0, 2, 3]);
+        assert_eq!(chain(&mut t, 1), vec![1]);
+        // An id the other side introduced: no tuple here, no chain.
+        assert!(chain(&mut t, 7).is_empty());
+        assert!(t.tuples().iter().all(|s| s.matched_exactly));
     }
 
     #[test]
-    fn state_bytes_grow_with_insertions() {
-        let mut t = KeyTable::new();
+    fn state_bytes_count_key_text_once_per_id() {
+        let mut t = KeyTable::default();
         assert_eq!(t.state_bytes(), 0);
         let (r0, k0) = rec(0, "ROMA");
-        t.insert(r0, k0);
+        t.insert(r0, k0, 0).unwrap();
         let after_one = t.state_bytes();
         assert!(after_one > 0);
-        let (r1, k1) = rec(1, "MILANO");
-        t.insert(r1, k1);
-        assert!(t.state_bytes() > after_one);
+        let (r1, k1) = rec(1, "ROMA");
+        t.insert(r1, k1, 0).unwrap();
+        let per_tuple = std::mem::size_of::<StoredTuple>() + std::mem::size_of::<u32>();
+        assert_eq!(t.state_bytes() - after_one, per_tuple);
+        let (r2, k2) = rec(2, "MILANO");
+        t.insert(r2, k2, 1).unwrap();
+        assert!(t.state_bytes() > after_one + 2 * per_tuple);
     }
 
     #[test]
     fn matched_flags_start_false_and_stick() {
-        let mut t = KeyTable::new();
+        let mut t = KeyTable::default();
         let (r, k) = rec(7, "GENOVA");
-        let idx = t.insert(r, k);
-        assert!(!t.tuple(idx).matched_exactly);
-        t.mark_matched(idx);
-        assert!(t.tuple(idx).matched_exactly);
+        let pos = t.insert(r, k, 0).unwrap();
+        assert!(!t.tuples()[0].matched_exactly);
+        t.mark_matched(pos);
+        assert!(t.tuples()[0].matched_exactly);
         let tuples = t.into_tuples();
         assert_eq!(tuples.len(), 1);
         assert!(tuples[0].matched_exactly);
         assert_eq!(tuples[0].key.as_ref(), "GENOVA");
+    }
+
+    #[test]
+    fn positions_and_ids_past_u32_are_refused_not_wrapped() {
+        assert_eq!(checked_u32(5, "tuples").unwrap(), 5);
+        assert!(checked_u32(u32::MAX as usize, "tuples").is_err());
+        assert!(checked_u32(u32::MAX as usize + 1, "tuples").is_err());
     }
 }

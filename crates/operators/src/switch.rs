@@ -24,6 +24,7 @@
 //! engines do not use it; it is kept for the benchmark's handover layer.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use linkage_text::{NormalizeConfig, QGramCoefficient, QGramConfig};
 use linkage_types::{defaults, LinkageError, MatchKind, MatchPair, PerSide, Result, SidedRecord};
@@ -105,6 +106,13 @@ impl SwitchJoinConfig {
     /// The key normalisation both phases apply.
     pub fn normalization(&self) -> NormalizeConfig {
         self.qgram.normalize
+    }
+
+    /// `sided`'s normalised join key, as the exact phase derives it
+    /// ([`ExactJoinCore::normalized_key`]), normalised through `buf`: the
+    /// sharded router keys its shards and its cores with it.
+    pub fn normalized_key(&self, sided: &SidedRecord, buf: &mut String) -> Result<Arc<str>> {
+        crate::exact::normalize_key(&self.keys, &self.normalization(), sided, buf).map(Arc::from)
     }
 
     /// A fresh exact-phase kernel under this configuration.

@@ -9,20 +9,24 @@
 
 #![cfg(feature = "fault")]
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use linkage::api::{Pipeline, PipelineConfig};
+use linkage::api::PipelineConfig;
 use linkage::types::fault::{self, Trigger};
-use linkage::types::{LinkageError, PerSide, Side, SidedRecord};
-use linkage_datagen::{generate, DatagenConfig, GeneratedData};
-use linkage_server::proto::{wire_event, WireEvent};
+use linkage::types::{LinkageError, SidedRecord};
+use linkage_datagen::{generate, DatagenConfig};
+use linkage_server::proto::WireEvent;
 use linkage_server::session::record_bytes;
 use linkage_server::{
     Client, LinkageServer, RetryClient, RetryPolicy, ServerConfig, SessionManager,
 };
+
+use common::{feed_sequence, session_config, solo_events};
 
 /// The fault registry is process-global: scenarios must not overlap.
 /// Each test takes this guard first and resets the registry on entry, so
@@ -44,41 +48,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-fn session_config(reference: u64) -> PipelineConfig {
-    let mut config = PipelineConfig::default();
-    config.keys = PerSide::new(GeneratedData::KEY_COLUMN, GeneratedData::KEY_COLUMN);
-    config.reference_size = Some(reference);
-    config
-}
-
-fn feed_sequence(data: &GeneratedData) -> Vec<SidedRecord> {
-    data.parents
-        .records()
-        .iter()
-        .map(|r| SidedRecord::new(Side::Left, r.clone()))
-        .chain(
-            data.children
-                .records()
-                .iter()
-                .map(|r| SidedRecord::new(Side::Right, r.clone())),
-        )
-        .collect()
-}
-
-fn solo_events(config: &PipelineConfig, sequence: &[SidedRecord]) -> Vec<WireEvent> {
-    let mut stream = Pipeline::builder()
-        .config(config.clone())
-        .session()
-        .unwrap()
-        .run()
-        .unwrap();
-    stream.feed(sequence).unwrap();
-    stream.finish();
-    stream
-        .map(|event| wire_event(&event.unwrap()))
-        .collect::<Vec<_>>()
 }
 
 /// Feed `records` into a manager-held session, mirroring the server's
@@ -162,7 +131,7 @@ fn eviction_torn_at_any_offset_is_quarantined_and_the_stream_survives() {
     let data = generate(&DatagenConfig::mid_stream_dirty(40, 3)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
 
     // Learn the three file sizes from one clean eviction.
     let probe_dir = scratch_dir("cut-probe");
@@ -247,7 +216,7 @@ fn clean_eviction_is_adopted_after_restart_and_resumes_across_the_switch() {
     let data = generate(&DatagenConfig::mid_stream_dirty(200, 11)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
     assert!(
         expected.iter().any(|e| matches!(e, WireEvent::Switched(_))),
         "the workload must exercise the mid-stream switch"
@@ -311,7 +280,7 @@ fn a_connection_dropped_at_every_request_boundary_is_invisible() {
     let data = generate(&DatagenConfig::mid_stream_dirty(120, 23)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
 
     let mut n = 1u64;
     loop {
@@ -346,7 +315,7 @@ fn a_reply_cut_after_the_request_applied_does_not_double_feed() {
     let data = generate(&DatagenConfig::mid_stream_dirty(120, 23)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
 
     for cut in [0u64, 3, u64::MAX] {
         let mut n = 1u64;
@@ -380,7 +349,7 @@ fn a_poisoned_session_is_quarantined_and_the_client_heals_around_it() {
     let data = generate(&DatagenConfig::mid_stream_dirty(120, 23)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
 
     fault::arm("session.panic", Trigger::Nth(1));
     let server = start_server("panic", |_| {});
@@ -418,7 +387,7 @@ fn interleaved_sessions_under_random_drops_and_eviction_pressure_stay_exact() {
             let data = generate(&DatagenConfig::mid_stream_dirty(100, seed)).unwrap();
             let config = session_config(data.parents.len() as u64);
             let sequence = feed_sequence(&data);
-            let expected = solo_events(&config, &sequence);
+            let expected = solo_events(&config, &data);
             (config, sequence, expected)
         })
         .collect();
@@ -512,7 +481,7 @@ fn a_failed_directory_fsync_keeps_the_session_live_and_cleans_up() {
     let data = generate(&DatagenConfig::mid_stream_dirty(120, 23)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
 
     let dir = scratch_dir("dirsync");
     let (mut manager, id) = loaded_manager(&dir, &config, &sequence);
@@ -545,7 +514,7 @@ fn a_checkout_during_an_eviction_waits_then_rehydrates() {
     let data = generate(&DatagenConfig::mid_stream_dirty(120, 23)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
     let half = sequence.len() / 2;
 
     let dir = scratch_dir("pause-evicting");
@@ -625,7 +594,7 @@ fn shutdown_during_a_parked_eviction_loses_nothing_after_restart() {
     let data = generate(&DatagenConfig::mid_stream_dirty(120, 23)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
     let (half, most) = (sequence.len() / 2, sequence.len() * 3 / 4);
 
     // One whole sequence of budget: feeding b half of one after a holds

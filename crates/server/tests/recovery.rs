@@ -9,16 +9,20 @@
 //! a reason, `CLOSE` discards the remains, and the server stays fully
 //! serviceable.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use linkage::api::PipelineConfig;
 use linkage::types::snapshot::{crc32, Encoder, SnapshotBuilder, SnapshotFile};
 use linkage::types::wire::put_sided_record;
-use linkage::types::{LinkageError, PerSide, Side, SidedRecord};
-use linkage_datagen::{generate, DatagenConfig, GeneratedData};
+use linkage::types::{LinkageError, SidedRecord};
+use linkage_datagen::{generate, DatagenConfig};
 use linkage_server::session::{record_bytes, FEED_META_KIND, FEED_PENDING_KIND, MANIFEST_KIND};
 use linkage_server::SessionManager;
+
+use common::{feed_sequence, session_config};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -29,27 +33,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-fn session_config(reference: u64) -> PipelineConfig {
-    let mut config = PipelineConfig::default();
-    config.keys = PerSide::new(GeneratedData::KEY_COLUMN, GeneratedData::KEY_COLUMN);
-    config.reference_size = Some(reference);
-    config
-}
-
-fn feed_sequence(data: &GeneratedData) -> Vec<SidedRecord> {
-    data.parents
-        .records()
-        .iter()
-        .map(|r| SidedRecord::new(Side::Left, r.clone()))
-        .chain(
-            data.children
-                .records()
-                .iter()
-                .map(|r| SidedRecord::new(Side::Right, r.clone())),
-        )
-        .collect()
 }
 
 /// One cleanly evicted session's on-disk trio, captured as bytes so

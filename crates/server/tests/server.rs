@@ -2,17 +2,20 @@
 //! admission control, eviction/rehydration transparency, and graceful
 //! shutdown with no session lost mid-`FEED`.
 
+mod common;
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use linkage::api::{Pipeline, PipelineConfig};
-use linkage::types::{LinkageError, PerSide, Side, SidedRecord};
+use linkage::api::PipelineConfig;
+use linkage::types::{LinkageError, Side, SidedRecord};
 use linkage_datagen::{generate, DatagenConfig, GeneratedData};
-use linkage_server::proto::wire_event;
 use linkage_server::proto::WireEvent;
 use linkage_server::{
     Client, LinkageServer, RetryClient, RetryPolicy, ServerConfig, SessionManager,
 };
+
+use common::{feed_sequence, session_config, solo_events, stepped_events};
 
 /// A fresh scratch directory per call (no `Date::now` games — pid plus
 /// a counter is unique enough inside one test process).
@@ -27,48 +30,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The session declaration every test uses: datagen's key column, an
-/// explicit reference size (sessions cannot infer one).
-fn session_config(reference: u64) -> PipelineConfig {
-    let mut config = PipelineConfig::default();
-    config.keys = PerSide::new(GeneratedData::KEY_COLUMN, GeneratedData::KEY_COLUMN);
-    config.reference_size = Some(reference);
-    config
-}
-
-/// The deterministic feed order used throughout: every parent, then the
-/// children in stream order (the symmetric join accepts any interleave;
-/// what matters is that server runs and solo runs see the same one).
-fn feed_sequence(data: &GeneratedData) -> Vec<SidedRecord> {
-    data.parents
-        .records()
-        .iter()
-        .map(|r| SidedRecord::new(Side::Left, r.clone()))
-        .chain(
-            data.children
-                .records()
-                .iter()
-                .map(|r| SidedRecord::new(Side::Right, r.clone())),
-        )
-        .collect()
-}
-
-/// Ground truth: run the same config over the same feed sequence as a
-/// direct in-process session (no server) and collect every event.
-fn solo_events(config: &PipelineConfig, sequence: &[SidedRecord]) -> Vec<WireEvent> {
-    let mut stream = Pipeline::builder()
-        .config(config.clone())
-        .session()
-        .unwrap()
-        .run()
-        .unwrap();
-    stream.feed(sequence).unwrap();
-    stream.finish();
-    stream
-        .map(|event| wire_event(&event.unwrap()))
-        .collect::<Vec<_>>()
-}
-
 fn start_server(tag: &str, mutate: impl FnOnce(&mut ServerConfig)) -> LinkageServer {
     let mut config = ServerConfig::default();
     config.evict_dir = Some(scratch_dir(tag));
@@ -81,7 +42,7 @@ fn server_round_trip_is_bit_identical_to_a_direct_session() {
     let data = generate(&DatagenConfig::mid_stream_dirty(200, 11)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
     assert!(
         expected.iter().any(|e| matches!(e, WireEvent::Switched(_))),
         "the workload must exercise the mid-stream switch"
@@ -117,7 +78,7 @@ fn eviction_and_rehydration_are_transparent_to_the_client() {
     let data = generate(&DatagenConfig::mid_stream_dirty(120, 23)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
 
     // Budget sized so two part-fed sessions fit but a third feed forces
     // the LRU one to disk.
@@ -185,7 +146,7 @@ fn graceful_shutdown_loses_no_session_mid_feed() {
     let data = generate(&DatagenConfig::mid_stream_dirty(300, 31)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
 
     let dir = scratch_dir("graceful");
     let server = start_server("unused", |c| c.evict_dir = Some(dir.clone()));
@@ -233,7 +194,7 @@ fn a_client_shutdown_persists_the_open_session_for_the_next_server() {
     let data = generate(&DatagenConfig::mid_stream_dirty(150, 37)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
     let half = sequence.len() / 2;
 
     let dir = scratch_dir("client-shutdown");
@@ -276,7 +237,7 @@ fn a_feed_with_a_bad_key_is_refused_whole_and_the_session_survives() {
     for execution in [ExecutionMode::Serial, ExecutionMode::Sharded { shards: 2 }] {
         let mut config = session_config(data.parents.len() as u64);
         config.execution = execution;
-        let expected = solo_events(&config, &sequence);
+        let expected = solo_events(&config, &data);
 
         let server = start_server("bad-key", |_| {});
         let mut client = Client::connect(server.addr()).unwrap();
@@ -371,7 +332,7 @@ fn oversized_open_configs_are_bad_requests_not_aborts() {
     let session = client.open(&config).unwrap();
     client.feed(session, &sequence).unwrap();
     let got = client.drain(session, 256).unwrap();
-    assert_eq!(got, solo_events(&config, &sequence));
+    assert_eq!(got, solo_events(&config, &data));
     client.close(session).unwrap();
     assert_eq!(client.stats().unwrap().worker_panics, 0);
     server.shutdown().unwrap();
@@ -422,7 +383,7 @@ fn retry_client_round_trip_is_bit_identical_on_a_healthy_server() {
     let data = generate(&DatagenConfig::mid_stream_dirty(150, 17)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
+    let expected = solo_events(&config, &data);
 
     let server = start_server("retry-happy", |_| {});
     let mut client = RetryClient::connect(server.addr().to_string(), RetryPolicy::default());
@@ -455,8 +416,8 @@ fn a_refused_retry_feed_is_dropped_and_the_session_carries_on() {
     let data = generate(&DatagenConfig::mid_stream_dirty(80, 19)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
-    let expected = solo_events(&config, &sequence);
     let (a, c) = sequence.split_at(sequence.len() / 2);
+    let expected = stepped_events(&config, &[a, c].concat());
     let int_key = Record::new(9_999u64, vec![Value::Int(7); GeneratedData::KEY_COLUMN + 1]);
     let b = [c[0].clone(), SidedRecord::new(Side::Right, int_key)];
 
@@ -536,7 +497,7 @@ fn four_clients_under_eviction_pressure_stay_exact_and_are_never_rejected() {
             let data = generate(&DatagenConfig::mid_stream_dirty(40, seed + 1)).unwrap();
             let config = session_config(data.parents.len() as u64);
             let sequence = feed_sequence(&data);
-            let expected = solo_events(&config, &sequence);
+            let expected = solo_events(&config, &data);
             (config, sequence, expected)
         })
         .collect();

@@ -38,7 +38,7 @@ pub mod qgram;
 pub mod similarity;
 
 pub use intern::{FxBuildHasher, FxHasher, GramId, GramInterner, SharedInterner};
-pub use normalize::{normalize, NormalizeConfig};
+pub use normalize::{normalize, normalize_into, NormalizeConfig};
 pub use qgram::{overlap_at_least, Gram, QGramConfig, QGramSet, StringGramSet};
 pub use similarity::{
     QGramCoefficient, QGramCosine, QGramDice, QGramJaccard, QGramOverlap, SimilarityFn,

@@ -61,67 +61,75 @@ impl NormalizeConfig {
 
 /// Canonicalise `input` according to `config`.
 pub fn normalize(input: &str, config: &NormalizeConfig) -> String {
-    let mut out = String::with_capacity(input.len());
-    let mut pending_space = false;
-    let mut seen_non_space = false;
-
-    for ch in input.chars() {
-        let ch = if config.strip_punctuation && !ch.is_alphanumeric() && !ch.is_whitespace() {
-            continue;
-        } else {
-            ch
-        };
-
-        if config.collapse_whitespace && ch.is_whitespace() {
-            if seen_non_space {
-                pending_space = true;
-            }
-            continue;
-        }
-
-        if pending_space {
-            out.push(' ');
-            pending_space = false;
-        }
-
-        if config.uppercase {
-            for up in ch.to_uppercase() {
-                out.push(up);
-            }
-        } else {
-            out.push(ch);
-        }
-        seen_non_space = true;
-    }
-
-    if !config.collapse_whitespace {
-        // Whitespace was passed through above only when not collapsing; the
-        // loop above skipped it, so rebuild faithfully in that mode.
-        if !config.uppercase && !config.strip_punctuation {
-            return input.to_string();
-        }
-        let mut verbatim = String::with_capacity(input.len());
-        for ch in input.chars() {
-            if config.strip_punctuation && !ch.is_alphanumeric() && !ch.is_whitespace() {
-                continue;
-            }
-            if config.uppercase {
-                for up in ch.to_uppercase() {
-                    verbatim.push(up);
-                }
-            } else {
-                verbatim.push(ch);
-            }
-        }
-        return verbatim;
-    }
-
+    let mut out = String::new();
+    normalize_into(input, config, &mut out);
     out
 }
 
 /// Canonicalise with the default configuration.
 pub fn normalize_default(input: &str) -> String {
     normalize(input, &NormalizeConfig::default())
+}
+
+/// [`normalize`] into a caller-owned buffer, replacing its contents: a
+/// caller that normalises one key per tuple reuses one allocation.
+/// ASCII input is walked byte by byte, anything else `char` by `char`;
+/// the two walks agree on every input.
+pub fn normalize_into(input: &str, config: &NormalizeConfig, out: &mut String) {
+    out.clear();
+    out.reserve(input.len());
+    if input.is_ascii() {
+        normalize_units::<true>(input.bytes().map(char::from), config, out);
+    } else {
+        normalize_units::<false>(input.chars(), config, out);
+    }
+}
+
+/// `char::is_whitespace` on ASCII: `char::is_ascii_whitespace` omits the
+/// vertical tab (`\x0B`), which `char::is_whitespace` counts.
+fn is_ascii_space(ch: char) -> bool {
+    matches!(ch, '\t' | '\n' | '\x0B' | '\x0C' | '\r' | ' ')
+}
+
+/// Strip, collapse and case-map `units` into `out`, which starts empty.
+/// With `ASCII` every unit is ASCII, so the ASCII tests stand in for the
+/// Unicode ones.
+fn normalize_units<const ASCII: bool>(
+    units: impl Iterator<Item = char>,
+    config: &NormalizeConfig,
+    out: &mut String,
+) {
+    let mut pending_space = false;
+    for ch in units {
+        let space = if ASCII {
+            is_ascii_space(ch)
+        } else {
+            ch.is_whitespace()
+        };
+        if config.strip_punctuation
+            && !space
+            && !(if ASCII {
+                ch.is_ascii_alphanumeric()
+            } else {
+                ch.is_alphanumeric()
+            })
+        {
+            continue;
+        }
+        if config.collapse_whitespace && space {
+            pending_space = !out.is_empty();
+            continue;
+        }
+        if pending_space {
+            out.push(' ');
+            pending_space = false;
+        }
+        match (config.uppercase, ASCII) {
+            (false, _) => out.push(ch),
+            (true, true) => out.push(ch.to_ascii_uppercase()),
+            (true, false) => out.extend(ch.to_uppercase()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -198,10 +206,69 @@ mod tests {
     }
 
     #[test]
+    fn vertical_tab_and_information_separators_follow_char_is_whitespace() {
+        let cfg = NormalizeConfig::default();
+        // U+000B is whitespace; U+001C..U+001F and U+007F are not.
+        assert_eq!(normalize("a\x0Bb", &cfg), "A B");
+        assert_eq!(normalize("a\x1Cb\x7F", &cfg), "A\x1CB\x7F");
+        assert_eq!(normalize("a\x1Fb", &NormalizeConfig::aggressive()), "AB");
+    }
+
+    #[test]
+    fn normalize_into_replaces_the_buffer() {
+        let mut buf = String::from("stale");
+        normalize_into(" roma ", &NormalizeConfig::default(), &mut buf);
+        assert_eq!(buf, "ROMA");
+    }
+
+    #[test]
     fn idempotence_on_default_config() {
         let cfg = NormalizeConfig::default();
         let once = normalize("  Val  di   Fassa ", &cfg);
         let twice = normalize(&once, &cfg);
         assert_eq!(once, twice);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Every configuration: 2 × 2 × 2 switches.
+    fn all_configs() -> Vec<NormalizeConfig> {
+        (0..8u8)
+            .map(|bits| NormalizeConfig {
+                uppercase: bits & 1 != 0,
+                collapse_whitespace: bits & 2 != 0,
+                strip_punctuation: bits & 4 != 0,
+            })
+            .collect()
+    }
+
+    /// ASCII-heavy: letters, digits, punctuation, every ASCII whitespace
+    /// (the vertical tab included), runs of spaces, and the control
+    /// bytes `char::is_whitespace` does not count (U+001C..U+001F, DEL).
+    const ASCII: &str = "[a-zA-Z0-9 \t\n\x0B\x0C\r\x1C-\x1F\x7F,.'!()-]{0,24}";
+    /// The same with non-ASCII letters and a no-break space, which send
+    /// the whole string down the `char` loop.
+    const UNICODE: &str = "[a-z ßìÀé\u{A0}\x0B,]{0,16}";
+
+    proptest! {
+        #[test]
+        fn byte_loop_matches_the_char_loop_under_every_config(
+            ascii in proptest::collection::vec(ASCII, 1..32),
+            unicode in proptest::collection::vec(UNICODE, 1..8),
+        ) {
+            let (mut fast, mut slow) = (String::new(), String::new());
+            for input in ascii.iter().chain(&unicode) {
+                for config in all_configs() {
+                    normalize_into(input, &config, &mut fast);
+                    slow.clear();
+                    normalize_units::<false>(input.chars(), &config, &mut slow);
+                    prop_assert_eq!(&fast, &slow);
+                }
+            }
+        }
     }
 }

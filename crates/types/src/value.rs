@@ -45,11 +45,6 @@ impl Value {
         }
     }
 
-    /// Whether this value is NULL.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// View the value as a string slice.
     ///
     /// Join attributes in the linkage pipeline are always strings; operators
@@ -72,37 +67,6 @@ impl Value {
                 expected: "integer",
                 found: other.type_name(),
             }),
-        }
-    }
-
-    /// View the value as a float; integers are widened.
-    pub fn as_float(&self) -> Result<f64> {
-        match self {
-            Value::Float(x) => Ok(*x),
-            Value::Int(i) => Ok(*i as f64),
-            other => Err(LinkageError::Type {
-                expected: "float",
-                found: other.type_name(),
-            }),
-        }
-    }
-
-    /// View the value as a boolean.
-    pub fn as_bool(&self) -> Result<bool> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(LinkageError::Type {
-                expected: "boolean",
-                found: other.type_name(),
-            }),
-        }
-    }
-
-    /// The shared string payload, if this is a string value.
-    pub fn as_shared_str(&self) -> Option<Arc<str>> {
-        match self {
-            Value::Str(s) => Some(Arc::clone(s)),
-            _ => None,
         }
     }
 }
@@ -234,11 +198,9 @@ mod tests {
         let s = Value::string("abc");
         assert_eq!(s.as_str().unwrap(), "abc");
         assert!(s.as_int().is_err());
-        assert!(s.as_bool().is_err());
 
         let i = Value::Int(7);
         assert_eq!(i.as_int().unwrap(), 7);
-        assert_eq!(i.as_float().unwrap(), 7.0);
         assert!(i.as_str().is_err());
 
         let err = Value::Null.as_str().unwrap_err();

@@ -1890,7 +1890,9 @@ mod server_service {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    use linkage::api::{ExecutionMode, Pipeline, PipelineConfig, SwitchPolicy};
+    use linkage::api::{
+        ExecutionMode, InterleavePolicy, Pipeline, PipelineConfig, Source, SwitchPolicy,
+    };
     use linkage_datagen::{generate, DatagenConfig, GeneratedData};
     use linkage_server::proto::{wire_event, WireEvent};
     use linkage_server::session::{record_bytes, FEED_PENDING_KIND};
@@ -1933,18 +1935,19 @@ mod server_service {
             .collect()
     }
 
-    /// Ground truth: the same config over the same feed order as a
-    /// direct in-process session, every event collected.
-    fn solo_events(config: &PipelineConfig, sequence: &[SidedRecord]) -> Vec<WireEvent> {
-        let mut stream = Pipeline::builder()
-            .config(config.clone())
-            .session()
-            .expect("session build")
+    /// Ground truth: the batch pipeline over the same relations in the
+    /// same order ([`InterleavePolicy::LeftFirst`] is
+    /// [`feed_sequence`]'s), every event collected — a driver other
+    /// than the fed session's the server runs.
+    fn solo_events(config: &PipelineConfig, data: &GeneratedData) -> Vec<WireEvent> {
+        let mut config = config.clone();
+        config.interleave = InterleavePolicy::LeftFirst;
+        Pipeline::builder()
+            .config(config)
+            .left(Source::relation(&data.parents))
+            .right(Source::relation(&data.children))
             .run()
-            .expect("session run");
-        stream.feed(sequence).expect("feed");
-        stream.finish();
-        stream
+            .expect("batch run")
             .map(|event| wire_event(&event.expect("event")))
             .collect()
     }
@@ -1960,7 +1963,7 @@ mod server_service {
         let switch_at = (sequence.len() / 2) as u64;
         let mut config = session_config(data.parents.len() as u64);
         config.switch_policy = SwitchPolicy::ForceAt(switch_at);
-        let expected = solo_events(&config, &sequence);
+        let expected = solo_events(&config, &data);
         assert!(
             expected.iter().any(|e| matches!(e, WireEvent::Switched(_))),
             "the forced switch must appear in the event stream"
@@ -2069,7 +2072,7 @@ mod server_service {
             config.execution = execution;
             config.batch_size = BATCH;
             config.switch_policy = SwitchPolicy::ForceAt(switch_at as u64);
-            let expected = solo_events(&config, &sequence);
+            let expected = solo_events(&config, &data);
             assert!(expected.iter().any(|e| matches!(e, WireEvent::Switched(_))));
 
             for base in [switch_at - 2 * BATCH, switch_at, switch_at + 4 * BATCH] {
@@ -2102,7 +2105,7 @@ mod server_service {
         let mut config = session_config(data.parents.len() as u64);
         config.execution = ExecutionMode::Sharded { shards: 2 };
         config.batch_size = BATCH;
-        let expected = solo_events(&config, &sequence);
+        let expected = solo_events(&config, &data);
 
         for cut in [BATCH * 3, BATCH * 3 + 1, BATCH * 4 - 1, sequence.len() - 5] {
             let dir = scratch_dir("sharded-evict");
@@ -2172,8 +2175,8 @@ mod server_service {
                 workloads.iter().map(feed_sequence).collect();
             let expected: Vec<Vec<WireEvent>> = configs
                 .iter()
-                .zip(&sequences)
-                .map(|(c, s)| solo_events(c, s))
+                .zip(&workloads)
+                .map(|(c, d)| solo_events(c, d))
                 .collect();
 
             // Budget: the largest single session fits, the set does not
