@@ -158,11 +158,14 @@ impl ExactJoinCore {
         self.tables
     }
 
-    /// Pre-size `side`'s table and the key map for `tuples` upcoming
-    /// [`Self::insert_restored`] calls, so the replay never regrows them.
+    /// Pre-size `side`'s table for `tuples` upcoming [`Self::insert_restored`]
+    /// calls, and the key map for the first side only: reserving for the
+    /// second, whose keys mostly repeat, would rehash every key already in.
     pub fn reserve_restored(&mut self, side: Side, tuples: usize) {
         self.tables[side].reserve(tuples);
-        self.ids.reserve(tuples);
+        if self.ids.is_empty() {
+            self.ids.reserve(tuples);
+        }
     }
 
     /// Re-insert one tuple during snapshot restore.
