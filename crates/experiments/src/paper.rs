@@ -38,17 +38,17 @@ pub struct Weight {
 impl Weight {
     /// The traced runs every weight was read from.
     pub const TRACED_RUN: &'static str = "median of three `perfbench/run.sh --workload \
-        batch_dirty --seed 42 --seconds 5 --trace 1` runs at commit cd75131, 2 shared vCPUs";
+        batch_dirty --seed 42 --seconds 5 --trace 1` runs at commit b53fe39, 2 shared vCPUs";
 
     /// Every weight: exact probe+insert per pre-switch tuple; extract and
     /// insert per handover migration and per approximate-phase tuple;
     /// postings scanned and candidates verified, from the probe funnel.
     pub const ALL: [Weight; 5] = [
-        Weight::new("exact probe+insert", 833.0, EXACT_METRIC),
-        Weight::new("q-gram extract", 1869.0, "text.extract_ns_per_key"),
-        Weight::new("ssh insert", 1460.0, "operators.ssh_insert_ns_per_tuple"),
-        Weight::new("posting scanned", 54.0, SCAN_METRIC),
-        Weight::new("candidate verified", 307.0, "text.overlap_ns_per_pair"),
+        Weight::new("exact probe+insert", 427.0, EXACT_METRIC),
+        Weight::new("q-gram extract", 1450.0, "text.extract_ns_per_key"),
+        Weight::new("ssh insert", 1964.0, "operators.ssh_insert_ns_per_tuple"),
+        Weight::new("posting scanned", 71.0, SCAN_METRIC),
+        Weight::new("candidate verified", 423.0, "text.overlap_ns_per_pair"),
     ];
 
     const fn new(operation: &'static str, ns: f64, metric: &'static str) -> Self {
@@ -89,7 +89,7 @@ impl Claim {
     /// Claim (ii)'s cost ratio on clean data: no clean point switches.
     pub const C: f64 = 1.0;
     /// Claim (ii)'s cost ratio against approximate-only: the paper has 1;
-    /// today's dirty grid points read 1.10–1.27 (see the README).
+    /// today's dirty grid points read 1.06–1.17 (see the README).
     pub const A: f64 = 1.3;
     /// Claim (iii)'s detection bound, in children after the onset; the
     /// worst grid point reads 201.

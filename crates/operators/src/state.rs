@@ -137,7 +137,7 @@ mod tests {
     }
 
     #[test]
-    fn chains_hold_each_ids_positions_in_arrival_order() {
+    fn insert_and_probe_by_key() {
         let mut t = KeyTable::default();
         for (pos, (key, id)) in [("ROMA", 0), ("MILANO", 1), ("ROMA", 0), ("ROMA", 0)]
             .into_iter()
@@ -160,7 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn state_bytes_count_key_text_once_per_id() {
+    fn state_bytes_grow_with_insertions() {
         let mut t = KeyTable::default();
         assert_eq!(t.state_bytes(), 0);
         let (r0, k0) = rec(0, "ROMA");
