@@ -1,7 +1,7 @@
 //! What the server suites share: the session declaration, the feed
 //! order, and the references a served run is held to.  A reference runs
-//! a driver other than the server's own (fed batches, popped events), so
-//! a defect in where that driver places an event shows as a difference.
+//! a loop other than the server's own (fed batches, popped events), so a
+//! defect in where that loop places an event shows as a difference.
 
 #![allow(dead_code)]
 
@@ -53,7 +53,7 @@ pub fn solo_events(config: &PipelineConfig, data: &GeneratedData) -> Vec<WireEve
 
 /// Ground truth for an order no interleave policy produces: a session
 /// fed one tuple at a time, with every ready event popped in between —
-/// the batch driver's rhythm.
+/// the batch pipeline's rhythm.
 pub fn stepped_events(config: &PipelineConfig, sequence: &[SidedRecord]) -> Vec<WireEvent> {
     let mut stream = Pipeline::builder()
         .config(config.clone())

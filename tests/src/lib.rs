@@ -1937,8 +1937,8 @@ mod server_service {
 
     /// Ground truth: the batch pipeline over the same relations in the
     /// same order ([`InterleavePolicy::LeftFirst`] is
-    /// [`feed_sequence`]'s), every event collected — a driver other
-    /// than the fed session's the server runs.
+    /// [`feed_sequence`]'s), every event collected — not the fed
+    /// session's feed/pop loop, which the server runs.
     fn solo_events(config: &PipelineConfig, data: &GeneratedData) -> Vec<WireEvent> {
         let mut config = config.clone();
         config.interleave = InterleavePolicy::LeftFirst;
