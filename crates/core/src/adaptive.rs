@@ -65,12 +65,17 @@ impl AdaptiveJoin {
     }
 
     /// Ask the controller after a fed tuple (or at construction) and
-    /// perform the timed handover if it says so.
+    /// perform the timed handover if it says so.  An open alarm streak
+    /// gives notice of the switch: while it lasts, the residents are
+    /// tokenised ahead, so the handover is left with the rest.
     fn control_step(&mut self) -> Result<()> {
         let Some(sigma) = self
             .controller
             .decide(self.core.consumed(), self.core.emitted().total())
         else {
+            if self.controller.assessor().streak() > 0 {
+                self.core.tokenize_ahead();
+            }
             return Ok(());
         };
         let queued = self.core.buffered();
@@ -217,6 +222,61 @@ mod tests {
         for p in &pairs {
             assert!(seen.insert(p.id_pair()), "duplicate {:?}", p.id_pair());
         }
+    }
+
+    /// Every parent first, then one child per parent: children in
+    /// `16..24` (a burst) and from 40 on carry a typo.  Declaring 72
+    /// parents for 64 and checking every 8 children, the burst raises an
+    /// alarm at child 24, the clean stretch closes that streak, and the
+    /// dirty tail opens a second one that triggers — so the residents are
+    /// tokenised ahead over two streaks, with arrivals left between them.
+    #[test]
+    fn a_streak_that_closes_and_reopens_still_emits_the_oracle_stream() {
+        use linkage_operators::oracle::stream_similarity;
+        use linkage_text::{QGramCoefficient, QGramConfig};
+        use linkage_types::{defaults, Side};
+
+        let sided = |side, i: usize, key: &str| {
+            SidedRecord::new(side, Record::new(i as u64, vec![Value::string(key)]))
+        };
+        let mut feed: Vec<SidedRecord> = (0..64)
+            .map(|i| sided(Side::Left, i, &parent_key(i)))
+            .collect();
+        feed.extend((0..64).map(|i| {
+            let mut key = parent_key(i);
+            if (16..24).contains(&i) || i >= 40 {
+                key.replace_range(8..9, "0");
+            }
+            sided(Side::Right, i, &key)
+        }));
+        let mut config = ControllerConfig::new(72);
+        config.monitor = config.monitor.with_check_every(8);
+        let keys = PerSide::new(0, 0);
+        let mut join = AdaptiveJoin::new(SwitchJoinConfig::new(keys), config).unwrap();
+        let mut streaks = Vec::new();
+        for tuple in &feed {
+            join.feed(std::slice::from_ref(tuple)).unwrap();
+            if join.phase() == JoinPhase::Exact {
+                streaks.push(join.controller().assessor().streak());
+            }
+        }
+        let opened = streaks.iter().position(|&s| s > 0).expect("an alarm");
+        let closed = opened + streaks[opened..].iter().position(|&s| s == 0).unwrap();
+        assert!(streaks[closed..].contains(&1), "a second streak");
+
+        let switch = join.controller().switch().expect("the tail triggers");
+        let pairs = run(&mut join, &[]);
+        let oracle = stream_similarity(
+            &feed,
+            keys,
+            &QGramConfig::default(),
+            defaults::THETA_SIM,
+            Some(switch.after_tuples as usize),
+            |_| QGramCoefficient::Jaccard,
+        )
+        .unwrap();
+        assert_eq!(pairs, oracle);
+        assert!(switch.recovered >= 8, "the burst is recovered");
     }
 
     #[test]

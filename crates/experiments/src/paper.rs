@@ -89,7 +89,7 @@ impl Claim {
     /// Claim (ii)'s cost ratio on clean data: no clean point switches.
     pub const C: f64 = 1.0;
     /// Claim (ii)'s cost ratio against approximate-only: the paper has 1;
-    /// today's dirty grid points read 1.06–1.17 (see the README).
+    /// today's dirty grid points read 1.04–1.06 (see the README).
     pub const A: f64 = 1.3;
     /// Claim (iii)'s detection bound, in children after the onset; the
     /// worst grid point reads 201.

@@ -73,21 +73,15 @@ impl ExactJoinCore {
         joined
     }
 
-    /// The normalised join key of `sided`, as [`Self::process`] would
-    /// compute it.  The sharded execution layer normalises once at the
-    /// router (it needs the key to pick a shard) and then hands the key to
-    /// [`Self::process_with_key`], so the work is not repeated per shard.
-    pub fn normalized_key(&self, sided: &SidedRecord) -> Result<Arc<str>> {
-        let mut buf = String::new();
-        normalize_key(&self.keys, &self.normalize, sided, &mut buf).map(Arc::from)
-    }
-
     /// [`Self::process`] with the normalised key already computed; a key
-    /// not seen before adopts `key`'s allocation.
+    /// not seen before adopts `key`'s allocation.  The sharded execution
+    /// layer normalises once at the router (it needs the key to pick a
+    /// shard), so the work is not repeated per shard.
     ///
-    /// The caller is responsible for `key` being exactly
-    /// [`Self::normalized_key`] of `sided` — an inconsistent key would
-    /// silently corrupt the hash table.
+    /// The caller is responsible for `key` being exactly the key
+    /// [`Self::process`] derives for `sided`
+    /// ([`SwitchJoinConfig::normalized_key`](crate::SwitchJoinConfig::normalized_key))
+    /// — an inconsistent key would silently corrupt the hash table.
     pub fn process_with_key(
         &mut self,
         sided: SidedRecord,

@@ -13,7 +13,9 @@
 use linkage_text::{
     normalize, NormalizeConfig, QGramCoefficient, QGramConfig, StringGramSet, StringSimilarity,
 };
-use linkage_types::{LinkageError, MatchPair, PerSide, Relation, Result, Side, SidedRecord};
+use linkage_types::{
+    LinkageError, MatchPair, PerSide, Record, Relation, Result, Side, SidedRecord,
+};
 
 /// Similarity nested-loop join: emits one pair per `(l, r)` whose keys
 /// score at or above `theta` under `sim`; pairs with equal normalised keys
@@ -26,14 +28,11 @@ pub fn nested_loop_similarity(
     sim: &dyn StringSimilarity,
     theta: f64,
 ) -> Result<Vec<MatchPair>> {
+    let right = keyed(right, keys.right, config)?;
     let mut out = Vec::new();
-    for l in left.records() {
-        let lraw = l.key_str(keys.left)?;
-        let lk = normalize(lraw, config);
-        for r in right.records() {
-            let rraw = r.key_str(keys.right)?;
-            let rk = normalize(rraw, config);
-            if lk == rk {
+    for (l, lraw, lk) in keyed(left, keys.left, config)? {
+        for &(r, rraw, ref rk) in &right {
+            if lk == *rk {
                 out.push(MatchPair::exact(l.clone(), r.clone()));
             } else {
                 let s = sim.similarity(lraw, rraw);
@@ -44,6 +43,22 @@ pub fn nested_loop_similarity(
         }
     }
     Ok(out)
+}
+
+/// Each record of `relation` with its raw and its normalised key.
+fn keyed<'r>(
+    relation: &'r Relation,
+    column: usize,
+    config: &NormalizeConfig,
+) -> Result<Vec<(&'r Record, &'r str, String)>> {
+    relation
+        .records()
+        .iter()
+        .map(|record| {
+            let raw = record.key_str(column)?;
+            Ok((record, raw, normalize(raw, config)))
+        })
+        .collect()
 }
 
 /// One feed tuple as [`stream_similarity`] sees it.

@@ -568,6 +568,35 @@ impl GramIndex {
     }
 }
 
+/// Tokenise, into `interner`, every tuple of `tables` that `sets` does not
+/// hold yet, appending its gram set, so that `sets[side][i]` stays the set
+/// of `tables[side]`'s tuple `i`.  The right side goes first: each left
+/// set's rare-first probe order is then ranked against the frequencies of
+/// the side it probes at the §3.3 recovery.  One interner lock per side,
+/// so concurrent shard handovers take turns by side instead of contending
+/// for the lock once per key.  Keys stored by the exact core are already
+/// normalised.
+pub(crate) fn tokenize_residents(
+    tables: &PerSide<KeyTable>,
+    config: &QGramConfig,
+    interner: &SharedInterner,
+    sets: &mut PerSide<Vec<QGramSet>>,
+) {
+    for side in [Side::Right, Side::Left] {
+        let (tuples, sets) = (tables[side].tuples(), &mut sets[side]);
+        let done = sets.len();
+        if done == tuples.len() {
+            continue;
+        }
+        let mut interner = interner.lock();
+        sets.extend(
+            tuples[done..]
+                .iter()
+                .map(|stored| QGramSet::extract_normalized(&stored.key, config, &mut interner)),
+        );
+    }
+}
+
 /// The probe-then-insert kernel of the approximate SSH join.
 #[derive(Debug, Clone)]
 pub struct SshJoinCore {
@@ -670,15 +699,29 @@ impl SshJoinCore {
     /// already-seen tuples, pushing them into `out`.
     ///
     /// Every resident key is tokenised and interned exactly once, a
-    /// side at a time under one interner lock.  Pairs whose keys are
-    /// identical are skipped when both tuples carry the matched-exactly
-    /// flag — the exact operator already emitted them, and re-emitting
-    /// would duplicate output.  Returns the core and the number of
-    /// recovered pairs.  Must be called on a freshly built core (no
-    /// resident state yet).
+    /// side at a time under one interner lock, the probed right side
+    /// first.  Pairs whose keys are identical are skipped when both
+    /// tuples carry the matched-exactly flag — the exact operator already
+    /// emitted them, and re-emitting would duplicate output.  Returns the
+    /// core and the number of recovered pairs.  Must be called on a
+    /// freshly built core (no resident state yet).
     pub fn with_exact_state(
+        self,
+        tables: PerSide<KeyTable>,
+        out: &mut VecDeque<MatchPair>,
+    ) -> (Self, u64) {
+        self.with_tokenized_state(tables, PerSide::default(), out)
+    }
+
+    /// [`Self::with_exact_state`] with `sets[side][i]` already holding the
+    /// gram set of `tables[side]`'s tuple `i`, tokenised into this core's
+    /// interner by [`tokenize_residents`] — what the serial engine hands
+    /// over when an alarm streak gave it notice of the switch.  The
+    /// tuples past either prefix are tokenised here.
+    pub(crate) fn with_tokenized_state(
         mut self,
         tables: PerSide<KeyTable>,
+        mut sets: PerSide<Vec<QGramSet>>,
         out: &mut VecDeque<MatchPair>,
     ) -> (Self, u64) {
         assert!(
@@ -691,21 +734,10 @@ impl SshJoinCore {
         );
         let core = &mut self;
 
-        // Migrate: tokenise a side's residents under one interner lock —
-        // concurrent shard handovers take turns by side instead of
-        // contending for the lock once per key — then index them.  Keys
-        // stored by the exact core are already normalised.
+        // Migrate: tokenise what is not tokenised yet, then index it.
+        tokenize_residents(&tables, &core.config, &core.interner, &mut sets);
         for side in Side::BOTH {
-            let tokenised: Vec<QGramSet> = {
-                let mut interner = core.interner.lock();
-                tables[side]
-                    .tuples()
-                    .iter()
-                    .map(|stored| {
-                        QGramSet::extract_normalized(&stored.key, &core.config, &mut interner)
-                    })
-                    .collect()
-            };
+            let tokenised = std::mem::take(&mut sets[side]);
             for (stored, grams) in tables[side].tuples().iter().zip(tokenised) {
                 core.sides[side].insert(SshStored {
                     record: stored.record.clone(),
@@ -732,6 +764,13 @@ impl SshJoinCore {
             let mut verified = 0u64;
             for &pos in &scratch.candidates {
                 let r = &right_index.tuples()[pos as usize];
+                if l.matched_exactly && r.matched_exactly && l.key == r.key {
+                    // The exact operator already emitted this pair (both
+                    // tuples were resident, so whichever arrived later
+                    // probed the other) — the flags record that, and
+                    // equal keys need no merge to say so.
+                    continue;
+                }
                 let Some(shared) = overlap_at_least(
                     l.grams.gram_ids(),
                     right_index.gram_column(pos as usize),
@@ -741,12 +780,6 @@ impl SshJoinCore {
                 };
                 verified += 1;
                 if l.key == r.key {
-                    if l.matched_exactly && r.matched_exactly {
-                        // The exact operator already emitted this pair (both
-                        // tuples were resident, so whichever arrived later
-                        // probed the other) — the flags record that.
-                        continue;
-                    }
                     // Tables handed over without exact probing (possible when
                     // built by hand): recover the equal-key pair too.
                     out.push_back(MatchPair::exact(l.record.clone(), r.record.clone()));
@@ -1378,6 +1411,63 @@ mod tests {
         assert_eq!(pair.right.id.as_u64(), 1);
         assert!(pair.kind.is_approximate());
         assert_eq!(core.stored(), PerSide::new(2, 2));
+    }
+
+    /// The recovery's funnel on a feed whose first left key opens with
+    /// grams that only the right side makes common.  Tokenised right side
+    /// first, that key's probe prefix skips them; left first, they tie at
+    /// frequency 1 and the first-seen ones lead the prefix, so their long
+    /// right lists are scanned.  The equal-key pairs the exact phase
+    /// emitted are skipped before any merge, so only the two typo pairs
+    /// are verified.
+    #[test]
+    fn recovery_ranks_left_probes_against_the_right_side_and_skips_emitted_pairs() {
+        use crate::exact::ExactJoinCore;
+        use linkage_text::NormalizeConfig;
+
+        const ROMA: &str = "ROMA TERMINI NORD BINARIO QUINDICI";
+        let mut feed = vec![
+            sided(Side::Left, 0, ROMA),
+            sided(Side::Left, 1, "MILANO CENTRALE"),
+            sided(Side::Left, 2, "NAPOLI MERGELLINA VIA CARACCIOLO"),
+            sided(Side::Right, 0, ROMA),
+            sided(Side::Right, 1, "MILANO CENTRALE"),
+            sided(Side::Right, 2, "ROMA TERMINI NORD BINxRIO QUINDICI"),
+            sided(Side::Right, 3, "NAPOLI MERGELLINA VIA CARACCIOLx"),
+        ];
+        for (i, street) in [
+            "APPIA",
+            "OSTIENSE",
+            "TIBURTINA",
+            "SALARIA",
+            "CASSIA",
+            "FLAMINIA",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let key = format!("ROMA TERMINI VIA {street}");
+            feed.push(sided(Side::Right, 4 + i as u64, &key));
+        }
+        let mut exact = ExactJoinCore::new(PerSide::new(0, 0), NormalizeConfig::default());
+        let mut out = VecDeque::new();
+        for t in feed {
+            exact.process(t, &mut out).unwrap();
+        }
+        assert_eq!(out.len(), 2, "the two equal-key pairs");
+        out.clear();
+
+        let (core, recovered) = SshJoinCore::new(PerSide::new(0, 0), QGramConfig::default(), 0.8)
+            .with_exact_state(exact.into_tables(), &mut out);
+        let ids: Vec<_> = out.iter().map(|p| p.id_pair()).collect();
+        assert_eq!(ids, [(0.into(), 2.into()), (2.into(), 3.into())]);
+        assert_eq!(recovered, 2);
+        // Left side first reads (75, 2); merging before the skip, (23, 4).
+        let funnel = core.funnel();
+        assert_eq!(
+            (funnel.candidates_scanned, funnel.candidates_verified),
+            (23, 2)
+        );
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! performs the paper's §3.3 state handover:
 //!
 //! 1. the exact join's per-side hash tables are migrated into the SSH
-//!    join's inverted q-gram indexes (tokenising each resident key once);
+//!    join's inverted q-gram indexes (tokenising each resident key once —
+//!    ahead of the switch, through [`SwitchJoinCore::tokenize_ahead`],
+//!    when the caller has notice of it);
 //! 2. the resident tuples are re-probed against each other, *recovering*
 //!    approximate matches the exact operator missed;
 //! 3. per-tuple matched-exactly flags suppress the equal-key pairs the
@@ -26,12 +28,12 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use linkage_text::{NormalizeConfig, QGramCoefficient, QGramConfig};
+use linkage_text::{NormalizeConfig, QGramCoefficient, QGramConfig, QGramSet, SharedInterner};
 use linkage_types::{defaults, LinkageError, MatchKind, MatchPair, PerSide, Result, SidedRecord};
 
 use crate::exact::ExactJoinCore;
 use crate::iterator::{Operator, OperatorState};
-use crate::ssh::SshJoinCore;
+use crate::ssh::{tokenize_residents, SshJoinCore};
 
 /// Which join kernel is currently driving the output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +111,8 @@ impl SwitchJoinConfig {
     }
 
     /// `sided`'s normalised join key, as the exact phase derives it
-    /// ([`ExactJoinCore::normalized_key`]), normalised through `buf`: the
-    /// sharded router keys its shards and its cores with it.
+    /// ([`ExactJoinCore::process`]), normalised through `buf`: the sharded
+    /// router keys its shards and its cores with it.
     pub fn normalized_key(&self, sided: &SidedRecord, buf: &mut String) -> Result<Arc<str>> {
         crate::exact::normalize_key(&self.keys, &self.normalization(), sided, buf).map(Arc::from)
     }
@@ -131,7 +133,7 @@ impl SwitchJoinConfig {
     /// sharded executor hands each worker so every shard's gram ids live
     /// in one id space (see
     /// [`SshJoinCore::with_shared_interner`]).
-    pub fn ssh_core_with(&self, interner: linkage_text::SharedInterner) -> SshJoinCore {
+    pub fn ssh_core_with(&self, interner: SharedInterner) -> SshJoinCore {
         self.ssh_core().with_shared_interner(interner)
     }
 }
@@ -200,11 +202,25 @@ impl PerKind {
     }
 }
 
+/// The exact phase's residents tokenised ahead of the switch, into the
+/// interner the approximate core will be built with: `sets[side][i]` is
+/// the gram set of the exact core's `side` tuple `i`.  In memory only —
+/// a snapshot never holds it, and a restored join starts without it.
+#[derive(Default)]
+struct Tokenized {
+    interner: SharedInterner,
+    sets: PerSide<Vec<QGramSet>>,
+}
+
 /// The switchable join as a push core: it is fed one tuple at a time
 /// and never reads input itself.
 pub struct SwitchJoinCore {
     config: SwitchJoinConfig,
     core: PhaseCore,
+    /// Set by [`Self::tokenize_ahead`], taken by the switch.
+    tokenized: Option<Tokenized>,
+    /// Cleared by [`Self::restore`]: a restored join hands over eagerly.
+    ahead: bool,
     out: VecDeque<MatchPair>,
     consumed: PerSide<u64>,
     emitted: PerKind,
@@ -219,6 +235,8 @@ impl SwitchJoinCore {
         Self {
             config,
             core: PhaseCore::Exact(exact),
+            tokenized: None,
+            ahead: true,
             out: VecDeque::new(),
             consumed: PerSide::default(),
             emitted: PerKind::default(),
@@ -276,6 +294,26 @@ impl SwitchJoinCore {
         self.recovered_at_switch
     }
 
+    /// Tokenise every resident not tokenised yet into the interner the
+    /// approximate phase will use, so that a later switch tokenises only
+    /// what arrives after this call.  Emits nothing and changes no state
+    /// a snapshot holds.  The serial engine calls it after every tuple
+    /// while an alarm streak is open.
+    ///
+    /// A no-op once the join has switched, and on a join installed by
+    /// [`Self::restore`]: a restored join is a resumed run or a
+    /// rehydrated session, which loses what it tokenised ahead at its
+    /// next eviction.  On a served workload that evicts on most `FEED`s,
+    /// tokenising every resident again in each incarnation cost more
+    /// than the switch it spared.
+    pub fn tokenize_ahead(&mut self) {
+        let (true, PhaseCore::Exact(exact)) = (self.ahead, &self.core) else {
+            return;
+        };
+        let Tokenized { interner, sets } = self.tokenized.get_or_insert_with(Tokenized::default);
+        tokenize_residents(exact.tables(), &self.config.qgram, interner, sets);
+    }
+
     /// Perform the exact → approximate handover now (paper §3.3).
     ///
     /// Recovered matches are queued behind the pairs already queued, for
@@ -285,10 +323,12 @@ impl SwitchJoinCore {
         match std::mem::replace(&mut self.core, PhaseCore::Switching) {
             PhaseCore::Exact(exact) => {
                 let before = self.out.len();
-                let (ssh, recovered) = self
-                    .config
-                    .ssh_core()
-                    .with_exact_state(exact.into_tables(), &mut self.out);
+                let Tokenized { interner, sets } = self.tokenized.take().unwrap_or_default();
+                let (ssh, recovered) = self.config.ssh_core_with(interner).with_tokenized_state(
+                    exact.into_tables(),
+                    sets,
+                    &mut self.out,
+                );
                 self.count_new_emissions(before);
                 self.core = PhaseCore::Approximate(ssh);
                 self.recovered_at_switch = recovered;
@@ -370,6 +410,8 @@ impl SwitchJoinCore {
             RestoredCore::Exact(c) => PhaseCore::Exact(c),
             RestoredCore::Approximate(c) => PhaseCore::Approximate(c),
         };
+        self.tokenized = None;
+        self.ahead = false;
         self.out.extend(snap.pending);
         self.consumed = snap.consumed;
         self.emitted = snap.emitted;
@@ -600,6 +642,90 @@ mod tests {
         let pairs = run(&mut join, feed(&[A, B], &[A_TYPO, B_TYPO]));
         assert_eq!(pairs.len(), 2);
         assert!(pairs.iter().all(|p| p.kind.is_approximate()));
+    }
+
+    /// Every resident's gram set in `join`'s approximate core, position
+    /// for position, as sorted gram texts: the ids depend on the order in
+    /// which the grams were first seen.
+    fn gram_texts(join: &SwitchJoinCore) -> PerSide<Vec<Vec<String>>> {
+        let ssh = join.ssh_core_ref().expect("switched");
+        let interner = ssh.interner().lock();
+        ssh.indexes().map(|index| {
+            index
+                .tuples()
+                .iter()
+                .map(|stored| {
+                    let mut texts: Vec<String> = (stored.grams.gram_ids().iter())
+                        .map(|&id| interner.resolve(id).expect("issued").to_owned())
+                        .collect();
+                    texts.sort_unstable();
+                    texts
+                })
+                .collect()
+        })
+    }
+
+    /// Residents tokenised ahead over two streaks, with arrivals between
+    /// and after them left to the switch, hand over the gram sets the
+    /// eager handover builds from the same tables, and the stream oracle's
+    /// pairs.
+    #[test]
+    fn tokenizing_ahead_hands_over_the_eager_gram_sets() {
+        let tuples = feed(&[A, B, C, A_TYPO, B], &[A, B_TYPO, C, A, C]);
+        let (mut eager, mut ahead) = (join(), join());
+        let mut ahead_pairs = Vec::new();
+        for (i, sided) in tuples.iter().enumerate() {
+            run(&mut eager, vec![sided.clone()]);
+            ahead_pairs.extend(run(&mut ahead, vec![sided.clone()]));
+            if i == 2 || (5..8).contains(&i) {
+                ahead.tokenize_ahead();
+            }
+            if i == 7 {
+                let sets = &ahead.tokenized.as_ref().expect("tokenised ahead").sets;
+                assert_eq!(sets.map(Vec::len), PerSide::new(4, 4));
+            }
+        }
+        for join in [&mut eager, &mut ahead] {
+            join.switch_to_approximate().unwrap();
+        }
+        assert!(ahead.tokenized.is_none(), "handed over");
+        ahead_pairs.extend(std::iter::from_fn(|| ahead.pop()));
+        let keys = PerSide::new(0, 0);
+        let oracle = crate::oracle::stream_similarity(
+            &tuples,
+            keys,
+            &QGramConfig::default(),
+            defaults::THETA_SIM,
+            Some(tuples.len()),
+            |_| QGramCoefficient::Jaccard,
+        )
+        .unwrap();
+        assert_eq!(ahead_pairs, oracle);
+        assert_eq!(ahead.recovered_at_switch(), 4);
+        assert_eq!(gram_texts(&ahead), gram_texts(&eager));
+        assert_eq!(gram_texts(&ahead).map(Vec::len), PerSide::new(5, 5));
+    }
+
+    /// A restored join hands over eagerly, whatever its caller asks.
+    #[test]
+    fn a_restored_join_does_not_tokenize_ahead() {
+        let mut source = join();
+        run(&mut source, feed(&[A, B], &[A, B_TYPO]));
+        let exact = source.exact_core_ref().unwrap().clone();
+        let mut restored = join();
+        restored
+            .restore(SwitchRestore {
+                core: RestoredCore::Exact(exact),
+                pending: Vec::new(),
+                consumed: source.consumed(),
+                emitted: source.emitted(),
+                recovered_at_switch: 0,
+                switched_after: None,
+            })
+            .unwrap();
+        restored.tokenize_ahead();
+        assert!(restored.tokenized.is_none());
+        assert_eq!(restored.switch_to_approximate().unwrap(), 1);
     }
 
     #[test]

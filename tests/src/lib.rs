@@ -1451,6 +1451,98 @@ mod snapshot_resume {
         }
     }
 
+    /// The alarm streak a serial snapshot carries: its `CONTROLLER`
+    /// section's loop counters follow the consumed counts, the emission
+    /// counts, the recovered count and the switch point (`docs/format.md`).
+    fn snapshot_streak(file: &SnapshotFile) -> u32 {
+        use linkage_types::snapshot::{kind, Decoder};
+        let section = file.section(kind::CONTROLLER as u32).expect("CONTROLLER");
+        let mut d = Decoder::new(section, "CONTROLLER");
+        for _ in 0..5 {
+            d.get_u64().expect("counter");
+        }
+        d.get_opt_u64().expect("switch point");
+        d.get_u64().expect("assessments");
+        d.get_u64().expect("last checked");
+        d.get_u32().expect("streak")
+    }
+
+    /// While an alarm streak is open the serial engine tokenises its
+    /// residents ahead of the switch; no snapshot holds that work, and the
+    /// resumed engine hands over eagerly.  A session snapshotted after any
+    /// tuple of an open streak, resumed and fed the rest, yields the
+    /// uninterrupted run's events, event for event.
+    #[test]
+    fn serial_resume_inside_an_open_streak_is_bit_identical() {
+        use linkage_types::snapshot::kind;
+        let data = generate(&DatagenConfig::mid_stream_dirty(120, 71)).expect("datagen failed");
+        let tuples = InterleavedScan::new(
+            VecStream::from_relation(&data.parents),
+            VecStream::from_relation(&data.children),
+            InterleavePolicy::default(),
+        )
+        .run_to_end()
+        .expect("scan failed");
+        let config = chunk_config(&data, 0, None);
+        let expected = drain(
+            Pipeline::builder()
+                .config(config.clone())
+                .left(&data.parents)
+                .right(&data.children)
+                .run()
+                .expect("batch run failed"),
+        );
+        let session = || {
+            Pipeline::builder()
+                .config(config.clone())
+                .session()
+                .expect("session")
+        };
+        let mut cuts = Vec::new();
+        let mut stream = session().run().expect("session run failed");
+        let mut events = Vec::new();
+        let keep_open_streaks = |stream: &mut MatchStream, fed: usize, delivered: usize| {
+            let bytes = stream
+                .snapshot_builder()
+                .expect("snapshot failed")
+                .to_bytes();
+            let file = SnapshotFile::from_vec(bytes).expect("container");
+            let exact = file.try_section(kind::EXACT_CORE as u32).is_some();
+            if exact && snapshot_streak(&file) > 0 {
+                cuts.push((fed, delivered, file));
+            }
+        };
+        feed_in_chunks(
+            &mut stream,
+            &tuples,
+            &[1],
+            usize::MAX,
+            &mut events,
+            keep_open_streaks,
+        );
+        stream.finish();
+        events.extend(drain(stream));
+        assert_eq!(events, expected);
+        assert!(!cuts.is_empty(), "a streak opens before the switch");
+
+        for (fed, delivered, file) in cuts {
+            let mut resumed = session().resume_from(&file).expect("resume failed");
+            let mut events = expected[..delivered].to_vec();
+            let rest = &tuples[fed..];
+            feed_in_chunks(
+                &mut resumed,
+                rest,
+                &[1],
+                usize::MAX,
+                &mut events,
+                |_, _, _| {},
+            );
+            resumed.finish();
+            events.extend(drain(resumed));
+            assert_eq!(events, expected, "cut after {fed} tuples");
+        }
+    }
+
     /// Snapshot a run of `make` after 20 events and resume it against the
     /// sources `resume_with` declares; the error it fails with.
     fn resume_against(
