@@ -2323,6 +2323,65 @@ mod server_service {
         }
     }
 
+    /// The eviction goldens under `tests/golden/eviction/`, one directory
+    /// per evicted session, in the order they were added:
+    /// `(directory, sharded, records fed, events polled)`.  Every one is
+    /// `mid_stream_dirty(60, 16)` fed in [`feed_sequence`] order, its
+    /// input not finished; `tests/golden/README.md` names the build that
+    /// wrote each.
+    const EVICTION_GOLDENS: [(&str, bool, usize, usize); 2] = [
+        ("three-file-sharded", true, 101, 7),
+        ("three-file-serial", false, 101, 7),
+    ];
+
+    fn eviction_golden_dir() -> PathBuf {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/eviction")
+    }
+
+    fn eviction_golden_config(data: &GeneratedData, sharded: bool) -> PipelineConfig {
+        let mut config = session_config(data.parents.len() as u64);
+        if sharded {
+            config.execution = ExecutionMode::Sharded { shards: 2 };
+            config.batch_size = 16;
+        }
+        config
+    }
+
+    /// Write every eviction golden that is not on disk yet, with this
+    /// build's eviction code.  The corpus is appended to, never
+    /// regenerated: an existing directory is left as it is.  Run with
+    /// `cargo test -p linkage-tests -- --ignored write_eviction_goldens`.
+    #[test]
+    #[ignore = "writes tests/golden/eviction/"]
+    fn write_eviction_goldens() {
+        let data = generate(&DatagenConfig::mid_stream_dirty(60, 16)).expect("datagen");
+        let sequence = feed_sequence(&data);
+        for (name, sharded, cut, polled) in EVICTION_GOLDENS {
+            let target = eviction_golden_dir().join(name);
+            if target.exists() {
+                continue;
+            }
+            let config = eviction_golden_config(&data, sharded);
+            let dir = scratch_dir("golden-writer");
+            let manager = SessionManager::new(1, u64::MAX, dir.clone()).expect("manager");
+            let id = manager
+                .open(config.clone(), config.fingerprint())
+                .expect("open");
+            let mut session = manager.checkout(id).expect("checkout");
+            let added = session.feed(sequence[..cut].to_vec()).expect("feed");
+            let (events, _) = session.poll(polled).expect("poll");
+            assert_eq!(events.len(), polled, "{name}");
+            manager.checkin(session, added as i64);
+            assert_eq!(manager.evict_all().expect("evict"), 1);
+            std::fs::create_dir_all(&target).expect("golden dir");
+            for entry in std::fs::read_dir(&dir).expect("eviction dir") {
+                let path = entry.expect("entry").path();
+                std::fs::copy(&path, target.join(path.file_name().expect("name")))
+                    .expect("copy");
+            }
+        }
+    }
+
     /// `docs/server.md` is normative: its constants and its message-kind
     /// and error-code tables must match the code.
     #[test]
