@@ -4,18 +4,16 @@
 //!
 //! A **session** wraps the [`MatchStream`] of an incrementally fed
 //! [`Pipeline`] (serial or sharded — the manager only sees the boxed
-//! engine behind it) and a count of the records fed.  Eviction splits
-//! the session where the engine stands: everything it consumed goes to
-//! disk inside the engine state ([`MatchStream::snapshot_builder`],
-//! under the bit-identical-resume contract), and the sidecar file
-//! carries only what the snapshot cannot — the configuration, the fed
-//! count and the pending input, the records fed but not yet in an epoch
-//! (a sharded engine's partial epoch; a serial engine has none).
-//! Rehydration re-declares the pipeline, hands the verified snapshot to
-//! [`Pipeline::resume_from`], checks that the fed count minus the
-//! pending records is where the snapshot ends, and feeds the pending
-//! records again; the stream then yields exactly the events the evicted
-//! session had not yet delivered.
+//! engine behind it).  The stream owns the session's input: what it
+//! consumed, the records fed but not yet in an epoch, and whether the
+//! input ended.  Eviction writes the stream's snapshot
+//! ([`MatchStream::snapshot_builder`], whose `INPUT` section holds the
+//! pending records and the ended flag) plus one server section, `BIND`
+//! (id, fingerprint, fed bytes, configuration), as one file,
+//! `session-<id>.snap`.  Rehydration reads that file once, re-declares
+//! the pipeline from `BIND` and hands the container to
+//! [`Pipeline::resume_from`]; the stream then yields exactly the events
+//! the evicted session had not yet delivered.
 //!
 //! Admission control: the manager enforces a live-session cap and a
 //! global state-bytes budget.  Both are relieved by evicting the least
@@ -32,117 +30,80 @@
 //! session wait until it settles (`docs/server.md`, "Admission and
 //! eviction state machine").
 
-use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use linkage::api::{MatchEvent, MatchStream, Pipeline, PipelineConfig};
 use linkage::types::fault;
-use linkage::types::snapshot::{crc32, Decoder, Encoder, SnapshotBuilder, SnapshotFile};
-use linkage::types::wire::{get_sided_record, put_sided_record};
+use linkage::types::snapshot::{kind, Decoder, Encoder, SnapshotFile};
 use linkage::types::{LinkageError, Result, SidedRecord};
 
-use crate::proto::{wire_event, WireEvent};
+use crate::proto::{wire_event, ServerStats, WireEvent};
+use table::{assert_table_unlocked, Locked, Table, Victims};
 
-/// Section kind of the eviction sidecar's metadata payload (config,
-/// fingerprint, input-finished flag, pushed count, fed bytes).  Outside
-/// the snapshot container's own `1..=8` registry on purpose: the sidecar
-/// is a separate file reusing the same container format.
-pub const FEED_META_KIND: u32 = 64;
+mod table;
 
-/// Section kind of the eviction sidecar's pending input: the records
-/// fed to the session but not yet in an epoch of its engine, in feed
-/// order.  (The consumed prefix lives in the `.snap` file's engine
-/// state and is not stored twice.)
-pub const FEED_PENDING_KIND: u32 = 65;
+/// Section kind of the server's `BIND` section in an eviction file:
+/// session id, configuration fingerprint, fed bytes, configuration.
+/// Outside the snapshot container's own registry on purpose, and unlike
+/// any kind an earlier build wrote.
+const BIND_KIND: u32 = 68;
 
-/// Fewest payload bytes one sided record can occupy: side `u8`, id
-/// `u64`, arity `u32`.
-const MIN_SIDED_RECORD_BYTES: usize = 1 + 8 + 4;
-
-/// Section kind of the eviction manifest payload: session id, config
-/// fingerprint, then length + CRC-32 of the `.snap` and `.feed` files.
-/// The manifest is the *commit record* of an eviction — a pair without
-/// a matching manifest was never committed and is quarantined, never
-/// adopted.
-pub const MANIFEST_KIND: u32 = 66;
-
-/// Section kind of the binding section embedded in an evicted `.snap`
-/// container: session id + config fingerprint.  Cross-checked against
-/// the sidecar at rehydrate time so a mixed-up pair (files from two
-/// different evictions under one id) is a typed error naming both
-/// files, not a garbled decode.
-pub const EVICT_BIND_KIND: u32 = 67;
-
-thread_local! {
-    /// Whether this thread holds the session-table lock.
-    static HOLDS_TABLE: Cell<bool> = const { Cell::new(false) };
+/// Session `id`'s eviction file in `dir`.
+fn evict_path(dir: &Path, id: u64) -> PathBuf {
+    dir.join(format!("session-{id}.snap"))
 }
 
-/// The lock discipline: no eviction file I/O and no session drop while
-/// the session-table lock is held.
-fn assert_table_unlocked(what: &str) {
-    debug_assert!(
-        !HOLDS_TABLE.get(),
-        "{what} while holding the session-table lock"
-    );
+/// The temporary sibling an eviction file is written to before its
+/// rename commits it.
+fn tmp_path(path: &Path) -> PathBuf {
+    path.with_extension("snap.tmp")
 }
 
-/// Write `bytes` to `path` and fsync, honoring two failpoints: `site`
-/// tears the write at the armed byte offset, and `evict.fsync` fails
-/// the durability barrier after a complete write.  An injected tear
-/// leaves the partial file on disk — exactly the state a real crash at
-/// that byte would leave.
-fn write_evict_file(path: &Path, bytes: &[u8], site: &str) -> Result<()> {
+/// Commit `bytes` as `path`: write a temporary sibling, fsync it, rename
+/// it over `path`, fsync the directory.  The rename is the commit point,
+/// so a crash leaves no file, a temporary (swept at startup) or the
+/// committed file.  If the directory fsync fails the file is removed
+/// again: the commit may not be durable, and the caller keeps the
+/// session live.
+///
+/// Failpoints (`--features fault`): `evict.snap` tears the temporary
+/// file at the armed byte offset, `evict.fsync` fails its fsync and
+/// `evict.dirsync` the directory's.  An injected fault leaves on disk
+/// exactly what a crash at that point would.
+fn write_committed(path: &Path, bytes: &[u8]) -> Result<()> {
     use std::io::Write as _;
     assert_table_unlocked("eviction file write");
-    if let Some(cut) = fault::fires(site) {
-        let cut = (cut as usize).min(bytes.len());
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(&bytes[..cut])?;
+    let tmp = tmp_path(path);
+    let mut file = std::fs::File::create(&tmp)?;
+    if let Some(cut) = fault::fires("evict.snap") {
+        file.write_all(&bytes[..(cut as usize).min(bytes.len())])?;
         let _ = file.sync_all();
-        return Err(fault::injected(site));
+        return Err(fault::injected("evict.snap"));
     }
-    let mut file = std::fs::File::create(path)?;
     file.write_all(bytes)?;
     if fault::fires("evict.fsync").is_some() {
         return Err(fault::injected("evict.fsync"));
     }
     file.sync_all()?;
-    Ok(())
-}
-
-/// Fsync the directory holding `path`, so the entries created and
-/// renamed in it survive a power loss.  Failpoint `evict.dirsync` fails
-/// it.
-fn sync_dir_of(path: &Path) -> Result<()> {
-    assert_table_unlocked("directory fsync");
-    if fault::fires("evict.dirsync").is_some() {
-        return Err(fault::injected("evict.dirsync"));
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    let synced = if fault::fires("evict.dirsync").is_some() {
+        Err(fault::injected("evict.dirsync"))
+    } else {
+        let dir = path
+            .parent()
+            .filter(|p| !p.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        std::fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(LinkageError::from)
+    };
+    if synced.is_err() {
+        let _ = std::fs::remove_file(path);
     }
-    let dir = path
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .unwrap_or(Path::new("."));
-    std::fs::File::open(dir)?.sync_all()?;
-    Ok(())
-}
-
-/// Remove a committed eviction's files, manifest first: a crash between
-/// the removes leaves an uncommitted remainder the recovery sweep
-/// quarantines, never a committed pair with a file missing.
-fn remove_committed(manifest: &Path, snap: &Path, feed: &Path) -> Result<()> {
-    assert_table_unlocked("eviction file removal");
-    std::fs::remove_file(manifest)?;
-    std::fs::remove_file(snap)?;
-    std::fs::remove_file(feed)?;
-    Ok(())
-}
-
-/// The `(.snap, .feed, .evict)` paths of session `id`'s eviction.
-fn evict_paths(dir: &Path, id: u64) -> [PathBuf; 3] {
-    ["snap", "feed", "evict"].map(|suffix| dir.join(format!("session-{id}.{suffix}")))
+    synced
 }
 
 /// Estimated resident bytes of one fed record: values plus per-record
@@ -161,27 +122,56 @@ pub fn record_bytes(record: &SidedRecord) -> u64 {
     32 + values as u64
 }
 
-/// The eviction sidecar's [`FEED_META_KIND`] section.
-struct FeedMeta {
-    config: PipelineConfig,
+/// An eviction file's [`BIND_KIND`] section: what the server keeps of a
+/// session beside its stream.
+struct Bind {
     fingerprint: u32,
-    fin: bool,
-    pushed: u64,
     fed_bytes: u64,
+    config: PipelineConfig,
 }
 
-impl FeedMeta {
-    fn read(sidecar: &SnapshotFile) -> Result<Self> {
-        let mut meta = Decoder::new(sidecar.section(FEED_META_KIND)?, "FEED_META");
-        let decoded = Self {
-            config: crate::proto::decode_config(&mut meta)?,
-            fingerprint: meta.get_u32()?,
-            fin: meta.get_bool()?,
-            pushed: meta.get_u64()?,
-            fed_bytes: meta.get_u64()?,
+impl Bind {
+    fn write(session: &Session) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u64(session.id);
+        e.put_u32(session.fingerprint);
+        e.put_u64(session.fed_bytes);
+        crate::proto::encode_config(&mut e, &session.config);
+        e.finish()
+    }
+
+    /// Decode the section of `file` (read from `path`) and check that it
+    /// binds session `id` and that its configuration has its fingerprint.
+    fn read(file: &SnapshotFile, path: &Path, id: u64) -> Result<Self> {
+        let Some(section) = file.try_section(BIND_KIND) else {
+            return Err(LinkageError::snapshot(format!(
+                "{} has no BIND section: not a session eviction",
+                path.display()
+            )));
         };
-        meta.finish()?;
-        Ok(decoded)
+        let mut d = Decoder::new(section, "BIND");
+        let bound = d.get_u64()?;
+        let bind = Self {
+            fingerprint: d.get_u32()?,
+            fed_bytes: d.get_u64()?,
+            config: crate::proto::decode_config(&mut d)?,
+        };
+        d.finish()?;
+        if bound != id {
+            return Err(LinkageError::snapshot(format!(
+                "{} is bound to session {bound}, not to session {id}",
+                path.display()
+            )));
+        }
+        if bind.config.fingerprint() != bind.fingerprint {
+            return Err(LinkageError::snapshot(format!(
+                "{}: the bound configuration does not have the bound fingerprint \
+                 {:#010x}",
+                path.display(),
+                bind.fingerprint
+            )));
+        }
+        Ok(bind)
     }
 }
 
@@ -191,13 +181,9 @@ pub struct Session {
     config: PipelineConfig,
     fingerprint: u32,
     stream: MatchStream,
-    /// Records fed so far.
-    fed: u64,
     /// [`record_bytes`] of every record fed so far — what the session
     /// holds against the budget until it finishes.
     fed_bytes: u64,
-    /// `FIN` received: the input is complete.
-    fin: bool,
     /// The `Finished` event was delivered; the session is drained.
     done: bool,
     /// `done` has been folded into the manager's `finished` counter.
@@ -210,8 +196,8 @@ impl std::fmt::Debug for Session {
         f.debug_struct("Session")
             .field("id", &self.id)
             .field("fingerprint", &self.fingerprint)
-            .field("fed", &self.fed)
-            .field("fin", &self.fin)
+            .field("fed", &self.fed())
+            .field("fin", &self.stream.input_ended())
             .field("done", &self.done)
             .finish_non_exhaustive()
     }
@@ -224,23 +210,17 @@ impl Drop for Session {
 }
 
 impl Session {
-    fn build(id: u64, config: PipelineConfig, fingerprint: u32) -> Result<Self> {
-        let stream = Pipeline::builder()
-            .config(config.clone())
-            .session()?
-            .run()?;
-        Ok(Self {
+    fn new(id: u64, config: PipelineConfig, fingerprint: u32, stream: MatchStream) -> Self {
+        Self {
             id,
             config,
             fingerprint,
             stream,
-            fed: 0,
             fed_bytes: 0,
-            fin: false,
             done: false,
             done_counted: false,
             last_touch: 0,
-        })
+        }
     }
 
     /// This session's id.
@@ -258,9 +238,10 @@ impl Session {
         self.fed_bytes
     }
 
-    /// Total records fed so far.
+    /// Total records fed so far: those the engine consumed plus those
+    /// pending.
     pub fn fed(&self) -> u64 {
-        self.fed
+        self.stream.consumed() + self.stream.pending_input().len() as u64
     }
 
     /// Whether the final `Finished` event was delivered.
@@ -297,7 +278,6 @@ impl Session {
         self.check_feed(&records)?;
         self.stream.feed(&records)?;
         let added: u64 = records.iter().map(record_bytes).sum();
-        self.fed += records.len() as u64;
         self.fed_bytes += added;
         Ok(added)
     }
@@ -307,7 +287,7 @@ impl Session {
     /// key column (`config.keys[side]`) holds no string.  A refused batch
     /// leaves the session exactly as it was.
     pub(crate) fn check_feed(&self, records: &[SidedRecord]) -> Result<()> {
-        if self.fin && !records.is_empty() {
+        if self.stream.input_ended() && !records.is_empty() {
             return Err(LinkageError::protocol(
                 "FEED after FIN: the session input is complete",
             ));
@@ -329,7 +309,6 @@ impl Session {
     /// the engine still holds.
     pub fn fin(&mut self) {
         self.stream.finish();
-        self.fin = true;
     }
 
     /// Drain up to `max` ready events.  Before `FIN` only events that
@@ -341,7 +320,7 @@ impl Session {
         let mut events = Vec::new();
         let mut released = 0u64;
         while events.len() < max && !self.done {
-            let next = if self.fin {
+            let next = if self.stream.input_ended() {
                 self.stream.next()
             } else {
                 match self.stream.next_ready() {
@@ -364,177 +343,63 @@ impl Session {
         Ok((events, released))
     }
 
-    /// Persist this session under the atomic eviction commit protocol.
-    /// Only unfinished sessions are evictable.
-    ///
-    /// The protocol: write the `.snap` (engine + stream state, plus an
-    /// [`EVICT_BIND_KIND`] section naming this session) and `.feed`
-    /// (config, input position, pending input) files under their final
-    /// names, fsync both, then commit by writing a [`MANIFEST_KIND`]
-    /// manifest — carrying both files' lengths and CRCs — to a temp
-    /// sibling, fsyncing it, renaming it into place and fsyncing the
-    /// directory.  The rename is the single commit point: a crash
-    /// anywhere earlier leaves data files without a manifest, which the
-    /// startup recovery sweep quarantines instead of adopting.  The
-    /// directory fsync makes the commit durable; if it fails, the
-    /// eviction is un-committed and its files removed, because the
-    /// caller keeps the session live.
-    ///
-    /// Failpoints (`--features fault`): `evict.snap`, `evict.feed` and
-    /// `evict.manifest` tear the respective write at the armed byte
-    /// offset; `evict.fsync` fails a file's durability barrier and
-    /// `evict.dirsync` the directory's.
+    /// Write this session to `path` as one eviction file: the stream's
+    /// snapshot plus a [`BIND_KIND`] section, committed by a rename (see
+    /// [`write_committed`]).  Only unfinished sessions are evictable.
     ///
     /// On success the session object is unchanged (the caller decides
     /// whether to drop it); on error the caller keeps a fully usable
     /// in-memory session.
-    pub fn evict_to(
-        &mut self,
-        snap_path: &Path,
-        feed_path: &Path,
-        manifest_path: &Path,
-    ) -> Result<()> {
+    pub fn evict_into(&mut self, path: &Path) -> Result<()> {
         if self.done {
             return Err(LinkageError::snapshot(
                 "a finished session has nothing to evict",
             ));
         }
         let mut snap = self.stream.snapshot_builder()?;
-        let mut bind = Encoder::new();
-        bind.put_u64(self.id);
-        bind.put_u32(self.fingerprint);
-        snap.push_section(EVICT_BIND_KIND, bind.finish());
-        let snap_bytes = snap.to_bytes();
-        write_evict_file(snap_path, &snap_bytes, "evict.snap")?;
-
-        let mut builder = SnapshotBuilder::new();
-        let mut meta = Encoder::new();
-        crate::proto::encode_config(&mut meta, &self.config);
-        meta.put_u32(self.fingerprint);
-        meta.put_bool(self.fin);
-        meta.put_u64(self.fed);
-        meta.put_u64(self.fed_bytes);
-        builder.push_section(FEED_META_KIND, meta.finish());
-        let pending = self.stream.pending_input();
-        let mut queue = Encoder::new();
-        queue.put_u32(pending.len() as u32);
-        for record in pending {
-            put_sided_record(&mut queue, record);
-        }
-        builder.push_section(FEED_PENDING_KIND, queue.finish());
-        let feed_bytes = builder.to_bytes();
-        write_evict_file(feed_path, &feed_bytes, "evict.feed")?;
-
-        let mut manifest = Encoder::new();
-        manifest.put_u64(self.id);
-        manifest.put_u32(self.fingerprint);
-        manifest.put_u64(snap_bytes.len() as u64);
-        manifest.put_u32(crc32(&snap_bytes));
-        manifest.put_u64(feed_bytes.len() as u64);
-        manifest.put_u32(crc32(&feed_bytes));
-        let mut commit = SnapshotBuilder::new();
-        commit.push_section(MANIFEST_KIND, manifest.finish());
-        let tmp = manifest_path.with_extension("evict.tmp");
-        write_evict_file(&tmp, &commit.to_bytes(), "evict.manifest")?;
-        std::fs::rename(&tmp, manifest_path)?;
-        if let Err(e) = sync_dir_of(manifest_path) {
-            let _ = remove_committed(manifest_path, snap_path, feed_path);
-            return Err(e);
-        }
-        Ok(())
+        snap.push_section(BIND_KIND, Bind::write(self));
+        write_committed(path, &snap.to_bytes())
     }
 
-    /// Rebuild a session from the files written by [`Self::evict_to`]:
-    /// re-declare the pipeline from the sidecar's config, resume the
-    /// engine from the snapshot (read, verified and decoded exactly
-    /// once), check that the sidecar's fed count minus its pending
-    /// records is the snapshot's consumed count, and feed the pending
-    /// records.  The manifest is deleted first (un-committing the pair),
-    /// then the data files, on success.
-    ///
-    /// The snapshot's [`EVICT_BIND_KIND`] section is cross-checked
-    /// against the sidecar's declared id and fingerprint; a mismatched
-    /// pair is a typed [`LinkageError::Snapshot`] naming both files.
+    /// [`Self::evict_into`] `snap_path`, for callers of the earlier
+    /// three-file signature: the other two paths are not written.
+    pub fn evict_to(&mut self, snap_path: &Path, _feed: &Path, _manifest: &Path) -> Result<()> {
+        self.evict_into(snap_path)
+    }
+
+    /// Rebuild session `id` from the file [`Self::evict_into`] wrote:
+    /// read and verify it once, check that its `BIND` section names `id`,
+    /// re-declare the pipeline from the bound configuration and resume
+    /// the stream from the container — pending input and ended flag
+    /// included.  The file is deleted on success.
     ///
     /// Failpoint (`--features fault`): `rehydrate.read` fails the read
-    /// before any file is touched.
-    pub fn rehydrate(
-        id: u64,
-        snap_path: &Path,
-        feed_path: &Path,
-        manifest_path: &Path,
-    ) -> Result<Self> {
+    /// before the file is touched.
+    pub fn rehydrate_from(id: u64, path: &Path) -> Result<Self> {
         assert_table_unlocked("eviction file read");
         if fault::fires("rehydrate.read").is_some() {
             return Err(fault::injected("rehydrate.read"));
         }
-        let sidecar = SnapshotFile::read_from(feed_path)?;
-        let FeedMeta {
-            config,
+        let file = SnapshotFile::read_from(path)?;
+        let Bind {
             fingerprint,
-            fin,
-            pushed,
             fed_bytes,
-        } = FeedMeta::read(&sidecar)?;
-
-        let snap_file = SnapshotFile::read_from(snap_path)?;
-        let mut bind = Decoder::new(snap_file.section(EVICT_BIND_KIND)?, "EVICT_BIND");
-        let bind_id = bind.get_u64()?;
-        let bind_fp = bind.get_u32()?;
-        bind.finish()?;
-        if bind_id != id || bind_fp != fingerprint {
-            return Err(LinkageError::snapshot(format!(
-                "eviction pair mismatch for session {id}: snapshot {} is bound to \
-                 session {bind_id} with fingerprint {bind_fp:#010x}, but sidecar {} \
-                 declares fingerprint {fingerprint:#010x} — the files are not from \
-                 the same eviction",
-                snap_path.display(),
-                feed_path.display()
-            )));
-        }
-        let mut queue = Decoder::new(sidecar.section(FEED_PENDING_KIND)?, "FEED_PENDING");
-        let count = queue.get_count(MIN_SIDED_RECORD_BYTES)?;
-        let mut pending = Vec::with_capacity(count);
-        for _ in 0..count {
-            pending.push(get_sided_record(&mut queue)?);
-        }
-        queue.finish()?;
-        let Some(consumed) = pushed.checked_sub(pending.len() as u64) else {
-            return Err(LinkageError::snapshot(format!(
-                "feed sidecar of session {id} claims {pushed} pushed records but holds {} \
-                 pending ones",
-                pending.len()
-            )));
-        };
-
-        let mut stream = Pipeline::builder()
+            config,
+        } = Bind::read(&file, path, id)?;
+        let stream = Pipeline::builder()
             .config(config.clone())
             .session()?
-            .resume_from(&snap_file)?;
-        if stream.consumed() != consumed {
-            return Err(LinkageError::snapshot(format!(
-                "input does not match the snapshot: feed sidecar of session {id} \
-                 resumes after {consumed} records, the snapshotted run had consumed {}",
-                stream.consumed()
-            )));
-        }
-        stream.feed(&pending)?;
-        if fin {
-            stream.finish();
-        }
-        remove_committed(manifest_path, snap_path, feed_path)?;
-        Ok(Self {
-            id,
-            config,
-            fingerprint,
-            stream,
-            fed: pushed,
-            fed_bytes,
-            fin,
-            done: false,
-            done_counted: false,
-            last_touch: 0,
-        })
+            .resume_from(&file)?;
+        std::fs::remove_file(path)?;
+        let mut session = Self::new(id, config, fingerprint, stream);
+        session.fed_bytes = fed_bytes;
+        Ok(session)
+    }
+
+    /// [`Self::rehydrate_from`] `snap_path`, for callers of the earlier
+    /// three-file signature: the other two paths are not read.
+    pub fn rehydrate(id: u64, snap_path: &Path, _feed: &Path, _manifest: &Path) -> Result<Self> {
+        Self::rehydrate_from(id, snap_path)
     }
 }
 
@@ -572,262 +437,15 @@ enum Slot {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct RecoveryReport {
-    /// Sessions adopted as evicted: a committed manifest whose length
-    /// and CRC claims both data files satisfy.
+    /// Sessions adopted as evicted: an eviction file whose container
+    /// parses and verifies and whose `BIND` section decodes and names it.
     pub adopted: Vec<u64>,
     /// Sessions quarantined, with the reason: torn or corrupt bytes, a
-    /// missing file, or a pair whose eviction never committed.
+    /// file that is not a session eviction, or an earlier build's
+    /// three-file eviction.
     pub quarantined: Vec<(u64, String)>,
     /// Orphaned temporary files (`*.tmp`, `*.tmp-snapshot`) deleted.
     pub removed_tmp_files: u64,
-}
-
-/// Counters the `STATS` request reports (plus the budget configuration,
-/// so a client can see the admission envelope it is playing against).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ServerStats {
-    /// Sessions holding room under the live-session cap: in memory (idle
-    /// or checked out) or being rehydrated.  A session being evicted
-    /// counts neither here nor in `evicted_sessions`.
-    pub live_sessions: u64,
-    /// Sessions currently evicted to disk.
-    pub evicted_sessions: u64,
-    /// Sessions ever opened.
-    pub opened: u64,
-    /// Sessions that delivered their `Finished` event.
-    pub finished: u64,
-    /// Sessions explicitly closed.
-    pub closed: u64,
-    /// Idle sessions evicted to disk (lifetime count).
-    pub evictions: u64,
-    /// Evicted sessions rehydrated on access (lifetime count).
-    pub rehydrations: u64,
-    /// Requests rejected with `BUSY`.
-    pub rejected_busy: u64,
-    /// Requests rejected with `OVER_BUDGET`.
-    pub rejected_over_budget: u64,
-    /// Estimated session bytes charged right now: every session in
-    /// memory, including those being evicted, plus the reservations of
-    /// those being rehydrated and of byte reservations still evicting.
-    pub state_bytes: u64,
-    /// The configured state-bytes budget.
-    pub budget_bytes: u64,
-    /// The configured live-session cap.
-    pub max_sessions: u64,
-    /// Sessions currently quarantined (poisoned by a panic or by torn
-    /// or corrupt eviction files), awaiting `CLOSE`.
-    pub quarantined_sessions: u64,
-    /// Worker panics caught at the request boundary (lifetime count).
-    /// Each one quarantined a session instead of killing the worker.
-    pub worker_panics: u64,
-}
-
-impl ServerStats {
-    /// Encode as the `STATS` reply payload (fourteen `u64`s, field
-    /// order).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        for v in [
-            self.live_sessions,
-            self.evicted_sessions,
-            self.opened,
-            self.finished,
-            self.closed,
-            self.evictions,
-            self.rehydrations,
-            self.rejected_busy,
-            self.rejected_over_budget,
-            self.state_bytes,
-            self.budget_bytes,
-            self.max_sessions,
-            self.quarantined_sessions,
-            self.worker_panics,
-        ] {
-            e.put_u64(v);
-        }
-        e.finish()
-    }
-
-    /// Decode a `STATS` reply payload.
-    pub fn decode(payload: &[u8]) -> Result<Self> {
-        let mut d = Decoder::new(payload, "STATS");
-        let stats = Self {
-            live_sessions: d.get_u64()?,
-            evicted_sessions: d.get_u64()?,
-            opened: d.get_u64()?,
-            finished: d.get_u64()?,
-            closed: d.get_u64()?,
-            evictions: d.get_u64()?,
-            rehydrations: d.get_u64()?,
-            rejected_busy: d.get_u64()?,
-            rejected_over_budget: d.get_u64()?,
-            state_bytes: d.get_u64()?,
-            budget_bytes: d.get_u64()?,
-            max_sessions: d.get_u64()?,
-            quarantined_sessions: d.get_u64()?,
-            worker_panics: d.get_u64()?,
-        };
-        d.finish()?;
-        Ok(stats)
-    }
-}
-
-/// Sessions taken out of their slots to be evicted, still boxed as the
-/// slots held them.
-#[allow(clippy::vec_box)]
-type Victims = Vec<Box<Session>>;
-
-/// The slot table and its accounting: everything the manager's lock
-/// guards.
-struct Table {
-    slots: HashMap<u64, Slot>,
-    next_id: u64,
-    clock: u64,
-    max_sessions: usize,
-    budget_bytes: u64,
-    /// Bytes of every session in memory — idle, taken or being evicted —
-    /// plus the reservations of sessions being rehydrated and of
-    /// [`SessionManager::reserve_bytes`] calls whose victims are being
-    /// evicted.
-    state_bytes: u64,
-    /// The part of `state_bytes` held by `Evicting` sessions: room
-    /// already handed to whoever picked them.
-    leaving_bytes: u64,
-    /// The lifetime counters; [`Self::stats`] derives the gauges.
-    stats: ServerStats,
-}
-
-impl Table {
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Slots holding room under the cap: everything but the in-flight
-    /// evictions, the evicted and the quarantined.
-    fn occupied(&self) -> usize {
-        self.slots
-            .values()
-            .filter(|s| matches!(s, Slot::Live(_) | Slot::Taken | Slot::Rehydrating))
-            .count()
-    }
-
-    /// Bytes the budget must cover: resident sessions not being evicted,
-    /// plus rehydration reservations.
-    fn kept_bytes(&self) -> u64 {
-        self.state_bytes.saturating_sub(self.leaving_bytes)
-    }
-
-    /// Take the least recently used idle (live, unfinished) session out
-    /// of its slot and mark the slot `Evicting`.
-    fn take_victim(&mut self) -> Option<Box<Session>> {
-        let id = self
-            .slots
-            .iter()
-            .filter_map(|(id, slot)| match slot {
-                Slot::Live(s) if !s.is_done() => Some((*id, s.last_touch)),
-                _ => None,
-            })
-            .min_by_key(|(_, touch)| *touch)
-            .map(|(id, _)| id)?;
-        let Some(Slot::Live(session)) = self.slots.insert(id, Slot::Evicting) else {
-            unreachable!("the LRU candidate {id} was just seen live");
-        };
-        self.leaving_bytes += session.state_bytes();
-        Some(session)
-    }
-
-    /// Take LRU idle victims until `slots` more sessions fit under the cap
-    /// and `incoming` more bytes under the budget.  When everything idle
-    /// is gone first, the rejection is counted and returned beside the
-    /// victims — which are evicted either way, as a sequential evictor
-    /// would have.
-    fn make_room(&mut self, slots: usize, incoming: u64) -> (Victims, Result<()>) {
-        let mut victims = Vec::new();
-        loop {
-            let over_cap = self.occupied() + slots > self.max_sessions;
-            let over_budget = self.kept_bytes().saturating_add(incoming) > self.budget_bytes;
-            if !over_cap && !over_budget {
-                return (victims, Ok(()));
-            }
-            if let Some(victim) = self.take_victim() {
-                victims.push(victim);
-                continue;
-            }
-            let rejection = if over_cap {
-                self.stats.rejected_busy += 1;
-                LinkageError::busy(format!(
-                    "session table full ({} live, cap {}, nothing idle to evict)",
-                    self.occupied(),
-                    self.max_sessions
-                ))
-            } else {
-                self.stats.rejected_over_budget += 1;
-                LinkageError::over_budget(format!(
-                    "{incoming} incoming bytes would exceed the {} byte budget \
-                     ({} resident, nothing idle to evict)",
-                    self.budget_bytes,
-                    self.kept_bytes()
-                ))
-            };
-            return (victims, Err(rejection));
-        }
-    }
-
-    fn stats(&self) -> ServerStats {
-        let mut stats = self.stats.clone();
-        for slot in self.slots.values() {
-            match slot {
-                Slot::Live(_) | Slot::Taken | Slot::Rehydrating => stats.live_sessions += 1,
-                Slot::Evicted { .. } => stats.evicted_sessions += 1,
-                Slot::Quarantined { .. } => stats.quarantined_sessions += 1,
-                Slot::Evicting => {}
-            }
-        }
-        stats.state_bytes = self.state_bytes;
-        stats.budget_bytes = self.budget_bytes;
-        stats.max_sessions = self.max_sessions as u64;
-        stats
-    }
-}
-
-/// A held table lock.  Marks its thread so the eviction file helpers can
-/// assert the lock discipline.
-struct Locked<'a>(Option<MutexGuard<'a, Table>>);
-
-impl<'a> Locked<'a> {
-    fn new(guard: MutexGuard<'a, Table>) -> Self {
-        HOLDS_TABLE.set(true);
-        Self(Some(guard))
-    }
-
-    /// Release the lock until `settled` is signalled, then re-take it.
-    fn wait(mut self, settled: &Condvar) -> Self {
-        let guard = self.0.take().expect("a held table lock");
-        Self::new(settled.wait(guard).unwrap_or_else(PoisonError::into_inner))
-    }
-}
-
-impl Drop for Locked<'_> {
-    fn drop(&mut self) {
-        if self.0.is_some() {
-            HOLDS_TABLE.set(false);
-        }
-    }
-}
-
-impl std::ops::Deref for Locked<'_> {
-    type Target = Table;
-    fn deref(&self) -> &Table {
-        self.0.as_ref().expect("a held table lock")
-    }
-}
-
-impl std::ops::DerefMut for Locked<'_> {
-    fn deref_mut(&mut self) -> &mut Table {
-        self.0.as_mut().expect("a held table lock")
-    }
 }
 
 /// The session table: slots, accounting, admission and eviction.
@@ -844,79 +462,44 @@ pub struct SessionManager {
     recovery: RecoveryReport,
 }
 
-/// Check a session's eviction against its manifest: the manifest must
-/// parse, name this id, and both data files must match its declared
-/// length and CRC.  Any shortfall is the quarantine reason.  On success,
-/// returns the bytes the session charges against the budget (0 when the
-/// sidecar's metadata does not decode — rehydration then quarantines).
+/// Check session `id`'s eviction file: the container must parse and
+/// verify, its `BIND` section decode and name `id`, and an `INPUT`
+/// section be there.  Any shortfall is the quarantine reason.  On
+/// success, returns the bytes the session charges against the budget.
 fn verify_evicted(dir: &Path, id: u64) -> std::result::Result<u64, String> {
-    let [snap_path, feed_path, manifest_path] = evict_paths(dir, id);
-    if !manifest_path.exists() {
-        return Err("no manifest: the eviction never committed".to_string());
-    }
-    let manifest =
-        SnapshotFile::read_from(&manifest_path).map_err(|e| format!("manifest unreadable: {e}"))?;
-    let section = manifest
-        .section(MANIFEST_KIND)
-        .map_err(|e| format!("manifest: {e}"))?;
-    let mut d = Decoder::new(section, "EVICT_MANIFEST");
-    let decoded = (|| -> Result<(u64, u64, u32, u64, u32)> {
-        let m_id = d.get_u64()?;
-        let _fingerprint = d.get_u32()?;
-        let snap_len = d.get_u64()?;
-        let snap_crc = d.get_u32()?;
-        let feed_len = d.get_u64()?;
-        let feed_crc = d.get_u32()?;
-        Ok((m_id, snap_len, snap_crc, feed_len, feed_crc))
-    })();
-    let (m_id, snap_len, snap_crc, feed_len, feed_crc) =
-        decoded.map_err(|e| format!("manifest undecodable: {e}"))?;
-    if m_id != id {
+    let path = evict_path(dir, id);
+    let file = SnapshotFile::read_from(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let bind = Bind::read(&file, &path, id).map_err(|e| e.to_string())?;
+    if file.try_section(kind::INPUT as u32).is_none() {
         return Err(format!(
-            "manifest names session {m_id} but the files are named session {id}"
+            "{} has no INPUT section: not a session snapshot",
+            path.display()
         ));
     }
-    let mut fed_bytes = 0;
-    for (path, want_len, want_crc) in [
-        (&snap_path, snap_len, snap_crc),
-        (&feed_path, feed_len, feed_crc),
-    ] {
-        let bytes =
-            std::fs::read(path).map_err(|e| format!("{} unreadable: {e}", path.display()))?;
-        if bytes.len() as u64 != want_len {
-            return Err(format!(
-                "{} is {} bytes, manifest committed {want_len}",
-                path.display(),
-                bytes.len()
-            ));
-        }
-        let got_crc = crc32(&bytes);
-        if got_crc != want_crc {
-            return Err(format!(
-                "{} CRC {got_crc:#010x} does not match the committed {want_crc:#010x}",
-                path.display()
-            ));
-        }
-        if path == &feed_path {
-            fed_bytes = SnapshotFile::from_vec(bytes)
-                .and_then(|sidecar| FeedMeta::read(&sidecar))
-                .map_or(0, |meta| meta.fed_bytes);
-        }
-    }
-    Ok(fed_bytes)
+    Ok(bind.fed_bytes)
 }
 
-/// Park whatever remains of a session's eviction files under
-/// `quarantine/` (best-effort: quarantining must never raise on top of
-/// the fault that triggered it).
+/// The files named `session-<id>.*` in `dir`.
+fn files_of(dir: &Path, id: u64) -> Vec<PathBuf> {
+    let prefix = format!("session-{id}.");
+    std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|entry| entry.file_name().to_string_lossy().starts_with(&prefix))
+        .map(|entry| entry.path())
+        .collect()
+}
+
+/// Park whatever remains of a session's eviction under `quarantine/`
+/// (best-effort: quarantining must never raise on top of the fault that
+/// triggered it).
 fn park_in_quarantine(dir: &Path, id: u64) {
     assert_table_unlocked("quarantine parking");
     let qdir = dir.join("quarantine");
     let _ = std::fs::create_dir_all(&qdir);
-    for path in evict_paths(dir, id) {
-        if path.exists() {
-            let _ = std::fs::rename(&path, qdir.join(path.file_name().unwrap_or_default()));
-        }
+    for path in files_of(dir, id) {
+        let _ = std::fs::rename(&path, qdir.join(path.file_name().unwrap_or_default()));
     }
 }
 
@@ -924,18 +507,20 @@ impl SessionManager {
     /// An empty table with the given admission envelope, after a
     /// recovery sweep of `evict_dir`.
     ///
-    /// The sweep deletes orphaned temporaries, then groups the
-    /// remaining `session-<id>.{snap,feed,evict}` files by id: an id
-    /// whose manifest commits both data files (length + CRC) is adopted
-    /// as an evicted session and rehydrates transparently on first
-    /// touch; anything else — torn or corrupt bytes, a missing file, a
-    /// pair whose eviction never committed — is quarantined with a
-    /// typed reason, never adopted, and never a panic.  The findings
-    /// are available via [`Self::recovery`].
+    /// The sweep deletes orphaned temporaries, then checks every
+    /// `session-<id>.snap`: a file that parses and decodes (see
+    /// [`verify_evicted`]) is adopted as an evicted session and
+    /// rehydrates transparently on first touch; anything else is
+    /// quarantined with a reason, never adopted, and never a panic.  An
+    /// earlier build's three-file eviction (`.snap`, `.feed`, `.evict`)
+    /// is quarantined whole, its files parked for that build to drain.
+    /// The findings are available via [`Self::recovery`].
     pub fn new(max_sessions: usize, budget_bytes: u64, evict_dir: PathBuf) -> Result<Self> {
         std::fs::create_dir_all(&evict_dir)?;
         let mut report = RecoveryReport::default();
-        let mut ids = std::collections::BTreeSet::new();
+        // Per id: whether a `.feed` or `.evict` file of the earlier
+        // three-file layout is there.
+        let mut ids = BTreeMap::new();
         for entry in std::fs::read_dir(&evict_dir)? {
             let entry = entry?;
             let name = entry.file_name();
@@ -945,22 +530,31 @@ impl SessionManager {
                 report.removed_tmp_files += 1;
                 continue;
             }
-            if let Some(rest) = name.strip_prefix("session-") {
-                for suffix in [".snap", ".feed", ".evict"] {
-                    if let Some(id) = rest
-                        .strip_suffix(suffix)
-                        .and_then(|s| s.parse::<u64>().ok())
-                    {
-                        ids.insert(id);
-                    }
-                }
+            let Some((id, suffix)) = name
+                .strip_prefix("session-")
+                .and_then(|rest| rest.split_once('.'))
+            else {
+                continue;
+            };
+            if let (Ok(id), "snap" | "feed" | "evict") = (id.parse::<u64>(), suffix) {
+                *ids.entry(id).or_insert(false) |= suffix != "snap";
             }
         }
         let mut slots = HashMap::new();
         let mut next_id = 1;
-        for id in ids {
+        for (id, three_file) in ids {
             next_id = next_id.max(id + 1);
-            match verify_evicted(&evict_dir, id) {
+            let verified = if three_file {
+                Err(
+                    "a three-file eviction (.snap, .feed, .evict) written by an earlier \
+                     build: this build reads one file per session; the earlier build can \
+                     drain the parked files"
+                        .to_string(),
+                )
+            } else {
+                verify_evicted(&evict_dir, id)
+            };
+            match verified {
                 Ok(bytes) => {
                     slots.insert(id, Slot::Evicted { bytes });
                     report.adopted.push(id);
@@ -1010,11 +604,10 @@ impl SessionManager {
     ///
     /// A victim whose eviction fails is put back live and fully usable —
     /// an eviction failure loses nothing — and the first error is
-    /// returned.  A *real* error also cleans up whatever partial files
-    /// the attempt left (an uncommitted pair is garbage); an injected
-    /// fault deliberately leaves them, because it is simulating a crash
-    /// and the next startup's recovery sweep is what gets tested against
-    /// that debris.
+    /// returned.  A *real* error also removes the temporary file the
+    /// attempt left; an injected fault deliberately leaves it, because it
+    /// is simulating a crash and the next startup's recovery sweep is
+    /// what gets tested against that debris.
     fn evict(&self, victims: Victims, held: u64) -> Result<()> {
         if victims.is_empty() {
             return Ok(());
@@ -1022,19 +615,10 @@ impl SessionManager {
         let written: Vec<_> = victims
             .into_iter()
             .map(|mut session| {
-                let [snap, feed, manifest] = evict_paths(&self.evict_dir, session.id());
-                let written = session.evict_to(&snap, &feed, &manifest);
-                if let Err(e) = &written {
-                    if !fault::is_injected(e) {
-                        for path in [
-                            &snap,
-                            &feed,
-                            &manifest,
-                            &manifest.with_extension("evict.tmp"),
-                        ] {
-                            let _ = std::fs::remove_file(path);
-                        }
-                    }
+                let path = evict_path(&self.evict_dir, session.id());
+                let written = session.evict_into(&path);
+                if written.as_ref().is_err_and(|e| !fault::is_injected(e)) {
+                    let _ = std::fs::remove_file(tmp_path(&path));
                 }
                 (session, written)
             })
@@ -1099,7 +683,11 @@ impl SessionManager {
                  about the config codec"
             )));
         }
-        let mut session = Box::new(Session::build(0, config, fingerprint)?);
+        let stream = Pipeline::builder()
+            .config(config.clone())
+            .session()?
+            .run()?;
+        let mut session = Box::new(Session::new(0, config, fingerprint, stream));
         let (victims, claimed) = {
             let mut table = self.lock();
             let (victims, admitted) = table.make_room(1, 0);
@@ -1187,10 +775,7 @@ impl SessionManager {
         drop(table);
 
         let rehydrated = match self.evict(victims, 0) {
-            Ok(()) => {
-                let [snap, feed, manifest] = evict_paths(&self.evict_dir, id);
-                Session::rehydrate(id, &snap, &feed, &manifest)
-            }
+            Ok(()) => Session::rehydrate_from(id, &evict_path(&self.evict_dir, id)),
             Err(e) => {
                 // No room after all: the session stays on disk untouched.
                 let mut table = self.lock();
@@ -1210,8 +795,9 @@ impl SessionManager {
                 Ok(Box::new(session))
             }
             Err(e) => {
-                // The pair is unusable (it verified at sweep time, so
-                // this is new damage or an injected fault).  Leaving the
+                // The file is unusable (it verified at sweep time, or was
+                // written since, so this is new damage, a defect the
+                // sweep does not decode, or an injected fault).  Leaving the
                 // slot Evicted would retry the same broken bytes forever;
                 // quarantine it.
                 let reason = e.to_string();
@@ -1294,15 +880,14 @@ impl SessionManager {
             // delete its parked remains (best-effort — a poisoned
             // in-memory session has none).
             Some(Slot::Quarantined { .. }) => {
-                let qdir = self.evict_dir.join("quarantine");
-                for path in evict_paths(&qdir, id) {
+                for path in files_of(&self.evict_dir.join("quarantine"), id) {
                     let _ = std::fs::remove_file(path);
                 }
                 Ok(())
             }
             Some(Slot::Evicted { .. }) => {
-                let [snap, feed, manifest] = evict_paths(&self.evict_dir, id);
-                remove_committed(&manifest, &snap, &feed)
+                assert_table_unlocked("eviction file removal");
+                Ok(std::fs::remove_file(evict_path(&self.evict_dir, id))?)
             }
             _ => Ok(()),
         }

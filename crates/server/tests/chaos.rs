@@ -121,89 +121,91 @@ fn cut_offsets(len: u64) -> Vec<u64> {
     cuts
 }
 
-/// A crash cut at **every** (strided) byte offset of every eviction
-/// write: the failed eviction must keep the in-memory session usable, a
-/// restart over the debris must quarantine — never adopt, never panic —
-/// and a rebuilt session must still produce the solo event stream.
+/// An eviction cut at every step of its one-file write, as a crash would
+/// cut it (ALICE-style crash states: Pillai et al., "All File Systems
+/// Are Not Created Equal", OSDI 2014): the temporary file torn at every
+/// (strided) byte offset, its fsync failed, the rename done but the
+/// directory not yet synced, and the directory fsync failed.  Each cut
+/// keeps the in-memory session usable.  A restart over each state's
+/// debris adopts the session or knows nothing of it — unknown or
+/// quarantined, never a panic, never a stray temporary — and the one
+/// adopted state drains to the batch run.
 #[test]
-fn eviction_torn_at_any_offset_is_quarantined_and_the_stream_survives() {
+fn every_crash_state_of_an_eviction_is_adopted_or_discarded_never_misread() {
     let _guard = serial();
     let data = generate(&DatagenConfig::mid_stream_dirty(40, 3)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let sequence = feed_sequence(&data);
     let expected = solo_events(&config, &data);
+    let half = sequence.len() / 2;
 
-    // Learn the three file sizes from one clean eviction.
+    // Learn the file size from one clean eviction.
     let probe_dir = scratch_dir("cut-probe");
-    let (manager, id) = loaded_manager(&probe_dir, &config, &sequence);
+    let (manager, id) = loaded_manager(&probe_dir, &config, &sequence[..half]);
     assert_eq!(manager.evict_all().unwrap(), 1);
-    let file_len = |suffix: &str| {
-        std::fs::metadata(probe_dir.join(format!("session-{id}.{suffix}")))
-            .unwrap()
-            .len()
-    };
-    let sites = [
-        ("evict.snap", file_len("snap")),
-        ("evict.feed", file_len("feed")),
-        ("evict.manifest", file_len("evict")),
-    ];
+    let len = std::fs::metadata(probe_dir.join(format!("session-{id}.snap")))
+        .unwrap()
+        .len();
     drop(manager);
 
-    for (site, len) in sites {
-        for (i, cut) in cut_offsets(len).into_iter().enumerate() {
-            let dir = scratch_dir("cut");
-            let (manager, id) = loaded_manager(&dir, &config, &sequence);
-            fault::arm_with(site, Trigger::Nth(1), cut);
-            let err = manager.evict_all().unwrap_err();
-            assert!(
-                fault::is_injected(&err),
-                "{site} cut {cut}: expected the injected error, got {err}"
-            );
-            assert_eq!(fault::hits(site), 1, "{site} must fire exactly once");
-            fault::reset();
+    // Each state: the debris a crash at that step leaves.
+    let mut states = Vec::new();
+    let mut cut_at = |site: &str, cut: u64| {
+        let dir = scratch_dir("cut");
+        let (manager, _) = loaded_manager(&dir, &config, &sequence[..half]);
+        fault::arm_with(site, Trigger::Nth(1), cut);
+        let err = manager.evict_all().unwrap_err();
+        assert!(fault::is_injected(&err), "{site} {cut}: {err}");
+        assert_eq!(fault::hits(site), 1, "{site} must fire exactly once");
+        fault::reset();
+        assert_eq!(
+            manager.stats().evicted_sessions,
+            0,
+            "the session stays live"
+        );
+        states.push((format!("{site} {cut}"), dir));
+    };
+    for cut in cut_offsets(len) {
+        cut_at("evict.snap", cut);
+    }
+    cut_at("evict.fsync", 0);
+    cut_at("evict.dirsync", 0);
+    // After the rename, before the directory fsync: copy what is on disk.
+    let dir = scratch_dir("renamed");
+    let (manager, _) = loaded_manager(&dir, &config, &sequence[..half]);
+    let crashed = scratch_dir("renamed-crash");
+    fault::arm("evict.dirsync", Trigger::Pause);
+    std::thread::scope(|scope| {
+        let _unpark = Unpark;
+        let evictor = scope.spawn(|| manager.evict_all());
+        wait_parked("evict.dirsync");
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, crashed.join(path.file_name().unwrap())).unwrap();
+        }
+        fault::release("evict.dirsync");
+        assert_eq!(evictor.join().unwrap().unwrap(), 1);
+    });
+    fault::reset();
+    states.push(("after the rename".to_string(), crashed));
 
-            // The failed eviction kept the session live and usable.
-            assert_eq!(manager.stats().evicted_sessions, 0);
-
-            // "Crash": drop the manager on the torn debris and restart.
-            drop(manager);
-            let mut manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
-            assert_no_tmp(&dir);
-            assert!(
-                manager.recovery().adopted.is_empty(),
-                "{site} cut {cut}: an uncommitted eviction must never be adopted"
-            );
-            match manager.checkout(id) {
-                Err(LinkageError::Quarantined(_)) | Err(LinkageError::UnknownSession(_)) => {}
-                other => panic!("{site} cut {cut}: expected quarantine, got {other:?}"),
-            }
-            if !manager.recovery().quarantined.is_empty() {
-                manager.close(id).unwrap();
-            }
-
-            // Sampled: the client-side story — rebuild from scratch on
-            // the recovered server and compare bit-for-bit.
-            if i % 16 == 0 {
-                let fresh = manager.open(config.clone(), config.fingerprint()).unwrap();
-                manager_feed(&mut manager, fresh, &sequence);
-                let got = manager_drain(&mut manager, fresh);
-                assert_eq!(got, expected, "{site} cut {cut}: rebuilt stream diverged");
-            }
+    let mut adopted = Vec::new();
+    for (state, dir) in states {
+        let mut manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
+        assert_no_tmp(&dir);
+        if manager.recovery().adopted == [id] {
+            manager_feed(&mut manager, id, &sequence[half..]);
+            assert_eq!(manager_drain(&mut manager, id), expected, "{state}");
+            adopted.push(state);
+            continue;
+        }
+        assert!(manager.recovery().adopted.is_empty(), "{state}");
+        match manager.checkout(id) {
+            Err(LinkageError::Quarantined(_)) | Err(LinkageError::UnknownSession(_)) => {}
+            other => panic!("{state}: expected quarantine or nothing, got {other:?}"),
         }
     }
-
-    // A failed fsync barrier is a failed (uncommitted) eviction too.
-    let dir = scratch_dir("fsync");
-    let (manager, id) = loaded_manager(&dir, &config, &sequence);
-    fault::arm("evict.fsync", Trigger::Nth(1));
-    let err = manager.evict_all().unwrap_err();
-    assert!(fault::is_injected(&err));
-    fault::reset();
-    drop(manager);
-    let manager = SessionManager::new(8, u64::MAX, dir).unwrap();
-    assert!(manager.recovery().adopted.is_empty());
-    assert_eq!(manager.recovery().quarantined.len(), 1);
-    let _ = id;
+    assert_eq!(adopted, ["after the rename"], "only a renamed file commits");
 }
 
 /// The positive control for the sweep above: a *clean* eviction commits,
@@ -237,7 +239,7 @@ fn clean_eviction_is_adopted_after_restart_and_resumes_across_the_switch() {
     assert_eq!(manager.stats().rehydrations, 1);
     let got = manager_drain(&mut manager, id);
     assert_eq!(got, expected);
-    // Rehydration consumed the trio; nothing is left on disk.
+    // Rehydration consumed the file; nothing is left on disk.
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
 }
 
@@ -472,7 +474,7 @@ fn assert_blocked<T>(waiter: &std::thread::ScopedJoinHandle<'_, T>, what: &str) 
     assert!(!waiter.is_finished(), "{what} must wait, not return");
 }
 
-/// A failed directory fsync after the manifest rename un-commits the
+/// A failed directory fsync after the rename un-commits the
 /// eviction: the session stays live and usable, its files are gone, and
 /// nothing is left for a restart to adopt or quarantine.
 #[test]
@@ -545,7 +547,7 @@ fn a_checkout_during_an_eviction_waits_then_rehydrates() {
 /// `CLOSE` arriving while its session is being rehydrated waits for the
 /// rehydration; the rehydrating request then holds the session, so the
 /// `CLOSE` is `BUSY` (the checked-out rule) and succeeds once retried.
-/// The eviction files are removed exactly once, by the rehydration, and
+/// The eviction file is removed exactly once, by the rehydration, and
 /// nothing is quarantined.
 #[test]
 fn close_during_a_rehydration_waits_and_quarantines_nothing() {
@@ -562,10 +564,10 @@ fn close_during_a_rehydration_waits_and_quarantines_nothing() {
         let _unpark = Unpark;
         let rehydrator = scope.spawn(|| manager.checkout(id));
         wait_parked("rehydrate.read");
-        // Rehydrating holds room under the cap; its files are untouched.
+        // Rehydrating holds room under the cap; its file is untouched.
         let stats = manager.stats();
         assert_eq!((stats.live_sessions, stats.evicted_sessions), (1, 0));
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         let closer = scope.spawn(|| manager.close(id));
         assert_blocked(&closer, "CLOSE of a rehydrating session");
         fault::release("rehydrate.read");

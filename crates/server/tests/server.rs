@@ -132,7 +132,11 @@ fn closing_an_evicted_session_deletes_its_files() {
     client.feed(victim, &sequence).unwrap();
     client.feed(hog, &sequence).unwrap();
     assert_eq!(client.stats().unwrap().evicted_sessions, 1);
-    assert!(std::fs::read_dir(&dir).unwrap().count() >= 2);
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(files, [format!("session-{victim}.snap").as_str()]);
 
     client.close(victim).unwrap();
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);

@@ -397,8 +397,8 @@ fn scratch_dir() -> PathBuf {
     dir
 }
 
-fn manifest(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("session-{id}.evict"))
+fn evict_file(dir: &Path, id: u64) -> PathBuf {
+    dir.join(format!("session-{id}.snap"))
 }
 
 struct Harness {
@@ -586,12 +586,15 @@ impl Harness {
             self.model.slots
         );
         for id in 1..=self.model.next_id {
-            let committed = matches!(
-                self.model.slots.get(&id),
-                Some(Slot::Evicted { .. } | Slot::Rehydrating { .. })
-            );
+            // An eviction in flight may be parked before or after its
+            // rename commits the file.
+            let committed = match self.model.slots.get(&id) {
+                Some(Slot::Evicted { .. } | Slot::Rehydrating { .. }) => true,
+                Some(Slot::Evicting) => continue,
+                _ => false,
+            };
             assert_eq!(
-                manifest(&self.dir, id).exists(),
+                evict_file(&self.dir, id).exists(),
                 committed,
                 "session {id}: a committed eviction on disk iff the slot is evicted \
                  (or its rehydration has not read it yet)"
@@ -630,9 +633,10 @@ mod two_actors {
 
     use super::*;
 
-    /// Where an actor's eviction parks: the first victim's `.snap` write,
-    /// or — when the other actor is parked there — its `.feed` write.
-    const EVICT_SITES: [&str; 2] = ["evict.snap", "evict.feed"];
+    /// Where an actor's eviction parks: before the first victim's file
+    /// is written, or — when the other actor is parked there — after its
+    /// rename, before the directory fsync.
+    const EVICT_SITES: [&str; 2] = ["evict.snap", "evict.dirsync"];
     /// Where an actor's rehydration parks, before it reads anything.
     const REHYDRATE_SITE: &str = "rehydrate.read";
 
@@ -903,24 +907,24 @@ fn rehydration_never_pushes_the_live_count_past_the_cap() {
     let manager = SessionManager::new(1, u64::MAX, dir.clone()).unwrap();
     let a = manager.open(config(), config().fingerprint()).unwrap();
     let b = manager.open(config(), config().fingerprint()).unwrap();
-    assert!(manifest(&dir, a).exists(), "cap 1: opening b evicted a");
+    assert!(evict_file(&dir, a).exists(), "cap 1: opening b evicted a");
 
     // Touching a must put b on disk first.
     let session_a = manager.checkout(a).unwrap();
-    assert!(manifest(&dir, b).exists() && !manifest(&dir, a).exists());
+    assert!(evict_file(&dir, b).exists() && !evict_file(&dir, a).exists());
     assert_eq!(manager.stats().live_sessions, 1);
 
     // a is pinned, so b cannot come back: typed Busy, b stays evicted.
     let busy = manager.checkout(b);
     assert!(matches!(busy, Err(LinkageError::Busy(_))), "{busy:?}");
-    assert!(manifest(&dir, b).exists());
+    assert!(evict_file(&dir, b).exists());
     let stats = manager.stats();
     assert_eq!((stats.live_sessions, stats.evicted_sessions), (1, 1));
     assert_eq!(stats.rejected_busy, 1);
 
     manager.checkin(session_a, 0);
     let session_b = manager.checkout(b).unwrap();
-    assert!(manifest(&dir, a).exists() && !manifest(&dir, b).exists());
+    assert!(evict_file(&dir, a).exists() && !evict_file(&dir, b).exists());
     assert_eq!(manager.stats().live_sessions, 1);
     manager.checkin(session_b, 0);
     let _ = std::fs::remove_dir_all(dir);

@@ -75,6 +75,9 @@ pub mod kind {
     pub const SSH_CORE: u16 = 7;
     /// Per-shard executor counters (stored tuples, probes, emissions).
     pub const SHARD: u16 = 8;
+    /// A session stream's input: whether it ended, and the records fed
+    /// but not yet taken into the join.  Batch pipelines write none.
+    pub const INPUT: u16 = 9;
 
     /// Human-readable name of a base kind, for error messages.
     pub fn name(base: u16) -> &'static str {
@@ -87,6 +90,7 @@ pub mod kind {
             EXACT_CORE => "EXACT_CORE",
             SSH_CORE => "SSH_CORE",
             SHARD => "SHARD",
+            INPUT => "INPUT",
             _ => "UNKNOWN",
         }
     }

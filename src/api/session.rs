@@ -1,9 +1,10 @@
 //! The session lifecycle at the facade: a
 //! [session](crate::api::PipelineBuilder::session) pipeline's
 //! [`MatchStream`](crate::api::MatchStream) is fed records in order,
-//! pops what they make ready, ends its input with `finish`, and after a
-//! snapshot resumes at the absolute position the snapshot ends with only
-//! the pending records fed again.
+//! pops what they make ready, ends its input with `finish`, and resumes
+//! from its own snapshot as a whole: at the absolute position the engine
+//! state ends, with the pending records and the ended input that the
+//! snapshot's `INPUT` section holds.
 
 #[cfg(test)]
 mod tests {
@@ -93,10 +94,8 @@ mod tests {
 
         let mut stream = sharded().resume_from(&snapshot).unwrap();
         assert_eq!(stream.consumed(), 4, "the count is absolute, not reset");
-        assert!(stream.pending_input().is_empty());
-        stream.feed(&pending).unwrap();
-        assert_eq!(stream.consumed(), 4);
-        assert_eq!(stream.pending_input(), &records[4..7]);
+        assert_eq!(stream.pending_input(), pending.as_slice());
+        assert!(!stream.input_ended());
         stream.feed(&records[7..]).unwrap();
         assert_eq!(stream.consumed(), 8);
         assert!(stream.pending_input().is_empty());
@@ -105,6 +104,54 @@ mod tests {
         got.extend(rest);
         assert_eq!(consumed, 8);
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn an_ended_input_resumes_ended_and_a_batch_snapshot_holds_no_input() {
+        let records: Vec<_> = (1..=7)
+            .map(|id| sided(if id % 2 == 1 { Side::Left } else { Side::Right }, id))
+            .collect();
+        let sharded = || session().sharded(2).batch_size(4).session().unwrap();
+        let mut whole = sharded().run().unwrap();
+        whole.feed(&records).unwrap();
+        whole.finish();
+        let expected = drain_pairs(&mut whole);
+
+        let mut stream = sharded().run().unwrap();
+        stream.feed(&records).unwrap();
+        stream.finish();
+        let snapshot =
+            SnapshotFile::from_vec(stream.snapshot_builder().unwrap().to_bytes()).unwrap();
+        drop(stream);
+        let mut stream = sharded().resume_from(&snapshot).unwrap();
+        assert!(stream.input_ended());
+        assert!(matches!(
+            stream.feed(&records[..1]),
+            Err(LinkageError::OperatorState(_))
+        ));
+        // No second `finish`: the snapshot said the input had ended.
+        assert_eq!(drain_pairs(&mut stream), expected);
+
+        let relation = |side: Side| {
+            let records = records.iter().filter(|r| r.side == side);
+            crate::api::Source::records(
+                linkage_types::Schema::new(vec![linkage_types::Field::new(
+                    "k",
+                    linkage_types::DataType::String,
+                )])
+                .unwrap(),
+                records.map(|r| r.record.clone()),
+            )
+        };
+        let mut batch = session()
+            .left(relation(Side::Left))
+            .right(relation(Side::Right))
+            .run()
+            .unwrap();
+        let file = SnapshotFile::from_vec(batch.snapshot_builder().unwrap().to_bytes()).unwrap();
+        let input = linkage_types::snapshot::kind::INPUT as u32;
+        assert!(file.try_section(input).is_none());
+        assert!(snapshot.try_section(input).is_some());
     }
 
     #[test]

@@ -12,7 +12,8 @@ use std::path::Path;
 
 use linkage_core::{Pulled, SwitchEvent};
 use linkage_operators::{InterleavedScan, Operator};
-use linkage_types::snapshot::{SnapshotBuilder, SnapshotFile};
+use linkage_types::snapshot::{kind, Decoder, Encoder, SnapshotBuilder, SnapshotFile};
+use linkage_types::wire::{get_sided_record, put_sided_record};
 use linkage_types::{LinkageError, MatchPair, PerSide, Result, SidedRecord, VecStream};
 
 use crate::api::engine::{JoinEngine, RunReport};
@@ -51,8 +52,15 @@ pub struct MatchStream {
     // (Debug is implemented manually: the engine box is opaque.)
     engine: Box<dyn JoinEngine + Send>,
     input: Input,
+    /// A session's stream: its input arrives through [`Self::feed`], so
+    /// its snapshots carry an `INPUT` section.
+    session: bool,
     done: bool,
 }
+
+/// Fewest payload bytes one sided record can occupy in `INPUT`: side
+/// `u8`, id `u64`, arity `u32`.
+const MIN_SIDED_RECORD_BYTES: usize = 1 + 8 + 4;
 
 /// Where the stream's input comes from, and how far it has got.
 enum Input {
@@ -100,6 +108,7 @@ impl MatchStream {
         };
         Ok(Self {
             engine,
+            session: matches!(input, Input::Fed),
             input,
             done: false,
         })
@@ -108,8 +117,9 @@ impl MatchStream {
     /// A stream that continues the event sequence exactly where `file`
     /// cut it: the engine restores the snapshot's state, and the stream
     /// reads and drops the snapshot's consumed prefix from its sources.
-    /// A session's stream has no prefix to drop: its owner feeds what
-    /// follows the snapshot.
+    /// A session's stream has no prefix to drop: it takes its pending
+    /// records and whether its input ended from the `INPUT` section, and
+    /// its owner feeds what follows.
     pub(crate) fn resume(
         mut engine: Box<dyn JoinEngine + Send>,
         sources: Option<InterleavedScan<VecStream, VecStream>>,
@@ -120,10 +130,33 @@ impl MatchStream {
             return Err(e);
         }
         let mut stream = Self::new(engine, sources)?;
-        if let Err(e) = stream.skip_consumed() {
+        let restored = if stream.session {
+            stream.restore_input(file)
+        } else {
+            stream.skip_consumed()
+        };
+        if let Err(e) = restored {
             return Err(stream.fail(e));
         }
         Ok(stream)
+    }
+
+    /// Put a session's `INPUT` section back: feed its pending records
+    /// again and end the input if it had ended.
+    fn restore_input(&mut self, file: &SnapshotFile) -> Result<()> {
+        let mut d = Decoder::new(file.section(kind::INPUT as u32)?, "INPUT");
+        let ended = d.get_bool()?;
+        let count = d.get_count(MIN_SIDED_RECORD_BYTES)?;
+        let mut pending = Vec::with_capacity(count);
+        for _ in 0..count {
+            pending.push(get_sided_record(&mut d)?);
+        }
+        d.finish()?;
+        self.engine.feed(&pending)?;
+        if ended {
+            self.finish();
+        }
+        Ok(())
     }
 
     /// Read and drop the tuples the restored engine had consumed,
@@ -173,16 +206,28 @@ impl MatchStream {
 
     /// Capture the same consistent pipeline state as [`snapshot`](Self::snapshot)
     /// but hand back the unserialised [`SnapshotBuilder`], so callers that
-    /// need custom durability (extra sections, manifest-committed writes —
-    /// the server's eviction path) can append to and persist it themselves.
-    /// The snapshot ends at [`consumed`](Self::consumed); a session keeps
-    /// its [`pending_input`](Self::pending_input) beside it.
+    /// need custom durability (extra sections, their own commit — the
+    /// server's eviction path) can append to and persist it themselves.
+    /// The engine state ends at [`consumed`](Self::consumed); a session's
+    /// snapshot also holds its [`pending_input`](Self::pending_input) and
+    /// whether its input ended, in an `INPUT` section, so it resumes as a
+    /// whole.
     pub fn snapshot_builder(&mut self) -> Result<SnapshotBuilder> {
         if self.done {
             return Err(LinkageError::snapshot("cannot snapshot a finished stream"));
         }
         let mut builder = SnapshotBuilder::new();
         self.engine.snapshot_state(&mut builder)?;
+        if self.session {
+            let mut e = Encoder::new();
+            e.put_bool(self.input_ended());
+            let pending = self.engine.pending();
+            e.put_u32(pending.len() as u32);
+            for record in pending {
+                put_sided_record(&mut e, record);
+            }
+            builder.push_section(kind::INPUT as u32, e.finish());
+        }
         Ok(builder)
     }
 
@@ -240,10 +285,16 @@ impl MatchStream {
         }
     }
 
+    /// Whether the input is complete: a session's after
+    /// [`finish`](Self::finish), a batch pipeline's once its sources are
+    /// exhausted.
+    pub fn input_ended(&self) -> bool {
+        !matches!(self.input, Input::Sources(_) | Input::Fed)
+    }
+
     /// Records fed but not yet taken into the join — the sharded engine's
-    /// partial epoch; always empty on the serial engine.  With
-    /// [`consumed`](Self::consumed) and the snapshot, everything a
-    /// session must persist about its input.
+    /// partial epoch; always empty on the serial engine.  A session's
+    /// snapshot holds them.
     pub fn pending_input(&self) -> &[SidedRecord] {
         self.engine.pending()
     }

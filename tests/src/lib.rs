@@ -1378,8 +1378,9 @@ mod snapshot_resume {
         /// smaller and larger than an epoch, straddling the switch —
         /// yields the batch run's event stream pair for pair, `Switched`
         /// included.  A snapshot taken between two chunks, while part of
-        /// an epoch is pending, resumes by `resume_from` plus feeding the
-        /// pending records and the rest, to the same stream.
+        /// an epoch is pending, resumes by `resume_from` — which puts the
+        /// pending records back — plus feeding the rest, to the same
+        /// stream.
         #[test]
         fn fed_chunks_replay_the_batch_run_and_resume_at_any_chunk_boundary(
             parents in 24usize..48,
@@ -1440,8 +1441,8 @@ mod snapshot_resume {
                 snapshot.expect("a chunk boundary reaches every cut");
             let file = SnapshotFile::from_vec(bytes).expect("container");
             let mut resumed = session().resume_from(&file).expect("resume failed");
+            prop_assert_eq!(resumed.pending_input(), pending.as_slice());
             prop_assert_eq!(resumed.consumed() + pending.len() as u64, fed as u64);
-            resumed.feed(&pending).expect("feed pending failed");
             let mut events = expected[..delivered].to_vec();
             let rest = &tuples[fed..];
             feed_in_chunks(&mut resumed, rest, &chunks, polled, &mut events, |_, _, _| {});
@@ -1987,9 +1988,9 @@ mod server_service {
     };
     use linkage_datagen::{generate, DatagenConfig, GeneratedData};
     use linkage_server::proto::{wire_event, WireEvent};
-    use linkage_server::session::{record_bytes, FEED_PENDING_KIND};
+    use linkage_server::session::record_bytes;
     use linkage_server::{Client, LinkageServer, ServerConfig, SessionManager};
-    use linkage_types::snapshot::{Decoder, SnapshotFile};
+    use linkage_types::snapshot::{kind, Decoder, SnapshotFile};
     use linkage_types::{PerSide, Side, SidedRecord};
     use proptest::prelude::*;
 
@@ -2101,9 +2102,9 @@ mod server_service {
 
     /// One facade-level evict → rehydrate cycle: feed the first `cut`
     /// records, deliver up to `polled` events, snapshot; then resume a
-    /// rebuilt pipeline where the snapshot ends, feed it the pending
-    /// records and the rest.  Returns every event of the two halves plus
-    /// how many records were pending at the cut.
+    /// rebuilt pipeline where the snapshot ends — its pending records
+    /// back in place — and feed it the rest.  Returns every event of the
+    /// two halves plus how many records were pending at the cut.
     fn cycle_events(
         config: &PipelineConfig,
         sequence: &[SidedRecord],
@@ -2139,8 +2140,6 @@ mod server_service {
             consumed,
             "resume keeps the absolute position"
         );
-        assert!(stream.pending_input().is_empty());
-        stream.feed(&pending).expect("feed pending");
         assert_eq!(stream.pending_input(), pending.as_slice());
         stream.feed(&sequence[cut..]).expect("feed rest");
         stream.finish();
@@ -2186,11 +2185,11 @@ mod server_service {
     }
 
     /// Through the server's own eviction: a sharded session parks with
-    /// part of an epoch pending, so its sidecar carries exactly those
-    /// records — not the feed log — and the rehydrated session continues
-    /// bit-identically.
+    /// part of an epoch pending, so its one eviction file's `INPUT`
+    /// section carries exactly those records — not the feed log — and
+    /// the rehydrated session continues bit-identically.
     #[test]
-    fn a_sharded_session_evicts_with_only_its_pending_input_in_the_sidecar() {
+    fn a_sharded_session_evicts_with_only_its_pending_input_in_its_file() {
         const BATCH: usize = 8;
         let data = generate(&DatagenConfig::mid_stream_dirty(80, 17)).expect("datagen");
         let sequence = feed_sequence(&data);
@@ -2211,13 +2210,14 @@ mod server_service {
             manager.checkin(session, added as i64);
             assert_eq!(manager.evict_all().expect("evict"), 1);
 
-            let sidecar =
-                SnapshotFile::read_from(dir.join(format!("session-{id}.feed"))).expect("sidecar");
-            let mut queue = Decoder::new(
-                sidecar.section(FEED_PENDING_KIND).expect("pending section"),
-                "FEED_PENDING",
+            let file =
+                SnapshotFile::read_from(dir.join(format!("session-{id}.snap"))).expect("file");
+            let mut input = Decoder::new(
+                file.section(u32::from(kind::INPUT)).expect("INPUT section"),
+                "INPUT",
             );
-            let pending = queue.get_u32().expect("count") as usize;
+            assert!(!input.get_bool().expect("ended"), "the input did not end");
+            let pending = input.get_u32().expect("count") as usize;
             // Whole epochs are in the snapshot, in either phase; the
             // rest of the fed records wait.
             assert_eq!(pending, cut % BATCH, "cut={cut}");
@@ -2329,9 +2329,10 @@ mod server_service {
     /// `mid_stream_dirty(60, 16)` fed in [`feed_sequence`] order, its
     /// input not finished; `tests/golden/README.md` names the build that
     /// wrote each.
-    const EVICTION_GOLDENS: [(&str, bool, usize, usize); 2] = [
+    const EVICTION_GOLDENS: [(&str, bool, usize, usize); 3] = [
         ("three-file-sharded", true, 101, 7),
         ("three-file-serial", false, 101, 7),
+        ("one-file-sharded", true, 101, 7),
     ];
 
     fn eviction_golden_dir() -> PathBuf {
@@ -2376,10 +2377,137 @@ mod server_service {
             std::fs::create_dir_all(&target).expect("golden dir");
             for entry in std::fs::read_dir(&dir).expect("eviction dir") {
                 let path = entry.expect("entry").path();
-                std::fs::copy(&path, target.join(path.file_name().expect("name")))
-                    .expect("copy");
+                std::fs::copy(&path, target.join(path.file_name().expect("name"))).expect("copy");
             }
         }
+    }
+
+    /// A copy of eviction golden `name` in a scratch eviction directory.
+    fn copy_eviction_golden(name: &str) -> PathBuf {
+        let dir = scratch_dir("golden");
+        for entry in std::fs::read_dir(eviction_golden_dir().join(name)).expect("golden") {
+            let path = entry.expect("entry").path();
+            std::fs::copy(&path, dir.join(path.file_name().expect("name"))).expect("copy");
+        }
+        dir
+    }
+
+    /// The earlier build's three-file evictions are quarantined, not
+    /// adopted: the reason names the layout, all three files are parked
+    /// for that build to drain, and the session answers `Quarantined`.
+    #[test]
+    fn three_file_eviction_goldens_are_quarantined_whole() {
+        for (name, ..) in &EVICTION_GOLDENS[..2] {
+            let dir = copy_eviction_golden(name);
+            let manager = SessionManager::new(2, u64::MAX, dir.clone()).expect("manager");
+            let recovery = manager.recovery();
+            assert!(recovery.adopted.is_empty(), "{name}");
+            assert_eq!(recovery.quarantined.len(), 1, "{name}");
+            let (id, reason) = &recovery.quarantined[0];
+            assert_eq!(*id, 1, "{name}");
+            assert!(reason.contains("three-file eviction"), "{name}: {reason}");
+            for suffix in ["snap", "feed", "evict"] {
+                let file = format!("session-1.{suffix}");
+                assert!(
+                    dir.join("quarantine").join(&file).exists(),
+                    "{name}: {file}"
+                );
+                assert!(!dir.join(&file).exists(), "{name}: {file}");
+            }
+            assert!(matches!(
+                manager.checkout(1),
+                Err(linkage_types::LinkageError::Quarantined(_))
+            ));
+        }
+    }
+
+    /// The one-file golden is adopted and drains — fed the remaining
+    /// records, then finished — to its recorded stream: the batch run's
+    /// events after those delivered before the eviction.  `(events,
+    /// CRC-32 of their Debug renderings joined by '\n')`.
+    #[test]
+    fn the_one_file_eviction_golden_is_adopted_and_drains_to_the_batch_run() {
+        use linkage_types::snapshot::crc32;
+        let (name, sharded, cut, polled) = EVICTION_GOLDENS[2];
+        let data = generate(&DatagenConfig::mid_stream_dirty(60, 16)).expect("datagen");
+        let sequence = feed_sequence(&data);
+        let config = eviction_golden_config(&data, sharded);
+        let manager =
+            SessionManager::new(2, u64::MAX, copy_eviction_golden(name)).expect("manager");
+        assert_eq!(manager.recovery().adopted, vec![1]);
+        let mut session = manager.checkout(1).expect("rehydrate");
+        assert_eq!(session.fed(), cut as u64);
+        session.feed(sequence[cut..].to_vec()).expect("feed rest");
+        session.fin();
+        let mut got = Vec::new();
+        while !session.is_done() {
+            got.extend(session.poll(64).expect("drain").0);
+        }
+        manager.checkin(session, 0);
+        assert_eq!(got, solo_events(&config, &data)[polled..]);
+        let rendered: Vec<String> = got.iter().map(|e| format!("{e:?}")).collect();
+        assert_eq!(
+            (got.len(), crc32(rendered.join("\n").as_bytes())),
+            (51, 0x1e32_ea47)
+        );
+    }
+
+    /// One file per evicted session: after `evict_all` the eviction
+    /// directory holds exactly `session-<id>.snap` for each session and
+    /// nothing else, and rehydrating them leaves nothing behind.  The
+    /// session evicted after `FIN` comes back with its input ended and
+    /// drains to the batch run without a second `FIN`.
+    #[test]
+    fn an_evicted_session_is_one_file_and_a_rehydration_leaves_none() {
+        let data = generate(&DatagenConfig::mid_stream_dirty(40, 3)).expect("datagen");
+        let sequence = feed_sequence(&data);
+        let dir = scratch_dir("one-file");
+        let manager = SessionManager::new(4, u64::MAX, dir.clone()).expect("manager");
+        let mut configs = Vec::new();
+        for (sharded, fed, fin) in [(false, 30, false), (true, 45, false), (true, 45, true)] {
+            let mut config = session_config(data.parents.len() as u64);
+            if sharded {
+                config.execution = ExecutionMode::Sharded { shards: 2 };
+                config.batch_size = 8;
+            }
+            let id = manager
+                .open(config.clone(), config.fingerprint())
+                .expect("open");
+            let mut session = manager.checkout(id).expect("checkout");
+            let added = session.feed(sequence[..fed].to_vec()).expect("feed");
+            if fin {
+                session.feed(sequence[fed..].to_vec()).expect("feed");
+                session.fin();
+            }
+            manager.checkin(session, added as i64);
+            configs.push((id, config, fin));
+        }
+        assert_eq!(manager.evict_all().expect("evict"), 3);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let expected: Vec<String> = configs
+            .iter()
+            .map(|(id, ..)| format!("session-{id}.snap"))
+            .collect();
+        assert_eq!(names, expected);
+
+        for (id, config, fin) in configs {
+            let mut session = manager.checkout(id).expect("rehydrate");
+            if fin {
+                let mut got = Vec::new();
+                while !session.is_done() {
+                    let (events, _) = session.poll(64).expect("drain");
+                    assert!(!events.is_empty(), "the drain stalled: is the input ended?");
+                    got.extend(events);
+                }
+                assert_eq!(got, solo_events(&config, &data));
+            }
+            manager.checkin(session, 0);
+        }
+        assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 0);
     }
 
     /// `docs/server.md` is normative: its constants and its message-kind
@@ -2405,26 +2533,21 @@ mod server_service {
             "docs/server.md is out of date"
         );
         assert_eq!(constant("MAX_FRAME_BYTES"), MAX_FRAME_BYTES);
-        assert_eq!(
-            constant("FEED_META_KIND"),
-            linkage_server::session::FEED_META_KIND,
-            "the eviction sidecar's meta section kind drifted from the spec"
-        );
-        assert_eq!(
-            constant("FEED_PENDING_KIND"),
-            FEED_PENDING_KIND,
-            "the eviction sidecar's pending-input section kind drifted from the spec"
-        );
-        assert_eq!(
-            constant("MANIFEST_KIND"),
-            linkage_server::session::MANIFEST_KIND,
-            "the eviction manifest section kind drifted from the spec"
-        );
-        assert_eq!(
-            constant("EVICT_BIND_KIND"),
-            linkage_server::session::EVICT_BIND_KIND,
-            "the snapshot binding section kind drifted from the spec"
-        );
+
+        // The eviction file's `BIND` section sits under the kind the spec
+        // names, and starts with the session id.
+        let dir = scratch_dir("spec-bind");
+        let manager = SessionManager::new(1, u64::MAX, dir.clone()).expect("manager");
+        let config = session_config(8);
+        let id = manager
+            .open(config.clone(), config.fingerprint())
+            .expect("open");
+        assert_eq!(manager.evict_all().expect("evict"), 1);
+        let file = SnapshotFile::read_from(dir.join(format!("session-{id}.snap"))).expect("file");
+        let bind = file
+            .try_section(constant("BIND_KIND"))
+            .expect("the eviction file's BIND section drifted from the spec");
+        assert_eq!(Decoder::new(bind, "BIND").get_u64().expect("id"), id);
 
         // Table rows look like "| `OPEN`    | 1    | ..." — the second
         // cell is the byte/code value.
