@@ -344,8 +344,10 @@ impl Session {
     }
 
     /// Write this session to `path` as one eviction file: the stream's
-    /// snapshot plus a [`BIND_KIND`] section, committed by a rename (see
-    /// [`write_committed`]).  Only unfinished sessions are evictable.
+    /// snapshot plus the server's `BIND` section, written to a temporary
+    /// sibling, fsynced, renamed over `path`, and the directory fsynced
+    /// (`docs/server.md`, "Eviction").  Only unfinished sessions are
+    /// evictable.
     ///
     /// On success the session object is unchanged (the caller decides
     /// whether to drop it); on error the caller keeps a fully usable
@@ -508,9 +510,10 @@ impl SessionManager {
     /// recovery sweep of `evict_dir`.
     ///
     /// The sweep deletes orphaned temporaries, then checks every
-    /// `session-<id>.snap`: a file that parses and decodes (see
-    /// [`verify_evicted`]) is adopted as an evicted session and
-    /// rehydrates transparently on first touch; anything else is
+    /// `session-<id>.snap`: a file whose container parses and verifies,
+    /// whose `BIND` section decodes and names `<id>`, and which has an
+    /// `INPUT` section is adopted as an evicted session and rehydrates
+    /// transparently on first touch; anything else is
     /// quarantined with a reason, never adopted, and never a panic.  An
     /// earlier build's three-file eviction (`.snap`, `.feed`, `.evict`)
     /// is quarantined whole, its files parked for that build to drain.
