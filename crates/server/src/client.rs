@@ -18,7 +18,8 @@ use linkage::types::wire::{
     decode_error, msg, put_sided_record, read_frame, write_frame, WIRE_VERSION,
 };
 
-use crate::proto::{encode_config, get_event, ServerStats, WireEvent};
+use crate::proto::{encode_config, get_event, WireEvent};
+use crate::session::ServerStats;
 
 /// A server's answer to `FEED` and `FIN`: how much it now holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

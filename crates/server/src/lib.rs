@@ -55,7 +55,6 @@ pub mod server;
 pub mod session;
 
 pub use client::Client;
-pub use proto::ServerStats;
 pub use retry::{RetryClient, RetryPolicy};
 pub use server::{LinkageServer, ServerConfig};
-pub use session::{RecoveryReport, Session, SessionManager};
+pub use session::{RecoveryReport, ServerStats, Session, SessionManager};

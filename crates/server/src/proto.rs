@@ -292,97 +292,6 @@ pub fn wire_event(event: &MatchEvent) -> WireEvent {
     }
 }
 
-/// Counters the `STATS` request reports (plus the budget configuration,
-/// so a client can see the admission envelope it is playing against).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ServerStats {
-    /// Sessions holding room under the live-session cap: in memory (idle
-    /// or checked out) or being rehydrated.  A session being evicted
-    /// counts neither here nor in `evicted_sessions`.
-    pub live_sessions: u64,
-    /// Sessions currently evicted to disk.
-    pub evicted_sessions: u64,
-    /// Sessions ever opened.
-    pub opened: u64,
-    /// Sessions that delivered their `Finished` event.
-    pub finished: u64,
-    /// Sessions explicitly closed.
-    pub closed: u64,
-    /// Idle sessions evicted to disk (lifetime count).
-    pub evictions: u64,
-    /// Evicted sessions rehydrated on access (lifetime count).
-    pub rehydrations: u64,
-    /// Requests rejected with `BUSY`.
-    pub rejected_busy: u64,
-    /// Requests rejected with `OVER_BUDGET`.
-    pub rejected_over_budget: u64,
-    /// Estimated session bytes charged right now: every session in
-    /// memory, including those being evicted, plus the reservations of
-    /// those being rehydrated and of byte reservations still evicting.
-    pub state_bytes: u64,
-    /// The configured state-bytes budget.
-    pub budget_bytes: u64,
-    /// The configured live-session cap.
-    pub max_sessions: u64,
-    /// Sessions currently quarantined (poisoned by a panic or by torn
-    /// or corrupt eviction files), awaiting `CLOSE`.
-    pub quarantined_sessions: u64,
-    /// Worker panics caught at the request boundary (lifetime count).
-    /// Each one quarantined a session instead of killing the worker.
-    pub worker_panics: u64,
-}
-
-impl ServerStats {
-    /// Encode as the `STATS` reply payload (fourteen `u64`s, field
-    /// order).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        for v in [
-            self.live_sessions,
-            self.evicted_sessions,
-            self.opened,
-            self.finished,
-            self.closed,
-            self.evictions,
-            self.rehydrations,
-            self.rejected_busy,
-            self.rejected_over_budget,
-            self.state_bytes,
-            self.budget_bytes,
-            self.max_sessions,
-            self.quarantined_sessions,
-            self.worker_panics,
-        ] {
-            e.put_u64(v);
-        }
-        e.finish()
-    }
-
-    /// Decode a `STATS` reply payload.
-    pub fn decode(payload: &[u8]) -> Result<Self> {
-        let mut d = Decoder::new(payload, "STATS");
-        let stats = Self {
-            live_sessions: d.get_u64()?,
-            evicted_sessions: d.get_u64()?,
-            opened: d.get_u64()?,
-            finished: d.get_u64()?,
-            closed: d.get_u64()?,
-            evictions: d.get_u64()?,
-            rehydrations: d.get_u64()?,
-            rejected_busy: d.get_u64()?,
-            rejected_over_budget: d.get_u64()?,
-            state_bytes: d.get_u64()?,
-            budget_bytes: d.get_u64()?,
-            max_sessions: d.get_u64()?,
-            quarantined_sessions: d.get_u64()?,
-            worker_panics: d.get_u64()?,
-        };
-        d.finish()?;
-        Ok(stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

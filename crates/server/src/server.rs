@@ -222,7 +222,7 @@ impl LinkageServer {
     }
 
     /// The counters a `STATS` request would report, read directly.
-    pub fn stats(&self) -> crate::proto::ServerStats {
+    pub fn stats(&self) -> crate::session::ServerStats {
         self.shared.manager.stats()
     }
 

@@ -30,25 +30,37 @@
 //! session wait until it settles (`docs/server.md`, "Admission and
 //! eviction state machine").
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use linkage::api::{MatchEvent, MatchStream, Pipeline, PipelineConfig};
 use linkage::types::fault;
-use linkage::types::snapshot::{kind, Decoder, Encoder, SnapshotFile};
+use linkage::types::snapshot::{crc32, kind, Decoder, Encoder, SnapshotFile};
 use linkage::types::{LinkageError, Result, SidedRecord};
 
-use crate::proto::{wire_event, ServerStats, WireEvent};
-use table::{assert_table_unlocked, Locked, Table, Victims};
-
-mod table;
+use crate::proto::{wire_event, WireEvent};
 
 /// Section kind of the server's `BIND` section in an eviction file:
 /// session id, configuration fingerprint, fed bytes, configuration.
 /// Outside the snapshot container's own registry on purpose, and unlike
 /// any kind an earlier build wrote.
 const BIND_KIND: u32 = 68;
+
+thread_local! {
+    /// Whether this thread holds the session-table lock.
+    static HOLDS_TABLE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The lock discipline: no eviction file I/O and no session drop while
+/// the session-table lock is held.
+fn assert_table_unlocked(what: &str) {
+    debug_assert!(
+        !HOLDS_TABLE.get(),
+        "{what} while holding the session-table lock"
+    );
+}
 
 /// Session `id`'s eviction file in `dir`.
 fn evict_path(dir: &Path, id: u64) -> PathBuf {
@@ -130,33 +142,57 @@ struct Bind {
     config: PipelineConfig,
 }
 
+/// CRC-32 over section `kinds` (little-endian `u32`s, in table order).
+/// The container checks each payload's CRC and the table's offsets and
+/// lengths but not its kinds; `BIND` carries this digest of the kinds of
+/// the sections before it, so a damaged kind is caught at the sweep.
+fn kinds_digest(kinds: impl Iterator<Item = u32>) -> u32 {
+    crc32(&kinds.flat_map(u32::to_le_bytes).collect::<Vec<u8>>())
+}
+
 impl Bind {
-    fn write(session: &Session) -> Vec<u8> {
+    /// `session`'s section, to follow sections of the given `kinds`.
+    fn write(session: &Session, kinds: impl Iterator<Item = u32>) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_u64(session.id);
         e.put_u32(session.fingerprint);
         e.put_u64(session.fed_bytes);
+        e.put_u32(kinds_digest(kinds));
         crate::proto::encode_config(&mut e, &session.config);
         e.finish()
     }
 
     /// Decode the section of `file` (read from `path`) and check that it
-    /// binds session `id` and that its configuration has its fingerprint.
+    /// is the file's last section, that its digest matches the kinds of
+    /// the sections before it, that it binds session `id` and that its
+    /// configuration has its fingerprint.
     fn read(file: &SnapshotFile, path: &Path, id: u64) -> Result<Self> {
-        let Some(section) = file.try_section(BIND_KIND) else {
+        let sections: Vec<_> = file.sections().collect();
+        let Some(((BIND_KIND, section), stream)) = sections.split_last() else {
             return Err(LinkageError::snapshot(format!(
-                "{} has no BIND section: not a session eviction",
+                "{} does not end in a BIND section: not a session eviction",
                 path.display()
             )));
         };
         let mut d = Decoder::new(section, "BIND");
         let bound = d.get_u64()?;
+        let fingerprint = d.get_u32()?;
+        let fed_bytes = d.get_u64()?;
+        let digest = d.get_u32()?;
         let bind = Self {
-            fingerprint: d.get_u32()?,
-            fed_bytes: d.get_u64()?,
+            fingerprint,
+            fed_bytes,
             config: crate::proto::decode_config(&mut d)?,
         };
         d.finish()?;
+        let actual = kinds_digest(stream.iter().map(|(kind, _)| *kind));
+        if digest != actual {
+            return Err(LinkageError::snapshot(format!(
+                "{}: the section kinds digest to {actual:#010x}, BIND recorded \
+                 {digest:#010x}",
+                path.display()
+            )));
+        }
         if bound != id {
             return Err(LinkageError::snapshot(format!(
                 "{} is bound to session {bound}, not to session {id}",
@@ -359,7 +395,7 @@ impl Session {
             ));
         }
         let mut snap = self.stream.snapshot_builder()?;
-        snap.push_section(BIND_KIND, Bind::write(self));
+        snap.push_section(BIND_KIND, Bind::write(self, snap.kinds()));
         write_committed(path, &snap.to_bytes())
     }
 
@@ -450,6 +486,254 @@ pub struct RecoveryReport {
     pub removed_tmp_files: u64,
 }
 
+/// Counters the `STATS` request reports (plus the budget configuration,
+/// so a client can see the admission envelope it is playing against).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct ServerStats {
+    /// Sessions holding room under the live-session cap: in memory (idle
+    /// or checked out) or being rehydrated.  A session being evicted
+    /// counts neither here nor in `evicted_sessions`.
+    pub live_sessions: u64,
+    /// Sessions currently evicted to disk.
+    pub evicted_sessions: u64,
+    /// Sessions ever opened.
+    pub opened: u64,
+    /// Sessions that delivered their `Finished` event.
+    pub finished: u64,
+    /// Sessions explicitly closed.
+    pub closed: u64,
+    /// Idle sessions evicted to disk (lifetime count).
+    pub evictions: u64,
+    /// Evicted sessions rehydrated on access (lifetime count).
+    pub rehydrations: u64,
+    /// Requests rejected with `BUSY`.
+    pub rejected_busy: u64,
+    /// Requests rejected with `OVER_BUDGET`.
+    pub rejected_over_budget: u64,
+    /// Estimated session bytes charged right now: every session in
+    /// memory, including those being evicted, plus the reservations of
+    /// those being rehydrated and of byte reservations still evicting.
+    pub state_bytes: u64,
+    /// The configured state-bytes budget.
+    pub budget_bytes: u64,
+    /// The configured live-session cap.
+    pub max_sessions: u64,
+    /// Sessions currently quarantined (poisoned by a panic or by torn
+    /// or corrupt eviction files), awaiting `CLOSE`.
+    pub quarantined_sessions: u64,
+    /// Worker panics caught at the request boundary (lifetime count).
+    /// Each one quarantined a session instead of killing the worker.
+    pub worker_panics: u64,
+}
+
+impl ServerStats {
+    /// Encode as the `STATS` reply payload (fourteen `u64`s, field
+    /// order).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        for v in [
+            self.live_sessions,
+            self.evicted_sessions,
+            self.opened,
+            self.finished,
+            self.closed,
+            self.evictions,
+            self.rehydrations,
+            self.rejected_busy,
+            self.rejected_over_budget,
+            self.state_bytes,
+            self.budget_bytes,
+            self.max_sessions,
+            self.quarantined_sessions,
+            self.worker_panics,
+        ] {
+            e.put_u64(v);
+        }
+        e.finish()
+    }
+
+    /// Decode a `STATS` reply payload.
+    pub fn decode(payload: &[u8]) -> Result<Self> {
+        let mut d = Decoder::new(payload, "STATS");
+        let stats = Self {
+            live_sessions: d.get_u64()?,
+            evicted_sessions: d.get_u64()?,
+            opened: d.get_u64()?,
+            finished: d.get_u64()?,
+            closed: d.get_u64()?,
+            evictions: d.get_u64()?,
+            rehydrations: d.get_u64()?,
+            rejected_busy: d.get_u64()?,
+            rejected_over_budget: d.get_u64()?,
+            state_bytes: d.get_u64()?,
+            budget_bytes: d.get_u64()?,
+            max_sessions: d.get_u64()?,
+            quarantined_sessions: d.get_u64()?,
+            worker_panics: d.get_u64()?,
+        };
+        d.finish()?;
+        Ok(stats)
+    }
+}
+
+/// Sessions taken out of their slots to be evicted, still boxed as the
+/// slots held them.
+#[allow(clippy::vec_box)]
+type Victims = Vec<Box<Session>>;
+
+/// The slot table and its accounting: everything the manager's lock
+/// guards.
+struct Table {
+    slots: HashMap<u64, Slot>,
+    next_id: u64,
+    clock: u64,
+    max_sessions: usize,
+    budget_bytes: u64,
+    /// Bytes of every session in memory — idle, taken or being evicted —
+    /// plus the reservations of sessions being rehydrated and of
+    /// [`SessionManager::reserve_bytes`] calls whose victims are being
+    /// evicted.
+    state_bytes: u64,
+    /// The part of `state_bytes` held by `Evicting` sessions: room
+    /// already handed to whoever picked them.
+    leaving_bytes: u64,
+    /// The lifetime counters; [`Self::stats`] derives the gauges.
+    stats: ServerStats,
+}
+
+impl Table {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Slots holding room under the cap: everything but the in-flight
+    /// evictions, the evicted and the quarantined.
+    fn occupied(&self) -> usize {
+        self.slots
+            .values()
+            .filter(|s| matches!(s, Slot::Live(_) | Slot::Taken | Slot::Rehydrating))
+            .count()
+    }
+
+    /// Bytes the budget must cover: resident sessions not being evicted,
+    /// plus rehydration reservations.
+    fn kept_bytes(&self) -> u64 {
+        self.state_bytes.saturating_sub(self.leaving_bytes)
+    }
+
+    /// Take the least recently used idle (live, unfinished) session out
+    /// of its slot and mark the slot `Evicting`.
+    fn take_victim(&mut self) -> Option<Box<Session>> {
+        let id = self
+            .slots
+            .iter()
+            .filter_map(|(id, slot)| match slot {
+                Slot::Live(s) if !s.is_done() => Some((*id, s.last_touch)),
+                _ => None,
+            })
+            .min_by_key(|(_, touch)| *touch)
+            .map(|(id, _)| id)?;
+        let Some(Slot::Live(session)) = self.slots.insert(id, Slot::Evicting) else {
+            unreachable!("the LRU candidate {id} was just seen live");
+        };
+        self.leaving_bytes += session.state_bytes();
+        Some(session)
+    }
+
+    /// Take LRU idle victims until `slots` more sessions fit under the cap
+    /// and `incoming` more bytes under the budget.  When everything idle
+    /// is gone first, the rejection is counted and returned beside the
+    /// victims — which are evicted either way, as a sequential evictor
+    /// would have.
+    fn make_room(&mut self, slots: usize, incoming: u64) -> (Victims, Result<()>) {
+        let mut victims = Vec::new();
+        loop {
+            let over_cap = self.occupied() + slots > self.max_sessions;
+            let over_budget = self.kept_bytes().saturating_add(incoming) > self.budget_bytes;
+            if !over_cap && !over_budget {
+                return (victims, Ok(()));
+            }
+            if let Some(victim) = self.take_victim() {
+                victims.push(victim);
+                continue;
+            }
+            let rejection = if over_cap {
+                self.stats.rejected_busy += 1;
+                LinkageError::busy(format!(
+                    "session table full ({} live, cap {}, nothing idle to evict)",
+                    self.occupied(),
+                    self.max_sessions
+                ))
+            } else {
+                self.stats.rejected_over_budget += 1;
+                LinkageError::over_budget(format!(
+                    "{incoming} incoming bytes would exceed the {} byte budget \
+                     ({} resident, nothing idle to evict)",
+                    self.budget_bytes,
+                    self.kept_bytes()
+                ))
+            };
+            return (victims, Err(rejection));
+        }
+    }
+
+    fn stats(&self) -> ServerStats {
+        let mut stats = self.stats.clone();
+        for slot in self.slots.values() {
+            match slot {
+                Slot::Live(_) | Slot::Taken | Slot::Rehydrating => stats.live_sessions += 1,
+                Slot::Evicted { .. } => stats.evicted_sessions += 1,
+                Slot::Quarantined { .. } => stats.quarantined_sessions += 1,
+                Slot::Evicting => {}
+            }
+        }
+        stats.state_bytes = self.state_bytes;
+        stats.budget_bytes = self.budget_bytes;
+        stats.max_sessions = self.max_sessions as u64;
+        stats
+    }
+}
+
+/// A held table lock.  Marks its thread so the eviction file helpers can
+/// assert the lock discipline.
+struct Locked<'a>(Option<MutexGuard<'a, Table>>);
+
+impl<'a> Locked<'a> {
+    fn new(guard: MutexGuard<'a, Table>) -> Self {
+        HOLDS_TABLE.set(true);
+        Self(Some(guard))
+    }
+
+    /// Release the lock until `settled` is signalled, then re-take it.
+    fn wait(mut self, settled: &Condvar) -> Self {
+        let guard = self.0.take().expect("a held table lock");
+        Self::new(settled.wait(guard).unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        if self.0.is_some() {
+            HOLDS_TABLE.set(false);
+        }
+    }
+}
+
+impl std::ops::Deref for Locked<'_> {
+    type Target = Table;
+    fn deref(&self) -> &Table {
+        self.0.as_ref().expect("a held table lock")
+    }
+}
+
+impl std::ops::DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut Table {
+        self.0.as_mut().expect("a held table lock")
+    }
+}
+
 /// The session table: slots, accounting, admission and eviction.
 ///
 /// Shared by reference between the server's workers: it owns the lock
@@ -465,19 +749,19 @@ pub struct SessionManager {
 }
 
 /// Check session `id`'s eviction file: the container must parse and
-/// verify, its `BIND` section decode and name `id`, and an `INPUT`
-/// section be there.  Any shortfall is the quarantine reason.  On
+/// verify, an `INPUT` section be there, and its last section be a `BIND`
+/// that decodes, digests the other sections' kinds and names `id`.  Any shortfall is the quarantine reason.  On
 /// success, returns the bytes the session charges against the budget.
 fn verify_evicted(dir: &Path, id: u64) -> std::result::Result<u64, String> {
     let path = evict_path(dir, id);
     let file = SnapshotFile::read_from(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let bind = Bind::read(&file, &path, id).map_err(|e| e.to_string())?;
     if file.try_section(kind::INPUT as u32).is_none() {
         return Err(format!(
             "{} has no INPUT section: not a session snapshot",
             path.display()
         ));
     }
+    let bind = Bind::read(&file, &path, id).map_err(|e| e.to_string())?;
     Ok(bind.fed_bytes)
 }
 

@@ -125,33 +125,45 @@ fn captured() -> (PipelineConfig, Evicted) {
     (config, evicted)
 }
 
-/// Flip one byte anywhere (strided).  A flip in the header or in a
-/// section payload fails the container's own checks at the sweep.  A
-/// flip in the section table that the container cannot see — a section
-/// kind — may pass the sweep, but never a rehydration: the checkout is
-/// a typed quarantine either way.
+/// Flip one byte anywhere (strided): in the header, the section table
+/// or a payload.  The container's own checks catch the header, the
+/// table's offsets, lengths and CRCs, and every payload; `BIND`'s digest
+/// of the section kinds catches a flipped kind.  Every case is
+/// quarantined at the sweep — never adopted, never a panic.
 #[test]
 fn single_byte_corruption_at_any_offset_is_quarantined_never_adopted() {
     let (_, evicted) = captured();
     let dir = scratch_dir("flip");
-    let sections = u32::from_le_bytes(evicted.bytes[12..16].try_into().unwrap()) as usize;
-    let table = 16..16 + sections * 24;
     for offset in strided_offsets(evicted.bytes.len()) {
         let mut damaged = evicted.bytes.clone();
         damaged[offset] ^= 0xA5;
         Evicted::rig(&dir, evicted.id, &damaged);
-        let case = format!("byte {offset}");
-        if !table.contains(&offset) {
-            assert_swept_into_quarantine(&dir, evicted.id, &case);
-            continue;
-        }
-        let manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
-        match manager.checkout(evicted.id) {
-            Err(LinkageError::Quarantined(_)) => {}
-            other => panic!("{case}: expected Quarantined, got {other:?}"),
-        }
-        assert_eq!(manager.stats().quarantined_sessions, 1, "{case}");
+        assert_swept_into_quarantine(&dir, evicted.id, &format!("byte {offset}"));
     }
+}
+
+/// Every byte of the section table, flipped: the kind fields, which the
+/// container does not check, are quarantined at the sweep by `BIND`'s
+/// digest of the kinds, with that reason.
+#[test]
+fn a_flipped_section_kind_is_quarantined_at_the_sweep() {
+    let (_, evicted) = captured();
+    let dir = scratch_dir("kind-flip");
+    let sections = u32::from_le_bytes(evicted.bytes[12..16].try_into().unwrap()) as usize;
+    let mut by_digest = 0;
+    for offset in 16..16 + sections * 24 {
+        let mut damaged = evicted.bytes.clone();
+        damaged[offset] ^= 0xA5;
+        Evicted::rig(&dir, evicted.id, &damaged);
+        let reason = assert_swept_into_quarantine(&dir, evicted.id, &format!("byte {offset}"));
+        if reason.contains("section kinds digest") {
+            by_digest += 1;
+        }
+    }
+    // Four kind bytes per section.  A flip in `INPUT`'s or `BIND`'s own
+    // kind fails before the digest (no `INPUT`; no `BIND` last); every
+    // other section's kind flip is the digest's to catch.
+    assert_eq!(by_digest, (sections - 2) * 4);
 }
 
 /// A file cut short at any (strided) length is quarantined at the sweep.

@@ -411,6 +411,9 @@ struct Harness {
     finished: BTreeMap<u64, bool>,
     next_record: u64,
     record_bytes: u64,
+    /// The `Evicting` session whose file its rename already committed:
+    /// the first victim of an actor parked at `evict.dirsync`.
+    renamed: Option<u64>,
 }
 
 impl Harness {
@@ -429,6 +432,7 @@ impl Harness {
             finished: BTreeMap::new(),
             next_record: 0,
             record_bytes,
+            renamed: None,
         }
     }
 
@@ -586,11 +590,11 @@ impl Harness {
             self.model.slots
         );
         for id in 1..=self.model.next_id {
-            // An eviction in flight may be parked before or after its
-            // rename commits the file.
             let committed = match self.model.slots.get(&id) {
                 Some(Slot::Evicted { .. } | Slot::Rehydrating { .. }) => true,
-                Some(Slot::Evicting) => continue,
+                // In flight: committed once its rename ran — parked at
+                // `evict.dirsync`, not at `evict.snap` or still queued.
+                Some(Slot::Evicting) => self.renamed == Some(id),
                 _ => false,
             };
             assert_eq!(
@@ -775,6 +779,9 @@ mod two_actors {
                 .expect("two actors, two eviction sites");
             let held = if admitted == Outcome::Ok { incoming } else { 0 };
             self.h.model.reserving += held;
+            if site == "evict.dirsync" {
+                self.h.renamed = Some(victims[0]);
+            }
             let pending = Pending::Evict {
                 victims,
                 admitted,
@@ -825,6 +832,9 @@ mod two_actors {
                 } => {
                     self.h.model.commit_evictions(&victims);
                     self.h.model.reserving -= held;
+                    if site == "evict.dirsync" {
+                        self.h.renamed = None;
+                    }
                     assert_eq!(outcome(&real), admitted, "parked reserve");
                 }
                 Pending::Rehydrate { id } => {

@@ -490,6 +490,11 @@ impl SnapshotBuilder {
         self.sections.push((kind, payload));
     }
 
+    /// The kinds of the sections pushed so far, in table order.
+    pub fn kinds(&self) -> impl Iterator<Item = u32> + '_ {
+        self.sections.iter().map(|(kind, _)| *kind)
+    }
+
     /// Serialise the container: header, section table, payloads.
     pub fn to_bytes(&self) -> Vec<u8> {
         let table_end = 16 + self.sections.len() * TABLE_ENTRY_BYTES;

@@ -2421,6 +2421,33 @@ mod server_service {
         }
     }
 
+    /// A session checkpoint an earlier build wrote has no `INPUT`
+    /// section, under the same `FORMAT_VERSION` 1: a session pipeline's
+    /// `resume_from` refuses it with a typed snapshot error rather than
+    /// resume without the pending input it never recorded.  The `.snap`
+    /// of each three-file golden is such a checkpoint.
+    #[test]
+    fn a_session_checkpoint_without_input_is_refused_with_a_typed_error() {
+        let data = generate(&DatagenConfig::mid_stream_dirty(60, 16)).expect("datagen");
+        for (name, sharded, ..) in &EVICTION_GOLDENS[..2] {
+            let path = eviction_golden_dir().join(name).join("session-1.snap");
+            let file = SnapshotFile::read_from(path).expect("a version 1 container");
+            assert!(file.try_section(u32::from(kind::INPUT)).is_none(), "{name}");
+            let resumed = Pipeline::builder()
+                .config(eviction_golden_config(&data, *sharded))
+                .session()
+                .expect("declare")
+                .resume_from(&file);
+            match resumed {
+                Err(linkage_types::LinkageError::Snapshot(message)) => {
+                    assert!(message.contains("missing INPUT"), "{name}: {message}")
+                }
+                Err(other) => panic!("{name}: expected a snapshot error, got {other:?}"),
+                Ok(_) => panic!("{name}: a checkpoint without INPUT resumed"),
+            }
+        }
+    }
+
     /// The one-file golden is adopted and drains — fed the remaining
     /// records, then finished — to its recorded stream: the batch run's
     /// events after those delivered before the eviction.  `(events,
