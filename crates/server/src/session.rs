@@ -9,7 +9,7 @@
 //! input ended.  Eviction writes the stream's snapshot
 //! ([`MatchStream::snapshot_builder`], whose `INPUT` section holds the
 //! pending records and the ended flag) plus one server section, `BIND`
-//! (id, fingerprint, fed bytes, configuration), as one file,
+//! (id, fingerprint, fed bytes, kinds digest, configuration), as one file,
 //! `session-<id>.snap`.  Rehydration reads that file once, re-declares
 //! the pipeline from `BIND` and hands the container to
 //! [`Pipeline::resume_from`]; the stream then yields exactly the events
@@ -42,8 +42,9 @@ use linkage::types::{LinkageError, Result, SidedRecord};
 
 use crate::proto::{wire_event, WireEvent};
 
-/// Section kind of the server's `BIND` section in an eviction file:
-/// session id, configuration fingerprint, fed bytes, configuration.
+/// Section kind of the server's `BIND` section, the last in an eviction
+/// file: session id, configuration fingerprint, fed bytes, a digest of
+/// the other sections' kinds, configuration.
 /// Outside the snapshot container's own registry on purpose, and unlike
 /// any kind an earlier build wrote.
 const BIND_KIND: u32 = 68;

@@ -393,6 +393,8 @@ fn scratch_dir() -> PathBuf {
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
+    // Process ids are reused: clear what an earlier run left here.
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
