@@ -335,9 +335,9 @@ impl GramIndex {
     /// payload: the `Vec` headers of never-populated gram-id slots (the
     /// price of O(1) direct indexing into a shared id space) plus the
     /// unused capacity push-growth left in populated lists.  The latter
-    /// drops to ~0 after the internal `shrink_postings` pass run at the
-    /// §3.3 switch/handover, and starts at 0 in an index bulk-loaded by a
-    /// snapshot restore, whose lists are sized exactly.
+    /// is 0 in an index built by the internal bulk `extend` alone (a
+    /// snapshot restore, or a handover before its first steady-state
+    /// insert), whose lists are sized exactly.
     pub fn postings_slack_bytes(&self) -> usize {
         let empty_headers =
             self.postings.iter().filter(|p| p.is_empty()).count() * std::mem::size_of::<Vec<u32>>();
@@ -349,26 +349,23 @@ impl GramIndex {
         empty_headers + excess
     }
 
-    /// Release the unused capacity of every posting list.  Called at the
-    /// switch/handover, where the freshly migrated lists still carry
-    /// push-growth slack and the join is about to live with them for the
-    /// rest of the stream.
-    fn shrink_postings(&mut self) {
-        for list in &mut self.postings {
-            list.shrink_to_fit();
+    /// Append `tuples` (arrival order) in bulk: a counting pass grows
+    /// every posting list they touch exactly once and exactly, then one
+    /// pass fills the postings and the flat columns — no list regrows
+    /// mid-pass and none is left with slack.  Any sequence of calls
+    /// builds the index one call over all the tuples would have built,
+    /// and both equal what per-tuple [`Self::insert`] calls build, minus
+    /// the push-growth capacity.  The one builder behind snapshot
+    /// restore and the §3.3 handover, ahead of the switch and at it;
+    /// fills the columns itself instead of looping over `insert`, which
+    /// stays the steady-state path's alone.
+    pub(crate) fn extend(&mut self, tuples: Vec<SshStored>) {
+        if tuples.is_empty() {
+            return;
         }
-    }
-
-    /// Build the index over `tuples` (arrival order) in bulk: a counting
-    /// pass sizes every posting list exactly, then one pass fills the
-    /// postings and the flat columns — no list ever regrows and none
-    /// carries slack afterwards.  The result is the index per-tuple
-    /// [`Self::insert`] calls would have built, minus the push-growth
-    /// capacity.  Fills the columns itself instead of looping over
-    /// `insert`, which stays the steady-state path's alone.
-    fn bulk_load(tuples: Vec<SshStored>) -> Self {
+        let base = self.tuples.len();
         assert!(
-            u32::try_from(tuples.len()).is_ok(),
+            u32::try_from(base + tuples.len()).is_ok(),
             "more than u32::MAX resident tuples"
         );
         // The ids are sorted, so each tuple's last one is its largest.
@@ -377,47 +374,47 @@ impl GramIndex {
             .filter_map(|t| t.grams.gram_ids().last())
             .max()
             .map_or(0, |max| max.as_usize() + 1);
+        if slots > self.postings.len() {
+            self.postings.resize_with(slots, Vec::new);
+        }
         let mut counts = vec![0u32; slots];
-        let mut posting_entries = 0usize;
+        let mut added = 0usize;
         for t in &tuples {
             for id in t.grams.gram_ids() {
                 counts[id.as_usize()] += 1;
             }
-            posting_entries += t.grams.len();
+            added += t.grams.len();
         }
         assert!(
-            u32::try_from(posting_entries).is_ok(),
+            u32::try_from(self.grams.len() + added).is_ok(),
             "CSR gram column exceeds u32::MAX ids"
         );
-        let mut postings: Vec<Vec<u32>> = counts
-            .iter()
-            .map(|&count| Vec::with_capacity(count as usize))
-            .collect();
-        let mut lens = Vec::with_capacity(tuples.len());
-        let mut sigs = Vec::with_capacity(tuples.len());
-        let mut grams = Vec::with_capacity(posting_entries);
-        let mut offsets = Vec::with_capacity(tuples.len() + 1);
-        if !tuples.is_empty() {
-            offsets.push(0);
+        for (list, &count) in self.postings.iter_mut().zip(&counts) {
+            list.reserve_exact(count as usize);
         }
-        for (pos, t) in tuples.iter().enumerate() {
+        self.lens.reserve(tuples.len());
+        self.sigs.reserve(tuples.len());
+        self.grams.reserve(added);
+        self.offsets
+            .reserve(tuples.len() + usize::from(self.offsets.is_empty()));
+        if self.offsets.is_empty() {
+            self.offsets.push(0);
+        }
+        for (pos, t) in (base as u32..).zip(&tuples) {
             let ids = t.grams.gram_ids();
             for id in ids {
-                postings[id.as_usize()].push(pos as u32);
+                self.postings[id.as_usize()].push(pos);
             }
-            grams.extend_from_slice(ids);
-            offsets.push(grams.len() as u32);
-            lens.push(ids.len() as u32);
-            sigs.push(signature(ids));
+            self.grams.extend_from_slice(ids);
+            self.offsets.push(self.grams.len() as u32);
+            self.lens.push(ids.len() as u32);
+            self.sigs.push(signature(ids));
         }
-        Self {
-            tuples,
-            postings,
-            lens,
-            sigs,
-            grams,
-            offsets,
-            posting_entries,
+        self.posting_entries += added;
+        if self.tuples.is_empty() {
+            self.tuples = tuples;
+        } else {
+            self.tuples.extend(tuples);
         }
     }
 
@@ -568,32 +565,84 @@ impl GramIndex {
     }
 }
 
-/// Tokenise, into `interner`, every tuple of `tables` that `sets` does not
-/// hold yet, appending its gram set, so that `sets[side][i]` stays the set
-/// of `tables[side]`'s tuple `i`.  The right side goes first: each left
-/// set's rare-first probe order is then ranked against the frequencies of
-/// the side it probes at the §3.3 recovery.  One interner lock per side,
-/// so concurrent shard handovers take turns by side instead of contending
-/// for the lock once per key.  Keys stored by the exact core are already
-/// normalised.
-pub(crate) fn tokenize_residents(
-    tables: &PerSide<KeyTable>,
-    config: &QGramConfig,
-    interner: &SharedInterner,
-    sets: &mut PerSide<Vec<QGramSet>>,
-) {
-    for side in [Side::Right, Side::Left] {
-        let (tuples, sets) = (tables[side].tuples(), &mut sets[side]);
-        let done = sets.len();
-        if done == tuples.len() {
-            continue;
+/// The approximate core's resident state, built from the exact phase's
+/// tables before the §3.3 switch: `indexes[side]` holds the first
+/// `len()` tuples of `tables[side]`, and `sets[side]` the gram sets of
+/// the tuples after those that are tokenised but not indexed yet.  The
+/// exact phase only appends to its tables, so positions stay aligned.
+/// Gram ids come from the interner the approximate core will be built
+/// with.  In memory only: a snapshot never holds it.
+#[derive(Debug, Default)]
+pub(crate) struct Handover {
+    indexes: PerSide<GramIndex>,
+    sets: PerSide<Vec<QGramSet>>,
+}
+
+impl Handover {
+    /// Residents of `tables` not indexed yet.
+    pub(crate) fn unindexed(&self, tables: &PerSide<KeyTable>) -> usize {
+        Side::BOTH
+            .iter()
+            .map(|&side| tables[side].tuples().len() - self.indexes[side].len())
+            .sum()
+    }
+
+    /// Residents tokenised but not indexed yet.
+    pub(crate) fn tokenized(&self) -> usize {
+        self.sets.left.len() + self.sets.right.len()
+    }
+
+    /// Tokenise, into `interner`, up to `limit` tuples of `tables` that
+    /// are not tokenised yet.  The right side goes first: each left set's
+    /// rare-first probe order is then ranked against the frequencies of
+    /// the side it probes at the recovery.  One interner lock per side,
+    /// so concurrent shard handovers take turns by side instead of
+    /// contending for the lock once per key.  Keys stored by the exact
+    /// core are already normalised.
+    pub(crate) fn tokenize(
+        &mut self,
+        tables: &PerSide<KeyTable>,
+        config: &QGramConfig,
+        interner: &SharedInterner,
+        mut limit: usize,
+    ) {
+        for side in [Side::Right, Side::Left] {
+            let sets = &mut self.sets[side];
+            let done = self.indexes[side].len() + sets.len();
+            let todo = &tables[side].tuples()[done..];
+            let todo = &todo[..todo.len().min(limit)];
+            if todo.is_empty() {
+                continue;
+            }
+            limit -= todo.len();
+            let mut interner = interner.lock();
+            sets.extend(
+                todo.iter()
+                    .map(|stored| QGramSet::extract_normalized(&stored.key, config, &mut interner)),
+            );
         }
-        let mut interner = interner.lock();
-        sets.extend(
-            tuples[done..]
+    }
+
+    /// Append every tokenised tuple to its side's index, one bulk
+    /// [`GramIndex::extend`] per side.  The exact phase goes on with its
+    /// tables, so records and keys are shared, not moved; a flag an exact
+    /// match sets after this call is copied at the switch.
+    pub(crate) fn index(&mut self, tables: &PerSide<KeyTable>) {
+        for side in Side::BOTH {
+            let index = &mut self.indexes[side];
+            let tuples = &tables[side].tuples()[index.len()..];
+            let stored = tuples
                 .iter()
-                .map(|stored| QGramSet::extract_normalized(&stored.key, config, &mut interner)),
-        );
+                .zip(std::mem::take(&mut self.sets[side]))
+                .map(|(t, grams)| SshStored {
+                    record: t.record.clone(),
+                    key: Arc::clone(&t.key),
+                    grams,
+                    matched_exactly: t.matched_exactly,
+                })
+                .collect();
+            index.extend(stored);
+        }
     }
 }
 
@@ -710,18 +759,21 @@ impl SshJoinCore {
         tables: PerSide<KeyTable>,
         out: &mut VecDeque<MatchPair>,
     ) -> (Self, u64) {
-        self.with_tokenized_state(tables, PerSide::default(), out)
+        self.with_handover(tables, Handover::default(), out)
     }
 
-    /// [`Self::with_exact_state`] with `sets[side][i]` already holding the
-    /// gram set of `tables[side]`'s tuple `i`, tokenised into this core's
-    /// interner by [`tokenize_residents`] — what the serial engine hands
-    /// over when an alarm streak gave it notice of the switch.  The
-    /// tuples past either prefix are tokenised here.
-    pub(crate) fn with_tokenized_state(
+    /// [`Self::with_exact_state`] from the state `handover` built ahead
+    /// of the switch, into this core's interner — what the serial engine
+    /// hands over when an alarm streak gave it notice.  The switch is
+    /// left with five steps: tokenise and index the residents the
+    /// handover has not indexed, copy the indexed residents' flags (an
+    /// exact match can set one after its resident was indexed), move the
+    /// records and keys the exact phase no longer needs, drop the exact
+    /// tables, and recover.
+    pub(crate) fn with_handover(
         mut self,
         tables: PerSide<KeyTable>,
-        mut sets: PerSide<Vec<QGramSet>>,
+        mut handover: Handover,
         out: &mut VecDeque<MatchPair>,
     ) -> (Self, u64) {
         assert!(
@@ -732,24 +784,28 @@ impl SshJoinCore {
             "with_exact_state requires a freshly built core: resident state \
              would be re-probed and matches re-emitted"
         );
-        let core = &mut self;
-
-        // Migrate: tokenise what is not tokenised yet, then index it.
-        tokenize_residents(&tables, &core.config, &core.interner, &mut sets);
-        for side in Side::BOTH {
-            let tokenised = std::mem::take(&mut sets[side]);
-            for (stored, grams) in tables[side].tuples().iter().zip(tokenised) {
-                core.sides[side].insert(SshStored {
-                    record: stored.record.clone(),
-                    key: Arc::clone(&stored.key),
-                    grams,
-                    matched_exactly: stored.matched_exactly,
-                });
+        handover.tokenize(&tables, &self.config, &self.interner, usize::MAX);
+        let PerSide { left, right } = tables;
+        for (side, table) in [(Side::Left, left), (Side::Right, right)] {
+            let mut index = std::mem::take(&mut handover.indexes[side]);
+            let mut tuples = table.into_tuples();
+            for (stored, tuple) in index.tuples.iter_mut().zip(&tuples) {
+                stored.matched_exactly = tuple.matched_exactly;
             }
-            // The migrated lists are long-lived from here on: return the
-            // push-growth slack before the join settles into them.
-            core.sides[side].shrink_postings();
+            let late = tuples
+                .drain(index.len()..)
+                .zip(std::mem::take(&mut handover.sets[side]))
+                .map(|(t, grams)| SshStored {
+                    record: t.record,
+                    key: t.key,
+                    grams,
+                    matched_exactly: t.matched_exactly,
+                })
+                .collect();
+            index.extend(late);
+            self.sides[side] = index;
         }
+        let core = &mut self;
 
         // Recover: probe each pre-switch left tuple against the right index.
         // Iterating one side only visits every cross pair exactly once.
@@ -1158,21 +1214,21 @@ impl SshJoinCore {
     /// order, matched-exactly flag); every index structure — flat
     /// postings, the length and signature columns, the CSR gram column
     /// and the posting-entry count — is re-derived from it in bulk
-    /// (`GramIndex::bulk_load`), so none of them is ever written to
+    /// ([`GramIndex::extend`]), so none of them is ever written to
     /// disk.  The counters a rebuild cannot re-derive — the emission
     /// counters and the cumulative probe funnel — are set explicitly.
     /// **Snapshot restore only.**
     pub(crate) fn bulk_restore(
         &mut self,
-        tuples: PerSide<Vec<SshStored>>,
+        mut tuples: PerSide<Vec<SshStored>>,
         emitted_exact: u64,
         emitted_approx: u64,
         funnel: ProbeFunnel,
     ) {
-        self.sides = PerSide::new(
-            GramIndex::bulk_load(tuples.left),
-            GramIndex::bulk_load(tuples.right),
-        );
+        for side in Side::BOTH {
+            self.sides[side] = GramIndex::default();
+            self.sides[side].extend(std::mem::take(&mut tuples[side]));
+        }
         self.emitted_exact = emitted_exact;
         self.emitted_approx = emitted_approx;
         self.scratch.funnel = funnel;
@@ -1673,7 +1729,7 @@ mod tests {
     }
 
     #[test]
-    fn postings_slack_is_separate_and_shrinks_at_handover() {
+    fn postings_slack_is_separate_and_none_after_handover() {
         use crate::exact::ExactJoinCore;
         use linkage_text::NormalizeConfig;
 
@@ -1706,8 +1762,8 @@ mod tests {
         let state = core.state_bytes().left;
         assert!(state > 0);
 
-        // The handover shrinks the freshly migrated lists: slack is then
-        // only the empty headers, not unused capacity.
+        // The handover builds its lists in bulk, sized exactly: slack is
+        // then only the empty headers, not unused capacity.
         let mut exact = ExactJoinCore::new(PerSide::new(0, 0), NormalizeConfig::default());
         for i in 0..8 {
             exact
@@ -1729,8 +1785,102 @@ mod tests {
         assert_eq!(
             slack.left,
             empty_left * std::mem::size_of::<Vec<u32>>(),
-            "after shrink_postings the only slack is empty slot headers"
+            "after the handover the only slack is empty slot headers"
         );
+    }
+
+    /// The exact phase's tables after `tuples`, and the pairs it emitted.
+    fn exact_tables(tuples: &[SidedRecord]) -> (crate::exact::ExactJoinCore, Vec<MatchPair>) {
+        let mut exact = crate::exact::ExactJoinCore::new(PerSide::new(0, 0), Default::default());
+        let mut out = VecDeque::new();
+        for sided in tuples {
+            exact.process(sided.clone(), &mut out).unwrap();
+        }
+        (exact, out.into())
+    }
+
+    /// An index built ahead in chunks — each tokenised, then appended by
+    /// one `extend` — with a flag an exact match set after its resident
+    /// was indexed and arrivals after the last chunk, hands over the
+    /// index one `extend` over every resident builds, column for column,
+    /// and the same recovered pairs.
+    #[test]
+    fn an_index_built_ahead_in_chunks_equals_one_bulk_extend() {
+        let left = [LONG_A, LONG_A_TYPO, UNRELATED, "", LONG_A, UNRELATED];
+        let right = [
+            "TAA BZ SANTA CRISTINx VALGARDENx",
+            "LIG GE GENOVA NERVx",
+            "",
+            UNRELATED,
+            LONG_A,
+            LONG_A,
+        ];
+        let mut tuples: Vec<SidedRecord> = (0..6u64)
+            .flat_map(|i| {
+                let (l, r) = (left[i as usize], right[i as usize]);
+                [sided(Side::Left, i, l), sided(Side::Right, 100 + i, r)]
+            })
+            .collect();
+        let late = tuples.split_off(8);
+        let (mut exact, _) = exact_tables(&tuples);
+        let interner = SharedInterner::new();
+        let config = QGramConfig::default();
+        let mut handover = Handover::default();
+        for chunk in [3, 1, 4] {
+            handover.tokenize(exact.tables(), &config, &interner, chunk);
+            handover.index(exact.tables());
+        }
+        assert_eq!(handover.indexes.map(GramIndex::len), PerSide::new(4, 4));
+        // A late right LONG_A flags the indexed left one; the two late
+        // right tuples are tokenised ahead but not indexed.
+        let mut out = VecDeque::new();
+        for sided in &late {
+            exact.process(sided.clone(), &mut out).unwrap();
+        }
+        assert!(exact.tables().left.tuples()[0].matched_exactly);
+        assert!(!handover.indexes.left.tuples()[0].matched_exactly);
+        handover.tokenize(exact.tables(), &config, &interner, 2);
+
+        let tables = exact.into_tables();
+        let core = || {
+            SshJoinCore::new(PerSide::new(0, 0), config.clone(), 0.8)
+                .with_shared_interner(interner.clone())
+        };
+        let (mut ahead_out, mut bulk_out) = (VecDeque::new(), VecDeque::new());
+        let (bulk, bulk_recovered) = core().with_exact_state(tables.clone(), &mut bulk_out);
+        let (ahead, ahead_recovered) = core().with_handover(tables, handover, &mut ahead_out);
+        assert_eq!(ahead_recovered, bulk_recovered);
+        let pairs = |out: &VecDeque<MatchPair>| -> Vec<_> {
+            out.iter().map(|p| (p.id_pair(), p.kind)).collect()
+        };
+        assert_eq!(pairs(&ahead_out), pairs(&bulk_out));
+        for side in Side::BOTH {
+            let (a, b) = (&ahead.sides[side], &bulk.sides[side]);
+            let column = |index: &GramIndex| -> Vec<_> {
+                (index.tuples.iter())
+                    .map(|t| {
+                        (
+                            t.record.id,
+                            t.key.clone(),
+                            t.grams.gram_ids().to_vec(),
+                            t.matched_exactly,
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(column(a), column(b), "{side:?} tuples and flags");
+            assert_eq!(a.postings, b.postings, "{side:?} postings");
+            assert_eq!(a.lens, b.lens, "{side:?} lens");
+            assert_eq!(a.sigs, b.sigs, "{side:?} sigs");
+            assert_eq!(
+                (&a.grams, &a.offsets),
+                (&b.grams, &b.offsets),
+                "{side:?} CSR"
+            );
+            assert_eq!(a.posting_entries, b.posting_entries);
+            assert_eq!(a.postings_slack_bytes(), b.postings_slack_bytes());
+        }
+        assert_eq!(ahead.stored(), PerSide::new(6, 6));
     }
 
     fn batch_of(core: &SshJoinCore, tuples: &[SidedRecord], home: ShardId) -> PreparedBatch {

@@ -9,9 +9,11 @@
 //! performs the paper's §3.3 state handover:
 //!
 //! 1. the exact join's per-side hash tables are migrated into the SSH
-//!    join's inverted q-gram indexes (tokenising each resident key once —
-//!    ahead of the switch, through [`SwitchJoinCore::tokenize_ahead`],
-//!    when the caller has notice of it);
+//!    join's inverted q-gram indexes, tokenising each resident key once
+//!    (when the caller has notice of the switch, ahead of it, through
+//!    [`SwitchJoinCore::index_ahead`] or
+//!    [`SwitchJoinCore::tokenize_ahead`]; the switch then copies the
+//!    matched-exactly flags of the residents indexed ahead);
 //! 2. the resident tuples are re-probed against each other, *recovering*
 //!    approximate matches the exact operator missed;
 //! 3. per-tuple matched-exactly flags suppress the equal-key pairs the
@@ -28,12 +30,12 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use linkage_text::{NormalizeConfig, QGramCoefficient, QGramConfig, QGramSet, SharedInterner};
+use linkage_text::{NormalizeConfig, QGramCoefficient, QGramConfig, SharedInterner};
 use linkage_types::{defaults, LinkageError, MatchKind, MatchPair, PerSide, Result, SidedRecord};
 
 use crate::exact::ExactJoinCore;
 use crate::iterator::{Operator, OperatorState};
-use crate::ssh::{tokenize_residents, SshJoinCore};
+use crate::ssh::{Handover, SshJoinCore};
 
 /// Which join kernel is currently driving the output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,14 +204,14 @@ impl PerKind {
     }
 }
 
-/// The exact phase's residents tokenised ahead of the switch, into the
-/// interner the approximate core will be built with: `sets[side][i]` is
-/// the gram set of the exact core's `side` tuple `i`.  In memory only —
-/// a snapshot never holds it, and a restored join starts without it.
+/// The approximate core's state built ahead of the switch from the exact
+/// phase's residents, and the interner the core will be built with.  In
+/// memory only — a snapshot never holds it, and a restored join starts
+/// without it.
 #[derive(Default)]
-struct Tokenized {
+struct Ahead {
     interner: SharedInterner,
-    sets: PerSide<Vec<QGramSet>>,
+    handover: Handover,
 }
 
 /// The switchable join as a push core: it is fed one tuple at a time
@@ -217,10 +219,11 @@ struct Tokenized {
 pub struct SwitchJoinCore {
     config: SwitchJoinConfig,
     core: PhaseCore,
-    /// Set by [`Self::tokenize_ahead`], taken by the switch.
-    tokenized: Option<Tokenized>,
-    /// Cleared by [`Self::restore`]: a restored join hands over eagerly.
-    ahead: bool,
+    /// Set by [`Self::tokenize_ahead`] and [`Self::index_ahead`], taken
+    /// by the switch.
+    ahead: Option<Ahead>,
+    /// Set by [`Self::restore`]: a restored join hands over eagerly.
+    eager: bool,
     out: VecDeque<MatchPair>,
     consumed: PerSide<u64>,
     emitted: PerKind,
@@ -235,8 +238,8 @@ impl SwitchJoinCore {
         Self {
             config,
             core: PhaseCore::Exact(exact),
-            tokenized: None,
-            ahead: true,
+            ahead: None,
+            eager: false,
             out: VecDeque::new(),
             consumed: PerSide::default(),
             emitted: PerKind::default(),
@@ -297,21 +300,47 @@ impl SwitchJoinCore {
     /// Tokenise every resident not tokenised yet into the interner the
     /// approximate phase will use, so that a later switch tokenises only
     /// what arrives after this call.  Emits nothing and changes no state
-    /// a snapshot holds.  The serial engine calls it after every tuple
-    /// while an alarm streak is open.
+    /// a snapshot holds.  The serial engine calls it after every tuple of
+    /// a many-record feed while an alarm streak is open; the indexes are
+    /// then built at the switch.
     ///
     /// A no-op once the join has switched, and on a join installed by
     /// [`Self::restore`]: a restored join is a resumed run or a
-    /// rehydrated session, which loses what it tokenised ahead at its
-    /// next eviction.  On a served workload that evicts on most `FEED`s,
+    /// rehydrated session, which loses what it built ahead at its next
+    /// eviction.  On a served workload that evicts on most `FEED`s,
     /// tokenising every resident again in each incarnation cost more
     /// than the switch it spared.
     pub fn tokenize_ahead(&mut self) {
-        let (true, PhaseCore::Exact(exact)) = (self.ahead, &self.core) else {
+        self.build_ahead(usize::MAX, false);
+    }
+
+    /// Build the approximate core's indexes ahead of the switch, one
+    /// chunk per call: tokenise the next `⌈unindexed ÷ calls⌉` residents
+    /// (right side first), then append every tokenised resident to its
+    /// side's index in one bulk pass.  `calls` is how many calls the
+    /// caller expects to make before the switch, so the residents not
+    /// indexed yet are spread over them.  Emits nothing and changes no
+    /// state a snapshot holds; a no-op where [`Self::tokenize_ahead`] is.
+    pub fn index_ahead(&mut self, calls: usize) {
+        self.build_ahead(calls, true);
+    }
+
+    fn build_ahead(&mut self, calls: usize, index: bool) {
+        let (false, PhaseCore::Exact(exact)) = (self.eager, &self.core) else {
             return;
         };
-        let Tokenized { interner, sets } = self.tokenized.get_or_insert_with(Tokenized::default);
-        tokenize_residents(exact.tables(), &self.config.qgram, interner, sets);
+        let Ahead { interner, handover } = self.ahead.get_or_insert_with(Ahead::default);
+        let tables = exact.tables();
+        let chunk = if index {
+            handover.unindexed(tables).div_ceil(calls.max(1))
+        } else {
+            usize::MAX
+        };
+        let limit = chunk.saturating_sub(handover.tokenized());
+        handover.tokenize(tables, &self.config.qgram, interner, limit);
+        if index {
+            handover.index(tables);
+        }
     }
 
     /// Perform the exact → approximate handover now (paper §3.3).
@@ -323,10 +352,10 @@ impl SwitchJoinCore {
         match std::mem::replace(&mut self.core, PhaseCore::Switching) {
             PhaseCore::Exact(exact) => {
                 let before = self.out.len();
-                let Tokenized { interner, sets } = self.tokenized.take().unwrap_or_default();
-                let (ssh, recovered) = self.config.ssh_core_with(interner).with_tokenized_state(
+                let Ahead { interner, handover } = self.ahead.take().unwrap_or_default();
+                let (ssh, recovered) = self.config.ssh_core_with(interner).with_handover(
                     exact.into_tables(),
-                    sets,
+                    handover,
                     &mut self.out,
                 );
                 self.count_new_emissions(before);
@@ -410,8 +439,8 @@ impl SwitchJoinCore {
             RestoredCore::Exact(c) => PhaseCore::Exact(c),
             RestoredCore::Approximate(c) => PhaseCore::Approximate(c),
         };
-        self.tokenized = None;
-        self.ahead = false;
+        self.ahead = None;
+        self.eager = true;
         self.out.extend(snap.pending);
         self.consumed = snap.consumed;
         self.emitted = snap.emitted;
@@ -681,14 +710,14 @@ mod tests {
                 ahead.tokenize_ahead();
             }
             if i == 7 {
-                let sets = &ahead.tokenized.as_ref().expect("tokenised ahead").sets;
-                assert_eq!(sets.map(Vec::len), PerSide::new(4, 4));
+                let handover = &ahead.ahead.as_ref().expect("tokenised ahead").handover;
+                assert_eq!(handover.tokenized(), 8);
             }
         }
         for join in [&mut eager, &mut ahead] {
             join.switch_to_approximate().unwrap();
         }
-        assert!(ahead.tokenized.is_none(), "handed over");
+        assert!(ahead.ahead.is_none(), "handed over");
         ahead_pairs.extend(std::iter::from_fn(|| ahead.pop()));
         let keys = PerSide::new(0, 0);
         let oracle = crate::oracle::stream_similarity(
@@ -704,6 +733,54 @@ mod tests {
         assert_eq!(ahead.recovered_at_switch(), 4);
         assert_eq!(gram_texts(&ahead), gram_texts(&eager));
         assert_eq!(gram_texts(&ahead).map(Vec::len), PerSide::new(5, 5));
+    }
+
+    /// Residents indexed ahead one at a time, exact matches that flag two
+    /// of them after they were indexed, and arrivals after the last
+    /// chunk: the switch copies the flags, appends the arrivals, and
+    /// emits the eager handover's pair stream and resident state.
+    #[test]
+    fn an_exact_match_on_a_resident_indexed_ahead_hands_over_the_eager_stream() {
+        let tuples = feed(&[A, B, C, A_TYPO], &[B_TYPO, A, C, A]);
+        let (mut eager, mut ahead) = (join(), join());
+        let (mut eager_pairs, mut ahead_pairs) = (Vec::new(), Vec::new());
+        for (i, sided) in tuples.iter().enumerate() {
+            eager_pairs.extend(run(&mut eager, vec![sided.clone()]));
+            ahead_pairs.extend(run(&mut ahead, vec![sided.clone()]));
+            if i < 5 {
+                ahead.index_ahead(2);
+            }
+        }
+        // Left A was indexed before right A matched it, left C before
+        // right C did; right C, left A_TYPO and right A came after the
+        // last chunk.
+        let tables = ahead.exact_core_ref().unwrap().tables();
+        let handover = &ahead.ahead.as_ref().expect("indexed ahead").handover;
+        assert_eq!(handover.unindexed(tables), 3);
+        assert_eq!(handover.tokenized(), 0);
+        assert!(tables.left.tuples()[0].matched_exactly);
+        assert!(tables.left.tuples()[2].matched_exactly);
+
+        for (join, pairs) in [
+            (&mut eager, &mut eager_pairs),
+            (&mut ahead, &mut ahead_pairs),
+        ] {
+            assert_eq!(join.switch_to_approximate().unwrap(), 3);
+            pairs.extend(run(join, Vec::new()));
+        }
+        assert_eq!(ahead_pairs, eager_pairs);
+        assert_eq!(gram_texts(&ahead), gram_texts(&eager));
+        let flags = |join: &SwitchJoinCore| {
+            let ssh = join.ssh_core_ref().expect("switched");
+            ssh.indexes().map(|index| {
+                index
+                    .tuples()
+                    .iter()
+                    .map(|t| t.matched_exactly)
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(flags(&ahead), flags(&eager));
     }
 
     /// A restored join hands over eagerly, whatever its caller asks.
@@ -724,7 +801,8 @@ mod tests {
             })
             .unwrap();
         restored.tokenize_ahead();
-        assert!(restored.tokenized.is_none());
+        restored.index_ahead(1);
+        assert!(restored.ahead.is_none());
         assert_eq!(restored.switch_to_approximate().unwrap(), 1);
     }
 

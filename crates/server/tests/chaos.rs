@@ -11,8 +11,7 @@
 
 mod common;
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -26,7 +25,7 @@ use linkage_server::{
     Client, LinkageServer, RetryClient, RetryPolicy, ServerConfig, SessionManager,
 };
 
-use common::{feed_sequence, session_config, solo_events};
+use common::{feed_sequence, session_config, solo_events, ScratchDir};
 
 /// The fault registry is process-global: scenarios must not overlap.
 /// Each test takes this guard first and resets the registry on entry, so
@@ -39,17 +38,8 @@ fn serial() -> MutexGuard<'static, ()> {
     guard
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "linkage-chaos-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    // Process ids are reused: clear what an earlier run left here.
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn scratch_dir(tag: &str) -> ScratchDir {
+    ScratchDir::new(&format!("chaos-{tag}"))
 }
 
 /// Feed `records` into a manager-held session, mirroring the server's
@@ -193,7 +183,7 @@ fn every_crash_state_of_an_eviction_is_adopted_or_discarded_never_misread() {
 
     let mut adopted = Vec::new();
     for (state, dir) in states {
-        let mut manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
+        let mut manager = SessionManager::new(8, u64::MAX, dir.to_path_buf()).unwrap();
         assert_no_tmp(&dir);
         if manager.recovery().adopted == [id] {
             manager_feed(&mut manager, id, &sequence[half..]);
@@ -234,7 +224,7 @@ fn clean_eviction_is_adopted_after_restart_and_resumes_across_the_switch() {
     assert_eq!(manager.evict_all().unwrap(), 1);
     drop(manager);
 
-    let mut manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
+    let mut manager = SessionManager::new(8, u64::MAX, dir.to_path_buf()).unwrap();
     assert_eq!(manager.recovery().adopted, vec![id]);
     assert!(manager.recovery().quarantined.is_empty());
     manager_feed(&mut manager, id, &sequence[half..]);
@@ -267,9 +257,9 @@ fn retry_workload(
     (got, client)
 }
 
-fn start_server(tag: &str, mutate: impl FnOnce(&mut ServerConfig)) -> LinkageServer {
+fn start_server(dir: &Path, mutate: impl FnOnce(&mut ServerConfig)) -> LinkageServer {
     let mut config = ServerConfig::default();
-    config.evict_dir = Some(scratch_dir(tag));
+    config.evict_dir = Some(dir.to_path_buf());
     mutate(&mut config);
     LinkageServer::start(config).unwrap()
 }
@@ -289,7 +279,8 @@ fn a_connection_dropped_at_every_request_boundary_is_invisible() {
     let mut n = 1u64;
     loop {
         fault::arm("server.drop.recv", Trigger::Nth(n));
-        let server = start_server("drop-recv", |_| {});
+        let dir = scratch_dir("drop-recv");
+        let server = start_server(&dir, |_| {});
         let (got, client) = retry_workload(&server.addr().to_string(), &config, &sequence);
         let hits = fault::hits("server.drop.recv");
         fault::reset();
@@ -325,7 +316,8 @@ fn a_reply_cut_after_the_request_applied_does_not_double_feed() {
         let mut n = 1u64;
         loop {
             fault::arm_with("server.drop.reply", Trigger::Nth(n), cut);
-            let server = start_server("drop-reply", |_| {});
+            let dir = scratch_dir("drop-reply");
+            let server = start_server(&dir, |_| {});
             let (got, _client) = retry_workload(&server.addr().to_string(), &config, &sequence);
             let hits = fault::hits("server.drop.reply");
             fault::reset();
@@ -356,7 +348,8 @@ fn a_poisoned_session_is_quarantined_and_the_client_heals_around_it() {
     let expected = solo_events(&config, &data);
 
     fault::arm("session.panic", Trigger::Nth(1));
-    let server = start_server("panic", |_| {});
+    let dir = scratch_dir("panic");
+    let server = start_server(&dir, |_| {});
     let (got, mut client) = retry_workload(&server.addr().to_string(), &config, &sequence);
     assert_eq!(fault::hits("session.panic"), 1);
     fault::reset();
@@ -399,7 +392,8 @@ fn interleaved_sessions_under_random_drops_and_eviction_pressure_stay_exact() {
     // Budget sized to hold roughly one and a half sessions: feeding in
     // round-robin keeps evicting whichever sessions sit idle.
     let one: u64 = workloads[0].1.iter().map(record_bytes).sum();
-    let server = start_server("capstone", |c| c.budget_bytes = one + one / 2);
+    let dir = scratch_dir("capstone");
+    let server = start_server(&dir, |c| c.budget_bytes = one + one / 2);
     fault::arm_with(
         "server.drop.recv",
         Trigger::Probability {
@@ -505,7 +499,7 @@ fn a_failed_directory_fsync_keeps_the_session_live_and_cleans_up() {
     );
     assert_eq!(manager_drain(&mut manager, id), expected);
     drop(manager);
-    let manager = SessionManager::new(8, u64::MAX, dir).unwrap();
+    let manager = SessionManager::new(8, u64::MAX, dir.to_path_buf()).unwrap();
     assert_eq!(manager.recovery(), &Default::default());
 }
 
@@ -605,12 +599,7 @@ fn shutdown_during_a_parked_eviction_loses_nothing_after_restart() {
     // three quarters evicts a.
     let one: u64 = sequence.iter().map(record_bytes).sum();
     let dir = scratch_dir("pause-shutdown");
-    let restart = || {
-        start_server("unused", |c| {
-            c.evict_dir = Some(dir.clone());
-            c.budget_bytes = one;
-        })
-    };
+    let restart = || start_server(&dir, |c| c.budget_bytes = one);
     let server = restart();
     let mut client = Client::connect(server.addr()).unwrap();
     let a = client.open(&config).unwrap();

@@ -5,10 +5,54 @@
 
 #![allow(dead_code)]
 
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use linkage::api::{InterleavePolicy, Pipeline, PipelineConfig, Source};
 use linkage::types::{PerSide, Side, SidedRecord};
 use linkage_datagen::GeneratedData;
 use linkage_server::proto::{wire_event, WireEvent};
+
+/// A fresh directory under the temp dir, `linkage-<name>-<pid>-<n>`,
+/// removed when the guard drops.  Declare it before any server or
+/// manager that writes into it, so that it outlives them.
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    pub fn new(name: &str) -> Self {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "linkage-{name}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        // Process ids are reused: clear what an earlier run left here.
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+}
+
+impl Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for ScratchDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// The session declaration every test uses: datagen's key column, an
 /// explicit reference size (sessions cannot infer one).

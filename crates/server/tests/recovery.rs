@@ -12,8 +12,7 @@
 
 mod common;
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
 use linkage::api::PipelineConfig;
 use linkage::types::snapshot::{kind, Encoder, SnapshotBuilder, SnapshotFile};
@@ -23,19 +22,10 @@ use linkage_server::proto::WireEvent;
 use linkage_server::session::record_bytes;
 use linkage_server::SessionManager;
 
-use common::{feed_sequence, session_config, solo_events};
+use common::{feed_sequence, session_config, solo_events, ScratchDir};
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "linkage-recovery-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    // Process ids are reused: clear what an earlier run left here.
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn scratch_dir(tag: &str) -> ScratchDir {
+    ScratchDir::new(&format!("recovery-{tag}"))
 }
 
 /// One cleanly evicted session's file, captured as bytes so tests can
@@ -49,7 +39,7 @@ impl Evicted {
     /// Evict one fully fed, unfinished session and read its file back.
     fn capture(config: &PipelineConfig, sequence: &[SidedRecord]) -> Self {
         let dir = scratch_dir("capture");
-        let manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
+        let manager = SessionManager::new(8, u64::MAX, dir.to_path_buf()).unwrap();
         let id = manager.open(config.clone(), config.fingerprint()).unwrap();
         let delta: u64 = sequence.iter().map(record_bytes).sum();
         let mut session = manager.checkout(id).unwrap();
@@ -187,7 +177,7 @@ fn a_pristine_eviction_file_is_adopted() {
     let (config, evicted) = captured();
     let dir = scratch_dir("pristine");
     Evicted::rig(&dir, evicted.id, &evicted.bytes);
-    let manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
+    let manager = SessionManager::new(8, u64::MAX, dir.to_path_buf()).unwrap();
     assert_eq!(manager.recovery().adopted, vec![evicted.id]);
     assert!(manager.recovery().quarantined.is_empty());
     let mut session = manager.checkout(evicted.id).unwrap();
@@ -252,7 +242,7 @@ fn a_session_file_missing_or_lying_about_its_input_is_quarantined() {
     lying.put_u32(u32::MAX);
     let dir = scratch_dir("lying-input");
     Evicted::rig(&dir, evicted.id, &rebuilt(Some(lying.finish())));
-    let manager = SessionManager::new(8, u64::MAX, dir).unwrap();
+    let manager = SessionManager::new(8, u64::MAX, dir.to_path_buf()).unwrap();
     assert_eq!(manager.recovery().adopted, vec![evicted.id]);
     match manager.checkout(evicted.id) {
         Err(LinkageError::Quarantined(message)) => {
@@ -274,7 +264,7 @@ fn orphaned_temporaries_are_swept_and_counted() {
     std::fs::write(&torn, &evicted.bytes[..100]).unwrap();
     std::fs::write(dir.join("session-9.tmp-snapshot"), b"torn").unwrap();
 
-    let manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
+    let manager = SessionManager::new(8, u64::MAX, dir.to_path_buf()).unwrap();
     assert_eq!(manager.recovery().removed_tmp_files, 2);
     assert_eq!(manager.recovery().adopted, vec![evicted.id]);
     assert!(!torn.exists());
@@ -292,7 +282,7 @@ fn close_discards_a_quarantined_session_and_its_parked_files() {
     damaged[mid] ^= 0xFF;
     Evicted::rig(&dir, evicted.id, &damaged);
 
-    let manager = SessionManager::new(8, u64::MAX, dir.clone()).unwrap();
+    let manager = SessionManager::new(8, u64::MAX, dir.to_path_buf()).unwrap();
     assert_eq!(manager.recovery().quarantined.len(), 1);
     manager.close(evicted.id).unwrap();
     let qdir = dir.join("quarantine");

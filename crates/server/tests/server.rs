@@ -4,8 +4,7 @@
 
 mod common;
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
 use linkage::api::PipelineConfig;
 use linkage::types::{LinkageError, Side, SidedRecord};
@@ -15,26 +14,15 @@ use linkage_server::{
     Client, LinkageServer, RetryClient, RetryPolicy, ServerConfig, SessionManager,
 };
 
-use common::{feed_sequence, session_config, solo_events, stepped_events};
+use common::{feed_sequence, session_config, solo_events, stepped_events, ScratchDir};
 
-/// A fresh scratch directory per call (no `Date::now` games — pid plus
-/// a counter is unique enough inside one test process).
-fn scratch_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "linkage-server-test-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    // Process ids are reused: clear what an earlier run left here.
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn scratch_dir(tag: &str) -> ScratchDir {
+    ScratchDir::new(&format!("server-test-{tag}"))
 }
 
-fn start_server(tag: &str, mutate: impl FnOnce(&mut ServerConfig)) -> LinkageServer {
+fn start_server(dir: &Path, mutate: impl FnOnce(&mut ServerConfig)) -> LinkageServer {
     let mut config = ServerConfig::default();
-    config.evict_dir = Some(scratch_dir(tag));
+    config.evict_dir = Some(dir.to_path_buf());
     mutate(&mut config);
     LinkageServer::start(config).unwrap()
 }
@@ -50,7 +38,8 @@ fn server_round_trip_is_bit_identical_to_a_direct_session() {
         "the workload must exercise the mid-stream switch"
     );
 
-    let server = start_server("roundtrip", |_| {});
+    let dir = scratch_dir("roundtrip");
+    let server = start_server(&dir, |_| {});
     let mut client = Client::connect(server.addr()).unwrap();
     let session = client.open(&config).unwrap();
 
@@ -88,7 +77,8 @@ fn eviction_and_rehydration_are_transparent_to_the_client() {
         .iter()
         .map(linkage_server::session::record_bytes)
         .sum();
-    let server = start_server("evict", |c| c.budget_bytes = bytes + bytes / 2);
+    let dir = scratch_dir("evict");
+    let server = start_server(&dir, |c| c.budget_bytes = bytes + bytes / 2);
 
     let mut client = Client::connect(server.addr()).unwrap();
     let victim = client.open(&config).unwrap();
@@ -124,10 +114,7 @@ fn closing_an_evicted_session_deletes_its_files() {
         .sum();
 
     let dir = scratch_dir("close-evicted");
-    let server = start_server("unused", |c| {
-        c.evict_dir = Some(dir.clone());
-        c.budget_bytes = bytes + bytes / 2;
-    });
+    let server = start_server(&dir, |c| c.budget_bytes = bytes + bytes / 2);
     let mut client = Client::connect(server.addr()).unwrap();
     let victim = client.open(&config).unwrap();
     let hog = client.open(&config).unwrap();
@@ -155,7 +142,7 @@ fn graceful_shutdown_loses_no_session_mid_feed() {
     let expected = solo_events(&config, &data);
 
     let dir = scratch_dir("graceful");
-    let server = start_server("unused", |c| c.evict_dir = Some(dir.clone()));
+    let server = start_server(&dir, |_| {});
     let addr = server.addr();
     let mut client = Client::connect(addr).unwrap();
     let session = client.open(&config).unwrap();
@@ -183,7 +170,7 @@ fn graceful_shutdown_loses_no_session_mid_feed() {
     // A new process pointed at the same eviction directory adopts the
     // session; feeding the un-acked remainder and draining yields the
     // full solo event sequence — nothing was lost, nothing duplicated.
-    let server = start_server("unused", |c| c.evict_dir = Some(dir));
+    let server = start_server(&dir, |_| {});
     let mut client = Client::connect(server.addr()).unwrap();
     client.feed(session, &sequence[accepted..]).unwrap();
     let got = client.drain(session, 256).unwrap();
@@ -204,7 +191,7 @@ fn a_client_shutdown_persists_the_open_session_for_the_next_server() {
     let half = sequence.len() / 2;
 
     let dir = scratch_dir("client-shutdown");
-    let server = start_server("unused", |c| c.evict_dir = Some(dir.clone()));
+    let server = start_server(&dir, |_| {});
     let mut client = Client::connect(server.addr()).unwrap();
     let session = client.open(&config).unwrap();
     client.feed(session, &sequence[..half]).unwrap();
@@ -212,7 +199,7 @@ fn a_client_shutdown_persists_the_open_session_for_the_next_server() {
     client.shutdown_server().unwrap();
     assert_eq!(server.wait().unwrap(), 1, "the unfinished session");
 
-    let server = start_server("unused", |c| c.evict_dir = Some(dir));
+    let server = start_server(&dir, |_| {});
     let mut client = Client::connect(server.addr()).unwrap();
     client.feed(session, &sequence[half..]).unwrap();
     got.extend(client.drain(session, 256).unwrap());
@@ -245,7 +232,8 @@ fn a_feed_with_a_bad_key_is_refused_whole_and_the_session_survives() {
         config.execution = execution;
         let expected = solo_events(&config, &data);
 
-        let server = start_server("bad-key", |_| {});
+        let dir = scratch_dir("bad-key");
+        let server = start_server(&dir, |_| {});
         let mut client = Client::connect(server.addr()).unwrap();
         let session = client.open(&config).unwrap();
         let accepted = client.feed(session, &sequence[..half]).unwrap().accepted;
@@ -279,7 +267,8 @@ fn a_feed_with_a_bad_key_is_refused_whole_and_the_session_survives() {
 
 #[test]
 fn open_rejects_bad_configs_and_unknown_sessions_with_typed_errors() {
-    let server = start_server("typed-errors", |_| {});
+    let dir = scratch_dir("typed-errors");
+    let server = start_server(&dir, |_| {});
     let mut client = Client::connect(server.addr()).unwrap();
 
     // A config that fails validation server-side (no reference size)
@@ -304,7 +293,8 @@ fn oversized_open_configs_are_bad_requests_not_aborts() {
     use linkage::api::{ExecutionMode, SwitchPolicy};
     let data = generate(&DatagenConfig::mid_stream_dirty(60, 5)).unwrap();
     let config = session_config(data.parents.len() as u64);
-    let server = start_server("oversized", |_| {});
+    let dir = scratch_dir("oversized");
+    let server = start_server(&dir, |_| {});
     let mut client = Client::connect(server.addr()).unwrap();
 
     // Each of these allocated its size up front and aborted the process.
@@ -349,7 +339,7 @@ fn manager_rejects_busy_and_over_budget_with_typed_errors() {
     let data = generate(&DatagenConfig::mid_stream_dirty(40, 3)).unwrap();
     let config = session_config(data.parents.len() as u64);
     let dir = scratch_dir("manager");
-    let manager = SessionManager::new(2, 4096, dir).unwrap();
+    let manager = SessionManager::new(2, 4096, dir.to_path_buf()).unwrap();
 
     let a = manager.open(config.clone(), config.fingerprint()).unwrap();
     let b = manager.open(config.clone(), config.fingerprint()).unwrap();
@@ -391,7 +381,8 @@ fn retry_client_round_trip_is_bit_identical_on_a_healthy_server() {
     let sequence = feed_sequence(&data);
     let expected = solo_events(&config, &data);
 
-    let server = start_server("retry-happy", |_| {});
+    let dir = scratch_dir("retry-happy");
+    let server = start_server(&dir, |_| {});
     let mut client = RetryClient::connect(server.addr().to_string(), RetryPolicy::default());
     let handle = client.open(&config).unwrap();
     let mut got = Vec::new();
@@ -427,7 +418,8 @@ fn a_refused_retry_feed_is_dropped_and_the_session_carries_on() {
     let int_key = Record::new(9_999u64, vec![Value::Int(7); GeneratedData::KEY_COLUMN + 1]);
     let b = [c[0].clone(), SidedRecord::new(Side::Right, int_key)];
 
-    let server = start_server("retry-refused", |_| {});
+    let dir = scratch_dir("retry-refused");
+    let server = start_server(&dir, |_| {});
     let mut client = RetryClient::connect(server.addr().to_string(), RetryPolicy::default());
     let handle = client.open(&config).unwrap();
     client.feed(handle, a).unwrap();
@@ -448,7 +440,8 @@ fn a_connection_that_stalls_mid_request_trips_the_server_deadline() {
     use std::io::{Read, Write};
     use std::time::Duration;
 
-    let server = start_server("deadline", |c| {
+    let dir = scratch_dir("deadline");
+    let server = start_server(&dir, |c| {
         c.request_deadline = Duration::from_millis(200);
     });
     let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
@@ -477,7 +470,8 @@ fn sigterm_latches_into_graceful_shutdown() {
     }
     const SIGTERM: i32 = 15;
 
-    let server = start_server("sigterm", |c| c.handle_sigterm = true);
+    let dir = scratch_dir("sigterm");
+    let server = start_server(&dir, |c| c.handle_sigterm = true);
     // SAFETY: raising SIGTERM at ourselves; the server installed a
     // handler that latches a flag, so the process does not die.
     unsafe {
@@ -517,7 +511,8 @@ fn four_clients_under_eviction_pressure_stay_exact_and_are_never_rejected() {
         })
         .max()
         .unwrap();
-    let server = start_server("stress", |c| c.budget_bytes = largest * 5 / 2);
+    let dir = scratch_dir("stress");
+    let server = start_server(&dir, |c| c.budget_bytes = largest * 5 / 2);
     let addr = server.addr();
 
     let drive = |_thread: usize| -> Vec<Vec<WireEvent>> {

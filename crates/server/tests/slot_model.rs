@@ -29,9 +29,10 @@
 //! and with the main thread's requests.  A request that reaches a session
 //! in flight must wait for its commit, never answer `BUSY`.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use linkage::api::PipelineConfig;
@@ -39,6 +40,8 @@ use linkage::types::{LinkageError, PerSide, Record, Side, SidedRecord, Value};
 use linkage_server::session::record_bytes;
 use linkage_server::{Session, SessionManager};
 use proptest::prelude::*;
+
+use common::ScratchDir;
 
 const CAP: usize = 3;
 /// Every fed record costs the same, so the budget is a record count.
@@ -386,17 +389,8 @@ impl Model {
 
 // -------------------------------------------------------------- harness
 
-fn scratch_dir() -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "linkage-slot-model-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    // Process ids are reused: clear what an earlier run left here.
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn scratch_dir() -> ScratchDir {
+    ScratchDir::new("slot-model")
 }
 
 fn evict_file(dir: &Path, id: u64) -> PathBuf {
@@ -404,7 +398,6 @@ fn evict_file(dir: &Path, id: u64) -> PathBuf {
 }
 
 struct Harness {
-    dir: PathBuf,
     manager: Arc<SessionManager>,
     model: Model,
     /// Sessions the test holds checked out (`Taken` in both tables).
@@ -416,6 +409,8 @@ struct Harness {
     /// The `Evicting` session whose file its rename already committed:
     /// the first victim of an actor parked at `evict.dirsync`.
     renamed: Option<u64>,
+    /// Last, so that it drops after everything that writes into it.
+    dir: ScratchDir,
 }
 
 impl Harness {
@@ -424,8 +419,7 @@ impl Harness {
         let record_bytes = record_bytes(&record(0));
         let budget = BUDGET_RECORDS * record_bytes;
         Self {
-            manager: Arc::new(SessionManager::new(CAP, budget, dir.clone()).unwrap()),
-            dir,
+            manager: Arc::new(SessionManager::new(CAP, budget, dir.to_path_buf()).unwrap()),
             model: Model {
                 budget,
                 ..Model::default()
@@ -435,6 +429,7 @@ impl Harness {
             next_record: 0,
             record_bytes,
             renamed: None,
+            dir,
         }
     }
 
@@ -606,12 +601,6 @@ impl Harness {
                  (or its rehydration has not read it yet)"
             );
         }
-    }
-}
-
-impl Drop for Harness {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -916,7 +905,7 @@ proptest! {
 fn rehydration_never_pushes_the_live_count_past_the_cap() {
     let _serial = serial();
     let dir = scratch_dir();
-    let manager = SessionManager::new(1, u64::MAX, dir.clone()).unwrap();
+    let manager = SessionManager::new(1, u64::MAX, dir.to_path_buf()).unwrap();
     let a = manager.open(config(), config().fingerprint()).unwrap();
     let b = manager.open(config(), config().fingerprint()).unwrap();
     assert!(evict_file(&dir, a).exists(), "cap 1: opening b evicted a");
@@ -939,5 +928,4 @@ fn rehydration_never_pushes_the_live_count_past_the_cap() {
     assert!(evict_file(&dir, a).exists() && !evict_file(&dir, b).exists());
     assert_eq!(manager.stats().live_sessions, 1);
     manager.checkin(session_b, 0);
-    let _ = std::fs::remove_dir_all(dir);
 }

@@ -1980,7 +1980,7 @@ mod server_service {
     //! interleaved multi-session isolation, and the `docs/server.md`
     //! spec constants.
 
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     use linkage::api::{
@@ -1994,7 +1994,32 @@ mod server_service {
     use linkage_types::{PerSide, Side, SidedRecord};
     use proptest::prelude::*;
 
-    fn scratch_dir(tag: &str) -> PathBuf {
+    /// A fresh directory under the temp dir, removed when the guard
+    /// drops.  Declare it before any server or manager that writes into
+    /// it, so that it outlives them.
+    struct ScratchDir(PathBuf);
+
+    impl std::ops::Deref for ScratchDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for ScratchDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn scratch_dir(tag: &str) -> ScratchDir {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "linkage-tests-server-{tag}-{}-{}",
@@ -2004,7 +2029,7 @@ mod server_service {
         // Process ids are reused: clear what an earlier run left here.
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("scratch dir");
-        dir
+        ScratchDir(dir)
     }
 
     fn session_config(reference: u64) -> PipelineConfig {
@@ -2067,7 +2092,7 @@ mod server_service {
         for cut in [switch_at - 1, switch_at, switch_at + 1] {
             for polled in [0usize, 1, 3] {
                 let dir = scratch_dir("switch-evict");
-                let manager = SessionManager::new(2, u64::MAX, dir).expect("manager");
+                let manager = SessionManager::new(2, u64::MAX, dir.to_path_buf()).expect("manager");
                 let id = manager
                     .open(config.clone(), config.fingerprint())
                     .expect("open");
@@ -2202,7 +2227,7 @@ mod server_service {
 
         for cut in [BATCH * 3, BATCH * 3 + 1, BATCH * 4 - 1, sequence.len() - 5] {
             let dir = scratch_dir("sharded-evict");
-            let manager = SessionManager::new(2, u64::MAX, dir.clone()).expect("manager");
+            let manager = SessionManager::new(2, u64::MAX, dir.to_path_buf()).expect("manager");
             let id = manager
                 .open(config.clone(), config.fingerprint())
                 .expect("open");
@@ -2279,8 +2304,9 @@ mod server_service {
                 .iter()
                 .map(|s| s.iter().map(record_bytes).sum())
                 .collect();
+            let dir = scratch_dir("prop");
             let mut server_config = ServerConfig::default();
-            server_config.evict_dir = Some(scratch_dir("prop"));
+            server_config.evict_dir = Some(dir.to_path_buf());
             server_config.budget_bytes =
                 session_bytes.iter().copied().max().unwrap_or(0) + 64;
             server_config.max_sessions = sequences.len();
@@ -2366,7 +2392,7 @@ mod server_service {
             }
             let config = eviction_golden_config(&data, sharded);
             let dir = scratch_dir("golden-writer");
-            let manager = SessionManager::new(1, u64::MAX, dir.clone()).expect("manager");
+            let manager = SessionManager::new(1, u64::MAX, dir.to_path_buf()).expect("manager");
             let id = manager
                 .open(config.clone(), config.fingerprint())
                 .expect("open");
@@ -2385,7 +2411,7 @@ mod server_service {
     }
 
     /// A copy of eviction golden `name` in a scratch eviction directory.
-    fn copy_eviction_golden(name: &str) -> PathBuf {
+    fn copy_eviction_golden(name: &str) -> ScratchDir {
         let dir = scratch_dir("golden");
         for entry in std::fs::read_dir(eviction_golden_dir().join(name)).expect("golden") {
             let path = entry.expect("entry").path();
@@ -2401,7 +2427,7 @@ mod server_service {
     fn three_file_eviction_goldens_are_quarantined_whole() {
         for (name, ..) in &EVICTION_GOLDENS[..2] {
             let dir = copy_eviction_golden(name);
-            let manager = SessionManager::new(2, u64::MAX, dir.clone()).expect("manager");
+            let manager = SessionManager::new(2, u64::MAX, dir.to_path_buf()).expect("manager");
             let recovery = manager.recovery();
             assert!(recovery.adopted.is_empty(), "{name}");
             assert_eq!(recovery.quarantined.len(), 1, "{name}");
@@ -2461,8 +2487,8 @@ mod server_service {
         let data = generate(&DatagenConfig::mid_stream_dirty(60, 16)).expect("datagen");
         let sequence = feed_sequence(&data);
         let config = eviction_golden_config(&data, sharded);
-        let manager =
-            SessionManager::new(2, u64::MAX, copy_eviction_golden(name)).expect("manager");
+        let dir = copy_eviction_golden(name);
+        let manager = SessionManager::new(2, u64::MAX, dir.to_path_buf()).expect("manager");
         assert_eq!(manager.recovery().adopted, vec![1]);
         let mut session = manager.checkout(1).expect("rehydrate");
         assert_eq!(session.fed(), cut as u64);
@@ -2491,7 +2517,7 @@ mod server_service {
         let data = generate(&DatagenConfig::mid_stream_dirty(40, 3)).expect("datagen");
         let sequence = feed_sequence(&data);
         let dir = scratch_dir("one-file");
-        let manager = SessionManager::new(4, u64::MAX, dir.clone()).expect("manager");
+        let manager = SessionManager::new(4, u64::MAX, dir.to_path_buf()).expect("manager");
         let mut configs = Vec::new();
         for (sharded, fed, fin) in [(false, 30, false), (true, 45, false), (true, 45, true)] {
             let mut config = session_config(data.parents.len() as u64);
@@ -2566,7 +2592,7 @@ mod server_service {
         // The eviction file's `BIND` section sits under the kind the spec
         // names, and starts with the session id.
         let dir = scratch_dir("spec-bind");
-        let manager = SessionManager::new(1, u64::MAX, dir.clone()).expect("manager");
+        let manager = SessionManager::new(1, u64::MAX, dir.to_path_buf()).expect("manager");
         let config = session_config(8);
         let id = manager
             .open(config.clone(), config.fingerprint())
