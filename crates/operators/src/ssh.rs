@@ -374,9 +374,6 @@ impl GramIndex {
             .filter_map(|t| t.grams.gram_ids().last())
             .max()
             .map_or(0, |max| max.as_usize() + 1);
-        if slots > self.postings.len() {
-            self.postings.resize_with(slots, Vec::new);
-        }
         let mut counts = vec![0u32; slots];
         let mut added = 0usize;
         for t in &tuples {
@@ -391,6 +388,10 @@ impl GramIndex {
         );
         for (list, &count) in self.postings.iter_mut().zip(&counts) {
             list.reserve_exact(count as usize);
+        }
+        if let Some(new) = counts.get(self.postings.len()..) {
+            self.postings
+                .extend(new.iter().map(|&count| Vec::with_capacity(count as usize)));
         }
         self.lens.reserve(tuples.len());
         self.sigs.reserve(tuples.len());
@@ -1789,16 +1790,6 @@ mod tests {
         );
     }
 
-    /// The exact phase's tables after `tuples`, and the pairs it emitted.
-    fn exact_tables(tuples: &[SidedRecord]) -> (crate::exact::ExactJoinCore, Vec<MatchPair>) {
-        let mut exact = crate::exact::ExactJoinCore::new(PerSide::new(0, 0), Default::default());
-        let mut out = VecDeque::new();
-        for sided in tuples {
-            exact.process(sided.clone(), &mut out).unwrap();
-        }
-        (exact, out.into())
-    }
-
     /// An index built ahead in chunks — each tokenised, then appended by
     /// one `extend` — with a flag an exact match set after its resident
     /// was indexed and arrivals after the last chunk, hands over the
@@ -1822,7 +1813,11 @@ mod tests {
             })
             .collect();
         let late = tuples.split_off(8);
-        let (mut exact, _) = exact_tables(&tuples);
+        let mut exact = crate::exact::ExactJoinCore::new(PerSide::new(0, 0), Default::default());
+        let mut out = VecDeque::new();
+        for sided in &tuples {
+            exact.process(sided.clone(), &mut out).unwrap();
+        }
         let interner = SharedInterner::new();
         let config = QGramConfig::default();
         let mut handover = Handover::default();
@@ -1833,7 +1828,6 @@ mod tests {
         assert_eq!(handover.indexes.map(GramIndex::len), PerSide::new(4, 4));
         // A late right LONG_A flags the indexed left one; the two late
         // right tuples are tokenised ahead but not indexed.
-        let mut out = VecDeque::new();
         for sided in &late {
             exact.process(sided.clone(), &mut out).unwrap();
         }
